@@ -31,6 +31,7 @@ from .errors import (
     ShapeMismatch,
     SingularState,
     UnknownSuite,
+    UsageError,
     ZeroVector,
 )
 from .inequalities import (
@@ -57,6 +58,7 @@ from .kms import (
 from .linalg import (
     SpectralDecomposition,
     apply_spectral_function,
+    as_spectral,
     check_psd,
     jordan_decompose,
     matrix_sqrt,
@@ -87,14 +89,6 @@ from .states import (
     functional_distance,
     is_faithful,
     purify,
-)
-from .superops import (
-    BoxTimes,
-    boxtimes_apply,
-    left_mult,
-    right_mult,
-    superop_function,
-    superop_power,
 )
 from .vecops import (
     BipartiteVector,

@@ -14,7 +14,8 @@ an inequality that held within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import math
 
 import numpy as np
 
@@ -32,7 +33,7 @@ TOL_RESIDUAL = 1e-10
 TOL_STRICT = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CampaignResult:
     suite: str
     seed: int
@@ -43,47 +44,43 @@ class CampaignResult:
     worst_slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "dimension": self.dimension,
-            "samples": self.samples,
-            "checks": self.checks,
-            "failures": self.failures,
-            "worst_slack": self.worst_slack,
-        }
+        """The fields in declaration order."""
+        return dataclasses.asdict(self)
 
 
 class _Tally:
-    """Accumulates (margin, passed) pairs."""
+    """Accumulates (margin, passed) pairs; fails closed.
+
+    A check passes only if its predicate holds and its margin is finite, so
+    a NaN or infinite residual, value or slack always counts as a failure.
+    """
 
     def __init__(self):
         self.margins: list[float] = []
         self.failures = 0
 
-    def residual(self, value: float, tol: float) -> None:
-        self.margins.append(tol - value)
-        if value >= tol:
+    def _add(self, margin: float, passed: bool) -> None:
+        self.margins.append(margin)
+        if not (passed and math.isfinite(margin)):
             self.failures += 1
+
+    def residual(self, value: float, tol: float) -> None:
+        self._add(tol - value, value < tol)
 
     def bound_below(self, value: float, tol: float) -> None:
         """Check value >= -tol (e.g. cone pairings nonnegative up to rounding)."""
-        self.margins.append(value + tol)
-        if value < -tol:
-            self.failures += 1
+        self._add(value + tol, value >= -tol)
 
     def report(self, rep: ineq.InequalityReport) -> None:
-        self.margins.append(rep.slack)
-        if not rep.passed:
-            self.failures += 1
+        self._add(rep.slack, rep.passed)
 
     def boolean(self, ok: bool) -> None:
-        self.margins.append(TOL_RESIDUAL if ok else -1.0)
-        if not ok:
-            self.failures += 1
+        ok = isinstance(ok, (bool, np.bool_)) and bool(ok)
+        self._add(TOL_RESIDUAL if ok else -1.0, ok)
 
     def result(self, suite: str, seed: int, dimension: int, samples: int) -> CampaignResult:
-        worst = float(min(self.margins)) if self.margins else 0.0
+        # np.min propagates NaN, where the builtin min depends on list order
+        worst = float(np.min(self.margins)) if self.margins else 0.0
         return CampaignResult(
             suite, seed, dimension, samples, len(self.margins), self.failures, worst
         )

@@ -10,7 +10,8 @@ error, 3 domain error (singular state, bad shapes, non-PSD input),
 4 usage error (bad flags, unknown suite).
 
 The environment variable ``MODKIT_TOL`` overrides the default residual
-tolerance; an explicit ``--tol`` beats the environment.
+tolerance; an explicit ``--tol`` beats the environment. Either must be a
+finite number > 0, else the run is a usage error.
 
 Reports with ``--json`` are deterministic for a fixed (seed, dimension,
 samples) apart from the ``wall_time`` field.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ import time
 import numpy as np
 
 from . import campaigns
-from .errors import ModkitError, ParseError, UnknownSuite
+from .errors import ModkitError, ParseError, UsageError
 from .kms import (
     centralizer_basis,
     gibbs_hamiltonian,
@@ -115,14 +117,18 @@ def _emit(obj: dict, as_json: bool) -> None:
 def _resolve_tol_optional(flag_value: float | None) -> float | None:
     """Flag beats MODKIT_TOL beats None (each check then uses its default)."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MODKIT_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise UnknownSuite(f"MODKIT_TOL is not a number: {env!r}") from exc
-    return None
+        source, value = "--tol", flag_value
+    elif "MODKIT_TOL" in os.environ:
+        source, value = "MODKIT_TOL", os.environ["MODKIT_TOL"]
+    else:
+        return None
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"{source} must be a finite number > 0, got {value!r}")
+    return tol
 
 
 def _resolve_tol(flag_value: float | None) -> float:
@@ -234,54 +240,29 @@ def _commutant_dimension(d: np.ndarray, tol: float = 1e-8) -> int:
     return int(np.count_nonzero(sigma <= tol * max(1.0, float(sigma[0]))))
 
 
-def _suite_exit(results, as_json, seed, dimension, samples, started) -> int:
+def cmd_campaign(args) -> int:
+    """``cone``, ``ineq`` and ``campaign``; the suite comes from the parser."""
+    started = time.perf_counter()
+    results = campaigns.run_suite(
+        args.suite, args.seed, args.dim, args.samples, _resolve_tol_optional(args.tol)
+    )
     failures = sum(r.failures for r in results)
-    checks = sum(r.checks for r in results)
-    worst = min(r.worst_slack for r in results)
     if len(results) == 1:
         out = results[0].to_dict()
     else:
         out = {
             "suite": "all",
-            "seed": seed,
-            "dimension": dimension,
-            "samples": samples,
-            "checks": checks,
+            "seed": args.seed,
+            "dimension": args.dim,
+            "samples": args.samples,
+            "checks": sum(r.checks for r in results),
             "failures": failures,
-            "worst_slack": worst,
+            "worst_slack": float(np.min([r.worst_slack for r in results])),
             "suites": [r.to_dict() for r in results],
         }
     out["wall_time"] = round(time.perf_counter() - started, 6)
-    _emit(out, as_json)
+    _emit(out, args.json)
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def cmd_cone(args) -> int:
-    started = time.perf_counter()
-    results = campaigns.run_suite(
-        "cone", args.seed, args.dim, args.samples, _resolve_tol_optional(args.tol)
-    )
-    return _suite_exit(results, args.json, args.seed, args.dim, args.samples, started)
-
-
-def cmd_ineq(args) -> int:
-    started = time.perf_counter()
-    results = campaigns.run_suite(
-        "inequalities",
-        args.seed,
-        args.dim,
-        args.samples,
-        _resolve_tol_optional(args.tol),
-    )
-    return _suite_exit(results, args.json, args.seed, args.dim, args.samples, started)
-
-
-def cmd_campaign(args) -> int:
-    started = time.perf_counter()
-    results = campaigns.run_suite(
-        args.suite, args.seed, args.dim, args.samples, _resolve_tol_optional(args.tol)
-    )
-    return _suite_exit(results, args.json, args.seed, args.dim, args.samples, started)
 
 
 def _dim_arg(text: str) -> int:
@@ -347,11 +328,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cone", help="natural positive cone property campaign")
     _add_common(p)
-    p.set_defaults(func=cmd_cone)
+    p.set_defaults(func=cmd_campaign, suite="cone")
 
     p = sub.add_parser("ineq", help="trace inequality campaign")
     _add_common(p, samples_default=100)
-    p.set_defaults(func=cmd_ineq)
+    p.set_defaults(func=cmd_campaign, suite="inequalities")
 
     p = sub.add_parser("campaign", help="named verification campaign")
     p.add_argument(
@@ -373,7 +354,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"modkit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UnknownSuite as exc:
+    except UsageError as exc:
         print(f"modkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModkitError as exc:

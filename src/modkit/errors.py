@@ -61,7 +61,11 @@ class OutsideStrip(ModkitError):
     """Complex argument lies outside the analyticity strip 0 <= Im z <= beta."""
 
 
-class UnknownSuite(ModkitError):
+class UsageError(ModkitError):
+    """Invalid command-line usage (e.g. a tolerance that is not finite and > 0)."""
+
+
+class UnknownSuite(UsageError):
     """Campaign suite name not recognized."""
 
 

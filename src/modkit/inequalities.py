@@ -21,17 +21,19 @@ s-family meaningful on singular inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadExponent, NotPSD, OrderViolation, SingularState
+from .errors import BadExponent, NotHermitian, NotPSD, OrderViolation, SingularState
 from .linalg import (
     PSD_TOL,
+    SpectralDecomposition,
     abs_hermitian,
-    adjoint,
     as_matrix,
+    as_spectral,
     check_psd,
     hs_norm,
     matrix_sqrt,
@@ -87,13 +89,22 @@ def _report(
     return InequalityReport(name, lhs, rhs, slack, passed, seed, route_residual)
 
 
-def _require_psd(*mats: np.ndarray) -> list[np.ndarray]:
+def _require_psd(*mats) -> list[tuple[np.ndarray, SpectralDecomposition]]:
+    """Validate each input as :func:`check_psd` does, from one eigh each.
+
+    Returns (matrix, decomposition) pairs; every power a check takes of an
+    input comes from that decomposition.
+    """
     out = []
     for m in mats:
         m = as_matrix(m)
-        if not check_psd(m):
+        try:
+            dec = spectral_decomposition(m, PSD_TOL)
+        except NotHermitian as exc:
+            raise NotPSD("inequality inputs must be PSD") from exc
+        if dec.eigenvalues[0] < -PSD_TOL * max(1.0, hs_norm(m)):
             raise NotPSD("inequality inputs must be PSD")
-        out.append(m)
+        out.append((m, dec))
     return out
 
 
@@ -101,7 +112,7 @@ def norm_sandwich(
     x: np.ndarray, y: np.ndarray, seed: int | None = None
 ) -> tuple[InequalityReport, InequalityReport]:
     """Both halves of ||X-Y||_HS^2 <= ||X^2-Y^2||_1 <= ||X-Y||_HS ||X+Y||_HS."""
-    x, y = _require_psd(x, y)
+    (x, _), (y, _) = _require_psd(x, y)
     diff_sq = hs_norm(x - y) ** 2
     middle = trace_norm(x @ x - y @ y)
     upper = hs_norm(x - y) * hs_norm(x + y)
@@ -115,8 +126,8 @@ def powers_stormer(
     a: np.ndarray, b: np.ndarray, seed: int | None = None
 ) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
-    a, b = _require_psd(a, b)
-    lhs = hs_norm(matrix_sqrt(a) - matrix_sqrt(b)) ** 2
+    (a, dec_a), (b, dec_b) = _require_psd(a, b)
+    lhs = hs_norm(matrix_sqrt(dec_a) - matrix_sqrt(dec_b)) ** 2
     rhs = trace_norm(a - b)
     return _report("powers_stormer", lhs, rhs, "le", seed)
 
@@ -130,8 +141,10 @@ def ozawa_s(
     """
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
-    a, b = _require_psd(a, b)
-    lhs = 2.0 * float(np.real(np.trace(psd_power(b, s) @ psd_power(a, 1.0 - s))))
+    (a, dec_a), (b, dec_b) = _require_psd(a, b)
+    lhs = 2.0 * float(
+        np.real(np.trace(psd_power(dec_b, s) @ psd_power(dec_a, 1.0 - s)))
+    )
     rhs = float(np.real(np.trace(a + b - abs_hermitian(a - b))))
     return _report(f"ozawa_s[{s:g}]", lhs, rhs, "ge", seed)
 
@@ -184,25 +197,24 @@ class MonotoneFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
 
-    def apply_f(self, a: np.ndarray) -> np.ndarray:
-        dec = spectral_decomposition(a)
-        vals = np.maximum(dec.eigenvalues, 0.0)
-        return (dec.eigenvectors * self.f(vals)) @ adjoint(dec.eigenvectors)
+    def apply_f(self, a) -> np.ndarray:
+        """f(A) for a PSD matrix or its decomposition."""
+        return as_spectral(a).apply(self.f, clip=True)
 
-    def apply_sqrt_f(self, a: np.ndarray) -> np.ndarray:
-        dec = spectral_decomposition(a)
-        vals = np.maximum(dec.eigenvalues, 0.0)
-        return (dec.eigenvectors * np.sqrt(self.f(vals))) @ adjoint(dec.eigenvectors)
+    def apply_sqrt_f(self, a) -> np.ndarray:
+        return as_spectral(a).apply(lambda lam: np.sqrt(self.f(lam)), clip=True)
 
-    def apply_g(self, b: np.ndarray, zero_tol: float = PSD_TOL) -> np.ndarray:
+    def apply_g(self, b, zero_tol: float = PSD_TOL) -> np.ndarray:
         """g through the spectrum, with g = 0 on the (numerical) kernel."""
-        dec = spectral_decomposition(b)
-        vals = np.maximum(dec.eigenvalues, 0.0)
-        top = float(vals[-1]) if vals.size else 0.0
-        support = vals > zero_tol * max(1.0, top)
-        g_vals = np.zeros_like(vals)
-        g_vals[support] = vals[support] / self.f(vals[support])
-        return (dec.eigenvectors * g_vals) @ adjoint(dec.eigenvectors)
+        dec = as_spectral(b)
+        support = dec.support(zero_tol)
+
+        def g(lam):
+            out = np.zeros_like(lam)
+            out[support] = lam[support] / self.f(lam[support])
+            return out
+
+        return dec.apply(g, clip=True)
 
 
 def monotone_function(
@@ -238,8 +250,9 @@ def power_monotone(s: float) -> MonotoneFunction:
     return monotone_function(f"t^{s:g}", lambda t: t**s)
 
 
-def default_registry() -> dict[str, MonotoneFunction]:
-    """The shipped operator monotone functions."""
+@functools.cache
+def _shipped_registry() -> dict[str, MonotoneFunction]:
+    """Built once per process: registration runs the 60 spot checks."""
     return {
         "t^0.5": power_monotone(0.5),
         "t/(1+t)": monotone_function("t/(1+t)", lambda t: t / (1.0 + t)),
@@ -247,13 +260,18 @@ def default_registry() -> dict[str, MonotoneFunction]:
     }
 
 
+def default_registry() -> dict[str, MonotoneFunction]:
+    """The shipped operator monotone functions, as a fresh dict per call."""
+    return dict(_shipped_registry())
+
+
 def hoa_generalized(
     a: np.ndarray, b: np.ndarray, mf: MonotoneFunction, seed: int | None = None
 ) -> InequalityReport:
     """2 Tr(sqrt(f(A)) g(B) sqrt(f(A))) >= Tr(A + B - |A - B|)."""
-    a, b = _require_psd(a, b)
-    root = mf.apply_sqrt_f(a)
-    lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(b) @ root)))
+    (a, dec_a), (b, dec_b) = _require_psd(a, b)
+    root = mf.apply_sqrt_f(dec_a)
+    lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(dec_b) @ root)))
     rhs = float(np.real(np.trace(a + b - abs_hermitian(a - b))))
     return _report(f"hoa[{mf.name}]", lhs, rhs, "ge", seed)
 
@@ -264,9 +282,10 @@ def phillips(
     """||A^(1/t) - B^(1/t)||_t^t <= ||A - B||_1 for A >= B >= 0 and t >= 1."""
     if t < 1.0:
         raise BadExponent(f"t must be >= 1, got {t}")
-    a, b = _require_psd(a, b)
+    (a, dec_a), (b, dec_b) = _require_psd(a, b)
     if not check_psd(a - b):
         raise OrderViolation("Phillips inequality requires A >= B")
-    lhs = schatten_norm(psd_power(a, 1.0 / t) - psd_power(b, 1.0 / t), t) ** t
+    root_a, root_b = psd_power(dec_a, 1.0 / t), psd_power(dec_b, 1.0 / t)
+    lhs = schatten_norm(root_a - root_b, t) ** t
     rhs = trace_norm(a - b)
     return _report(f"phillips[{t:g}]", lhs, rhs, "le", seed)

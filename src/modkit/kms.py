@@ -60,10 +60,7 @@ def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
         raise BadBeta(f"inverse temperature must be positive, got {beta}")
     if not is_faithful(density):
         raise SingularState("Gibbs Hamiltonian needs a faithful density")
-    spec = density.spectrum
-    h = (spec.eigenvectors * (-np.log(spec.eigenvalues) / beta)) @ adjoint(
-        spec.eigenvectors
-    )
+    h = density.spectrum.apply(lambda lam: -np.log(lam) / beta)
     return GibbsSystem(float(beta), density, h)
 
 

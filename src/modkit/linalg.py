@@ -76,7 +76,7 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarr
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigendata of a Hermitian matrix.
+    """Eigendata of a Hermitian matrix, and the one owner of f(A) = V f(lambda) V*.
 
     Attributes
     ----------
@@ -89,15 +89,67 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def _synthesize(self, values: np.ndarray) -> np.ndarray:
+        v = self.eigenvectors
+        return (v * values) @ adjoint(v)
+
     def reconstruct(self) -> np.ndarray:
         """V diag(lambda) V*."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ adjoint(v)
+        return self._synthesize(self.eigenvalues)
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """V f(lambda) V* for a scalar function applied to the eigenvalues."""
-        v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ adjoint(v)
+    def apply(
+        self, f: Callable[[np.ndarray], np.ndarray], clip: bool = False
+    ) -> np.ndarray:
+        """V f(lambda) V* for a scalar function applied to the eigenvalues.
+
+        With ``clip`` the eigenvalues are first clipped at zero, so that
+        negative rounding noise of a PSD matrix never reaches ``f``.
+        """
+        return self._synthesize(f(self._clipped() if clip else self.eigenvalues))
+
+    def _clipped(self) -> np.ndarray:
+        """Eigenvalues with negative rounding noise set to zero."""
+        return np.maximum(self.eigenvalues, 0.0)
+
+    def support(self, zero_tol: float = PSD_TOL) -> np.ndarray:
+        """Mask of the eigenvalues above ``zero_tol * max(1, largest)``."""
+        vals = self._clipped()
+        top = float(vals[-1]) if vals.size else 0.0
+        return vals > zero_tol * max(1.0, top)
+
+    def power(self, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
+        """A^s on the clipped spectrum.
+
+        At ``s = 0`` the support convention holds: eigenvalues at or below
+        ``zero_tol * max(1, largest)`` map to 0, the rest to 1. ``s < 0``
+        needs a strictly positive spectrum but applies no such floor, so a
+        faithful state with a tiny eigenvalue keeps its inverse powers.
+        """
+        if s == 0:
+            return self._synthesize(self.support(zero_tol).astype(float))
+        if s < 0:
+            self._require_positive("negative power")
+            # exp(s log lambda) as a complex power: the modular cross-route
+            # margins sit at rounding level and are pinned to this arithmetic
+            return self._synthesize(self.eigenvalues.astype(complex) ** s)
+        return self._synthesize(self._clipped() ** s)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """A^(it) = exp(it log A); needs a strictly positive spectrum."""
+        self._require_positive("imaginary power")
+        return self._synthesize(np.exp(1j * t * np.log(self.eigenvalues)))
+
+    def jordan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive and negative parts (A_plus, A_minus), A = A_plus - A_minus."""
+        minus = np.maximum(-self.eigenvalues, 0.0)
+        return self._synthesize(self._clipped()), self._synthesize(minus)
+
+    def _require_positive(self, what: str) -> None:
+        if self.eigenvalues.size and not self.eigenvalues[0] > 0:
+            raise DomainError(
+                f"{what} needs a strictly positive spectrum "
+                f"(min eigenvalue {self.eigenvalues[0]:.3e})"
+            )
 
 
 def spectral_decomposition(
@@ -146,8 +198,13 @@ def apply_spectral_function(
     return dec.apply(f)
 
 
-def psd_power(a: np.ndarray, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
-    """Principal power A^s of a PSD matrix.
+def as_spectral(a) -> SpectralDecomposition:
+    """``a`` itself if it is already decomposed, else its decomposition."""
+    return a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a)
+
+
+def psd_power(a, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
+    """Principal power A^s of a PSD matrix (or of its decomposition).
 
     Negative rounding noise in the spectrum (above ``-zero_tol * scale``) is
     clipped to zero; anything more negative raises :class:`DomainError`.
@@ -155,30 +212,22 @@ def psd_power(a: np.ndarray, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
     ``s = 0`` the support convention holds (eigenvalues at or below
     ``zero_tol * scale`` map to 0, the rest to 1), yielding the support
     projection, which is the operator-monotone limit of ``t^s``. ``s < 0``
-    requires full support.
+    requires full support at the same floor.
     """
-    dec = spectral_decomposition(a)
+    dec = as_spectral(a)
     vals = dec.eigenvalues
-    scale = max(float(vals[-1]), 0.0)
-    floor = zero_tol * max(1.0, scale)
+    floor = zero_tol * max(1.0, float(vals[-1]))
     if vals[0] < -floor:
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {vals[0]:.3e}); refusing "
             f"fractional power of negative spectrum"
         )
-    clipped = np.maximum(vals, 0.0)
-    support = clipped > floor
-    if s < 0 and not np.all(support):
+    if s < 0 and not vals[0] > floor:
         raise DomainError("negative power of a singular PSD matrix")
-    if s == 0:
-        out = support.astype(float)
-    else:
-        out = clipped**s
-    v = dec.eigenvectors
-    return (v * out) @ adjoint(v)
+    return dec.power(s, zero_tol)
 
 
-def matrix_sqrt(a: np.ndarray) -> np.ndarray:
+def matrix_sqrt(a) -> np.ndarray:
     """Principal square root of a PSD matrix."""
     return psd_power(a, 0.5)
 
@@ -188,23 +237,18 @@ def support_projection(a: np.ndarray, zero_tol: float = PSD_TOL) -> np.ndarray:
     return psd_power(a, 0.0, zero_tol)
 
 
-def jordan_decompose(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jordan_decompose(t) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian matrix into its positive and negative parts.
 
     Returns PSD matrices ``(T_plus, T_minus)`` with ``T = T_plus - T_minus``
     and ``T_plus @ T_minus = 0``.
     """
-    dec = spectral_decomposition(t)
-    v = dec.eigenvectors
-    plus = (v * np.maximum(dec.eigenvalues, 0.0)) @ adjoint(v)
-    minus = (v * np.maximum(-dec.eigenvalues, 0.0)) @ adjoint(v)
-    return plus, minus
+    return as_spectral(t).jordan()
 
 
-def abs_hermitian(t: np.ndarray) -> np.ndarray:
+def abs_hermitian(t) -> np.ndarray:
     """|T| = T_plus + T_minus for Hermitian T."""
-    dec = spectral_decomposition(t)
-    return dec.apply(np.abs)
+    return as_spectral(t).apply(np.abs)
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:

@@ -40,20 +40,6 @@ def _require_faithful(omega: PositiveFunctional, role: str) -> None:
         raise SingularState(f"{role} state must be faithful (nonsingular density)")
 
 
-def _power(s: PositiveFunctional, exponent: float) -> np.ndarray:
-    """D^exponent through the cached spectrum; caller guarantees domain."""
-    vals = s.spectrum.eigenvalues
-    v = s.spectrum.eigenvectors
-    return (v * (vals.astype(complex) ** exponent)) @ adjoint(v)
-
-
-def _unitary_power(s: PositiveFunctional, t: float) -> np.ndarray:
-    """D^(it) = exp(it log D) on a faithful density."""
-    vals = s.spectrum.eigenvalues
-    v = s.spectrum.eigenvectors
-    return (v * np.exp(1j * t * np.log(vals))) @ adjoint(v)
-
-
 @dataclass(frozen=True)
 class StandardForm:
     """The triple (pi(M), H, Omega) for M = B(H_d) with Omega = vec(sqrt(D)).
@@ -93,46 +79,44 @@ class StandardForm:
         return cls(v.dim_left, vec(density.sqrt()), density, scale=scale)
 
 
+def _require_pair(phi: PositiveFunctional, omega: PositiveFunctional) -> None:
+    _require_faithful(omega, "reference (right)")
+    if phi.dim != omega.dim:
+        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
+
+
+def _assemble_antilinear(left: np.ndarray, right: np.ndarray) -> SuperOperator:
+    """X -> left X* right, assembled from its action on the matrix units.
+
+    E_mu_nu* = E_nu_mu, so column (mu, nu) is the outer product of column
+    nu of ``left`` with row mu of ``right``; the operator is antilinear,
+    applied as v -> M conj(v).
+    """
+    d = left.shape[0]
+    m = np.empty((d * d, d * d), dtype=complex)
+    for mu in range(d):
+        for nu in range(d):
+            m[:, mu * d + nu] = np.outer(left[:, nu], right[mu, :]).ravel()
+    return SuperOperator(d, m, antilinear=True)
+
+
 def relative_s_matrix(
     phi: PositiveFunctional, omega: PositiveFunctional
 ) -> SuperOperator:
     """S_(phi,omega), assembled from its action on the matrix units.
 
-    Column (mu, nu) is vec(D_omega^(-1/2) E_nu_mu D_phi^(1/2)); the operator
-    is antilinear, applied as v -> M conj(v).
+    Column (mu, nu) is vec(D_omega^(-1/2) E_nu_mu D_phi^(1/2)).
     """
-    _require_faithful(omega, "reference (right)")
-    if phi.dim != omega.dim:
-        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
-    d = omega.dim
-    w = _power(omega, -0.5)
-    p = phi.power(0.5)
-    m = np.empty((d * d, d * d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            # E_mu_nu* = E_nu_mu, so the column is an outer product of
-            # column nu of D_omega^(-1/2) with row mu of D_phi^(1/2)
-            col = np.outer(w[:, nu], p[mu, :])
-            m[:, mu * d + nu] = col.ravel()
-    return SuperOperator(d, m, antilinear=True)
+    _require_pair(phi, omega)
+    return _assemble_antilinear(omega.spectrum.power(-0.5), phi.power(0.5))
 
 
 def relative_f_matrix(
     phi: PositiveFunctional, omega: PositiveFunctional
 ) -> SuperOperator:
     """F_(phi,omega) with F vec(Y) = vec(D_phi^(1/2) Y* D_omega^(-1/2))."""
-    _require_faithful(omega, "reference (right)")
-    if phi.dim != omega.dim:
-        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
-    d = omega.dim
-    w = _power(omega, -0.5)
-    p = phi.power(0.5)
-    m = np.empty((d * d, d * d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            col = np.outer(p[:, nu], w[mu, :])
-            m[:, mu * d + nu] = col.ravel()
-    return SuperOperator(d, m, antilinear=True)
+    _require_pair(phi, omega)
+    return _assemble_antilinear(phi.power(0.5), omega.spectrum.power(-0.5))
 
 
 def relative_modular_operator(
@@ -150,15 +134,14 @@ def relative_modular_power(
     phi may be singular for s >= 0 (support convention applies through the
     density's power); omega must be faithful.
     """
-    _require_faithful(omega, "reference (right)")
-    if phi.dim != omega.dim:
-        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
+    _require_pair(phi, omega)
     if s < 0:
         _require_faithful(phi, "left")
-        left = _power(phi, s)
+        left = phi.spectrum.power(s)
     else:
         left = phi.power(s)
-    right = _power(omega, -s)
+    # omega is faithful, so D_omega^0 is the identity: no support floor
+    right = omega.spectrum.power(-s, zero_tol=0.0)
     return SuperOperator(omega.dim, np.kron(left, right.T))
 
 
@@ -167,11 +150,9 @@ def relative_modular_unitary(
 ) -> SuperOperator:
     """Delta^(it)_(phi,omega) = D_phi^(it) (x) (D_omega^(-it))^T."""
     _require_faithful(phi, "left")
-    _require_faithful(omega, "reference (right)")
-    if phi.dim != omega.dim:
-        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
+    _require_pair(phi, omega)
     return SuperOperator(
-        omega.dim, np.kron(_unitary_power(phi, t), _unitary_power(omega, -t).T)
+        omega.dim, np.kron(phi.spectrum.unitary(t), omega.spectrum.unitary(-t).T)
     )
 
 
@@ -186,7 +167,7 @@ def modular_flow(omega: DensityMatrix, a: np.ndarray, t: float) -> np.ndarray:
     a = as_matrix(a)
     if a.shape != omega.matrix.shape:
         raise ShapeMismatch(f"operator shape {a.shape} != {omega.matrix.shape}")
-    u = _unitary_power(omega, t)
+    u = omega.spectrum.unitary(t)
     return u @ a @ adjoint(u)
 
 
@@ -197,10 +178,8 @@ def connes_cocycle(phi: DensityMatrix, omega: DensityMatrix, t: float) -> np.nda
     because the right Kronecker factors cancel.
     """
     _require_faithful(phi, "left")
-    _require_faithful(omega, "reference (right)")
-    if phi.dim != omega.dim:
-        raise ShapeMismatch(f"dimensions {phi.dim} != {omega.dim}")
-    return _unitary_power(phi, t) @ _unitary_power(omega, -t)
+    _require_pair(phi, omega)
+    return phi.spectrum.unitary(t) @ omega.spectrum.unitary(-t)
 
 
 def pi_left(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from .errors import DomainError, NotPSD, ShapeMismatch
 from .linalg import (
     PSD_TOL,
     SpectralDecomposition,
-    adjoint,
     as_matrix,
     hs_norm,
     spectral_decomposition,
@@ -61,18 +60,12 @@ class PositiveFunctional:
         """D^s via the cached spectrum; s = 0 gives the support projection.
 
         Requires s >= 0; inverse powers are reserved for faithful states and
-        taken explicitly where needed.
+        taken explicitly, after a faithfulness check, as
+        ``self.spectrum.power(s)``.
         """
         if s < 0:
             raise DomainError("negative powers require an explicit faithfulness check")
-        vals = np.maximum(self.spectrum.eigenvalues, 0.0)
-        top = float(vals[-1]) if vals.size else 0.0
-        if s == 0:
-            out = (vals > PSD_TOL * max(1.0, top)).astype(float)
-        else:
-            out = vals**s
-        v = self.spectrum.eigenvectors
-        return (v * out) @ adjoint(v)
+        return self.spectrum.power(s)
 
     def sqrt(self) -> np.ndarray:
         return self.power(0.5)

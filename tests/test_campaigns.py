@@ -49,3 +49,22 @@ def test_result_dict_field_order():
         "failures",
         "worst_slack",
     ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_tally_fails_closed_on_non_finite(bad):
+    from modkit.campaigns import _Tally
+    from modkit.inequalities import InequalityReport
+
+    feeds = {
+        "residual": lambda t: t.residual(bad, 1e-10),
+        "bound_below": lambda t: t.bound_below(bad, 1e-12),
+        "report": lambda t: t.report(InequalityReport("x", bad, 0.0, bad, True)),
+        "boolean": lambda t: t.boolean(bad),
+    }
+    for name, feed in feeds.items():
+        tally = _Tally()
+        tally.residual(0.0, 1e-10)  # a finite pass ahead of the bad value
+        feed(tally)
+        result = tally.result("x", 0, 2, 1)
+        assert (result.checks, result.failures) == (2, 1), name

@@ -234,3 +234,31 @@ def test_env_tolerance_override():
 def test_main_callable_directly(tmp_path):
     path = write_matrix(tmp_path / "m.json", np.eye(3))
     assert main(["schmidt", str(path)]) == 0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_flag_is_usage_error(bad, capsys):
+    argv = ["campaign", "--suite", "vec", "--dim", "2", "--samples", "1"]
+    assert main(argv + [f"--tol={bad}"]) == 4
+    assert "--tol must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1", "not-a-number"])
+def test_bad_tolerance_env_is_usage_error(bad, capsys, monkeypatch):
+    monkeypatch.setenv("MODKIT_TOL", bad)
+    assert main(["campaign", "--suite", "vec", "--dim", "2", "--samples", "1"]) == 4
+    assert "MODKIT_TOL must be a finite number > 0" in capsys.readouterr().err
+    assert main(["kms-verify", "--dim", "2", "--samples", "1"]) == 4
+
+
+def test_campaign_subcommands_share_one_handler():
+    from modkit.cli import build_parser, cmd_campaign
+
+    parser = build_parser()
+    for argv, suite, samples in (
+        (["cone"], "cone", 50),
+        (["ineq"], "inequalities", 100),
+        (["campaign"], "all", 100),
+    ):
+        args = parser.parse_args(argv)
+        assert (args.func, args.suite, args.samples) == (cmd_campaign, suite, samples)

@@ -324,3 +324,52 @@ def test_commuting_inputs_reduce_to_scalars(rng):
             np.sum(np.abs((diag_a + diag_b) ** (1 / t) - diag_b ** (1 / t)) ** t),
             abs=1e-12,
         )
+
+
+def test_default_registry_returns_independent_dicts():
+    first = default_registry()
+    first.pop("t^0.5")
+    first["bogus"] = first["log(1+t)"]
+    second = default_registry()
+    assert set(second) == {"t^0.5", "t/(1+t)", "log(1+t)"}
+    # the spot-checked functions are built once and shared
+    assert second["log(1+t)"] is default_registry()["log(1+t)"]
+
+
+def test_checks_decompose_each_input_once(rng, monkeypatch):
+    a = random_psd(rng, 4, trace_one=False)
+    b = random_psd(rng, 4, trace_one=False)
+    mf = default_registry()["t/(1+t)"]
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(m, *args, _real=real, **kwargs):
+            calls.append(m.shape)
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    # one eigenproblem per input, plus one for the derived A - B
+    for check, expected in (
+        (lambda: norm_sandwich(a, b), 2),
+        (lambda: powers_stormer(a, b), 2),
+        (lambda: ozawa_s(a, b, 0.25), 3),
+        (lambda: hoa_generalized(a, b, mf), 3),
+        (lambda: phillips(a + b, b, 1.5), 3),
+    ):
+        calls.clear()
+        check()
+        assert len(calls) == expected
+
+
+def test_psd_power_domain_error_survives_single_decomposition():
+    # passes the NotPSD floor (-1e-10 ||A||_HS) but not psd_power's
+    # (-1e-10 lambda_max), so the check raises DomainError as before
+    from modkit.errors import DomainError
+
+    a = np.diag([-1.5e-10, 1.2, 1.2])
+    with pytest.raises(DomainError):
+        ozawa_s(a, np.eye(3), 0.5)
+    with pytest.raises(NotPSD):
+        ozawa_s(np.diag([-1e-9, 1.0, 1.0]), np.eye(3), 0.5)

@@ -154,3 +154,55 @@ def test_psd_power_rejects_indefinite():
 def test_matrix_sqrt_matches_power(rng):
     a = random_psd(rng, 3, trace_one=False)
     assert np.allclose(matrix_sqrt(a), psd_power(a, 0.5))
+
+
+def test_spectral_power_matches_scipy(rng):
+    import scipy.linalg
+
+    a = random_psd(rng, 4, trace_one=False) + 0.05 * np.eye(4)
+    dec = spectral_decomposition(a)
+    for s in (-1.0, -0.5, 0.3, 1.7):
+        oracle = scipy.linalg.fractional_matrix_power(a, s)
+        assert np.linalg.norm(dec.power(s) - oracle) < 1e-10 * np.linalg.norm(oracle)
+
+
+def test_spectral_power_support_and_clip():
+    dec = spectral_decomposition(np.diag([-1e-14, 1e-12, 0.5, 2.0]))
+    assert np.allclose(dec.power(0.0), np.diag([0.0, 0.0, 1.0, 1.0]))
+    assert np.allclose(dec.power(0.5), np.diag([0.0, 1e-6, 0.5**0.5, 2.0**0.5]))
+    assert dec.support().tolist() == [False, False, True, True]
+
+
+def test_spectral_negative_power_needs_positive_spectrum_only():
+    # below psd_power's 1e-10 support floor, yet strictly positive
+    tiny = spectral_decomposition(np.diag([1e-11, 1.0]))
+    assert np.allclose(tiny.power(-0.5), np.diag([1e-11**-0.5, 1.0]), rtol=1e-12)
+    singular = spectral_decomposition(np.diag([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        singular.power(-0.5)
+    with pytest.raises(DomainError):
+        singular.unitary(0.3)
+
+
+def test_spectral_unitary_matches_scipy(rng):
+    import scipy.linalg
+
+    a = random_psd(rng, 4, trace_one=False) + 0.05 * np.eye(4)
+    u = spectral_decomposition(a).unitary(0.7)
+    oracle = scipy.linalg.expm(0.7j * scipy.linalg.logm(a))
+    assert np.linalg.norm(u - oracle) < 1e-10
+    assert np.linalg.norm(np.conj(u).T @ u - np.eye(4)) < 1e-12
+
+
+def test_spectral_apply_clip():
+    dec = spectral_decomposition(np.diag([-1e-14, 4.0]))
+    assert np.allclose(dec.apply(np.sqrt, clip=True), np.diag([0.0, 2.0]))
+
+
+def test_psd_power_accepts_decomposition(rng):
+    a = random_psd(rng, 4, trace_one=False)
+    dec = spectral_decomposition(a)
+    for s in (0.0, 0.5, 1.0):
+        assert np.array_equal(psd_power(dec, s), psd_power(a, s))
+    with pytest.raises(DomainError):
+        psd_power(spectral_decomposition(np.diag([1.0, -1.0])), 0.5)

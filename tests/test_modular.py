@@ -300,3 +300,31 @@ def test_dimension_mismatch(rng):
         relative_modular_operator(
             random_faithful_density(rng, 2), random_faithful_density(rng, 3)
         )
+
+
+def test_faithfulness_threshold_keeps_inverse_powers():
+    # eigenvalue ratio 1e-11: faithful at the 1e-12 threshold, but below the
+    # 1e-10 support floor that psd_power applies to negative powers
+    from modkit.errors import DomainError
+    from modkit.linalg import psd_power
+    from modkit.states import is_faithful
+
+    p = np.array([1 - 1e-11, 1e-11])
+    d = DensityMatrix.diagonal(p)
+    assert is_faithful(d)
+
+    s = relative_s_matrix(d, d)
+    delta = relative_modular_operator(d, d)
+    cross = s.adjoint().compose(s).distance(delta)
+    assert cross < 1e-12 * np.linalg.norm(delta.matrix)
+
+    inv_half = relative_modular_power(d, d, -0.5)
+    oracle = np.kron(np.diag(p**-0.5), np.diag(p**0.5))
+    assert np.allclose(inv_half.matrix, oracle, rtol=1e-12, atol=0.0)
+
+    flat = DensityMatrix.diagonal([0.5, 0.5])
+    u = connes_cocycle(flat, d, 0.7)
+    assert np.allclose(np.diag(u), np.exp(0.7j * (np.log(0.5) - np.log(p))))
+
+    with pytest.raises(DomainError):
+        psd_power(d.matrix, -0.5)
