@@ -74,9 +74,10 @@ class _Tally:
     def report(self, rep: ineq.InequalityReport) -> None:
         self._add(rep.slack, rep.passed)
 
-    def boolean(self, ok: bool) -> None:
+    def boolean(self, ok: bool, tol: float = TOL_RESIDUAL) -> None:
+        """A yes/no check: margin ``tol`` (the suite's tolerance) if it holds."""
         ok = isinstance(ok, (bool, np.bool_)) and bool(ok)
-        self._add(TOL_RESIDUAL if ok else -1.0, ok)
+        self._add(tol if ok else -1.0, ok)
 
     def result(self, suite: str, seed: int, dimension: int, samples: int) -> CampaignResult:
         # np.min propagates NaN, where the builtin min depends on list order
@@ -134,7 +135,7 @@ def run_vec_suite(
         tally.residual(float(np.max(np.abs(eigs - coeff_sq))), t_res)
 
         faithful = sampling.random_faithful_density(rng, d)
-        tally.boolean(schmidt.is_cyclic_separating(states.purify(faithful)))
+        tally.boolean(schmidt.is_cyclic_separating(states.purify(faithful)), t_res)
     return tally.result("vec", seed, dimension, samples)
 
 
@@ -226,7 +227,7 @@ def run_kms_suite(
         if i % 5 == 0:
             deg, blocks = sampling.random_degenerate_density(rng, d)
             basis = kms_mod.centralizer_basis(deg)
-            tally.boolean(len(basis) == sum(m * m for m in blocks))
+            tally.boolean(len(basis) == sum(m * m for m in blocks), t_res)
     return tally.result("kms", seed, dimension, samples)
 
 
@@ -250,7 +251,7 @@ def run_cone_suite(
             float(np.linalg.norm(j.apply(xi.vector).amplitudes - xi.vector.amplitudes)),
             t_strict,
         )
-        tally.boolean(not cone_mod.cone_contains(-xi.vector))
+        tally.boolean(not cone_mod.cone_contains(-xi.vector), t_res)
 
         herm = sampling.random_hermitian(rng, d)
         v = vec(herm)
@@ -276,9 +277,9 @@ def run_cone_suite(
         tally.residual(float(np.linalg.norm(recon - w.amplitudes)), t_strict)
 
         m = sampling.complex_gaussian(rng, d)
-        pim = vecops.SuperOperator(d, modular.pi_left(m))
+        pim = modular.pi_factored(m)
         invariance = pim.compose(j).compose(pim).compose(j)  # pi(M) j(pi(M))
-        tally.boolean(cone_mod.cone_contains(invariance.apply(xi.vector), t_res))
+        tally.boolean(cone_mod.cone_contains(invariance.apply(xi.vector), t_res), t_res)
     return tally.result("cone", seed, dimension, samples)
 
 

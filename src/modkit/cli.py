@@ -14,7 +14,8 @@ tolerance; an explicit ``--tol`` beats the environment. Either must be a
 finite number > 0, else the run is a usage error.
 
 Reports with ``--json`` are deterministic for a fixed (seed, dimension,
-samples) apart from the ``wall_time`` field.
+samples) apart from the ``wall_time`` field, and are strict JSON: a NaN or
+infinite value prints as ``null`` (and has already failed its check).
 """
 
 from __future__ import annotations
@@ -106,9 +107,20 @@ def dump_matrix(m: np.ndarray) -> dict:
     }
 
 
+def _finite_or_none(obj):
+    """``obj`` with every NaN or infinite float replaced by None, recursively."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(value) for value in obj]
+    return obj
+
+
 def _emit(obj: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(_finite_or_none(obj), indent=2, allow_nan=False))
     else:
         for key, value in obj.items():
             print(f"{key}: {value}")
@@ -200,14 +212,17 @@ def cmd_kms_verify(args) -> int:
     sys_ = gibbs_hamiltonian(density, args.beta)
 
     t_grid = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    boundary = 0.0
-    invariance = 0.0
+    boundaries, invariances = [], []
     for _ in range(args.samples):
         a = complex_gaussian(rng, density.dim)
         b = complex_gaussian(rng, density.dim)
         for t in t_grid:
-            boundary = max(boundary, kms_boundary_defect(sys_, a, b, t))
-            invariance = max(invariance, state_invariance_defect(sys_, a, t))
+            boundaries.append(kms_boundary_defect(sys_, a, b, t))
+            invariances.append(state_invariance_defect(sys_, a, t))
+    # np.max propagates NaN, which the builtin max(0.0, nan) drops; a NaN
+    # or inf maximum then fails its < test below
+    boundary = float(np.max(boundaries))
+    invariance = float(np.max(invariances))
 
     basis = centralizer_basis(density)
     commutant_dim = _commutant_dimension(density.matrix)

@@ -113,9 +113,7 @@ class SpectralDecomposition:
 
     def support(self, zero_tol: float = PSD_TOL) -> np.ndarray:
         """Mask of the eigenvalues above ``zero_tol * max(1, largest)``."""
-        vals = self._clipped()
-        top = float(vals[-1]) if vals.size else 0.0
-        return vals > zero_tol * max(1.0, top)
+        return _support(self.eigenvalues, zero_tol)
 
     def power(self, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
         """A^s on the clipped spectrum.
@@ -125,14 +123,12 @@ class SpectralDecomposition:
         needs a strictly positive spectrum but applies no such floor, so a
         faithful state with a tiny eigenvalue keeps its inverse powers.
         """
-        if s == 0:
-            return self._synthesize(self.support(zero_tol).astype(float))
         if s < 0:
             self._require_positive("negative power")
             # exp(s log lambda) as a complex power: the modular cross-route
             # margins sit at rounding level and are pinned to this arithmetic
             return self._synthesize(self.eigenvalues.astype(complex) ** s)
-        return self._synthesize(self._clipped() ** s)
+        return self._synthesize(_nonnegative_power(self.eigenvalues, s, zero_tol))
 
     def unitary(self, t: float) -> np.ndarray:
         """A^(it) = exp(it log A); needs a strictly positive spectrum."""
@@ -150,6 +146,23 @@ class SpectralDecomposition:
                 f"{what} needs a strictly positive spectrum "
                 f"(min eigenvalue {self.eigenvalues[0]:.3e})"
             )
+
+
+def _support(vals: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Mask of the clipped eigenvalues above ``zero_tol * max(1, largest)``.
+
+    ``vals`` may have any shape and order.
+    """
+    clipped = np.maximum(vals, 0.0)
+    top = float(clipped.max()) if clipped.size else 0.0
+    return clipped > zero_tol * max(1.0, top)
+
+
+def _nonnegative_power(vals: np.ndarray, s: float, zero_tol: float) -> np.ndarray:
+    """lambda^s for s >= 0 on the clipped spectrum; the support at s = 0."""
+    if s == 0:
+        return _support(vals, zero_tol).astype(float)
+    return np.maximum(vals, 0.0) ** s
 
 
 def spectral_decomposition(
@@ -215,16 +228,30 @@ def psd_power(a, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
     requires full support at the same floor.
     """
     dec = as_spectral(a)
-    vals = dec.eigenvalues
-    floor = zero_tol * max(1.0, float(vals[-1]))
-    if vals[0] < -floor:
+    return dec._synthesize(psd_power_values(dec.eigenvalues, s, zero_tol))
+
+
+def psd_power_values(
+    vals: np.ndarray, s: float, zero_tol: float = PSD_TOL
+) -> np.ndarray:
+    """The eigenvalues of :func:`psd_power`, from eigenvalues of any shape or order.
+
+    Applies psd_power's conventions and raise points to a bare spectrum,
+    e.g. the lambda_i / mu_j of a Kronecker product, whose eigenvectors
+    are never formed.
+    """
+    top, low = float(np.max(vals)), float(np.min(vals))
+    floor = zero_tol * max(1.0, top)
+    if low < -floor:
         raise DomainError(
-            f"matrix is not PSD (min eigenvalue {vals[0]:.3e}); refusing "
+            f"matrix is not PSD (min eigenvalue {low:.3e}); refusing "
             f"fractional power of negative spectrum"
         )
-    if s < 0 and not vals[0] > floor:
-        raise DomainError("negative power of a singular PSD matrix")
-    return dec.power(s, zero_tol)
+    if s < 0:
+        if not low > floor:
+            raise DomainError("negative power of a singular PSD matrix")
+        return vals.astype(complex) ** s
+    return _nonnegative_power(vals, s, zero_tol)
 
 
 def matrix_sqrt(a) -> np.ndarray:

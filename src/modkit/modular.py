@@ -32,7 +32,7 @@ from .errors import ShapeMismatch, SingularState
 from .linalg import adjoint, as_matrix, check_psd, hs_norm
 from .schmidt import is_cyclic_separating
 from .states import DensityMatrix, PositiveFunctional, is_faithful
-from .vecops import BipartiteVector, SuperOperator, swap_operator, unvec, vec
+from .vecops import BipartiteVector, SuperOperator, unvec, vec
 
 
 def _require_faithful(omega: PositiveFunctional, role: str) -> None:
@@ -89,15 +89,13 @@ def _assemble_antilinear(left: np.ndarray, right: np.ndarray) -> SuperOperator:
     """X -> left X* right, assembled from its action on the matrix units.
 
     E_mu_nu* = E_nu_mu, so column (mu, nu) is the outer product of column
-    nu of ``left`` with row mu of ``right``; the operator is antilinear,
-    applied as v -> M conj(v).
+    nu of ``left`` with row mu of ``right``: entry ((a, b), (mu, nu)) is
+    left[a, nu] * right[mu, b]. The operator is antilinear, applied as
+    v -> M conj(v).
     """
     d = left.shape[0]
-    m = np.empty((d * d, d * d), dtype=complex)
-    for mu in range(d):
-        for nu in range(d):
-            m[:, mu * d + nu] = np.outer(left[:, nu], right[mu, :]).ravel()
-    return SuperOperator(d, m, antilinear=True)
+    m = left[:, None, None, :] * right.T[None, :, :, None]
+    return SuperOperator(d, m.reshape(d * d, d * d), antilinear=True)
 
 
 def relative_s_matrix(
@@ -142,7 +140,7 @@ def relative_modular_power(
         left = phi.power(s)
     # omega is faithful, so D_omega^0 is the identity: no support floor
     right = omega.spectrum.power(-s, zero_tol=0.0)
-    return SuperOperator(omega.dim, np.kron(left, right.T))
+    return SuperOperator.factored(omega.dim, left, right.T)
 
 
 def relative_modular_unitary(
@@ -151,14 +149,18 @@ def relative_modular_unitary(
     """Delta^(it)_(phi,omega) = D_phi^(it) (x) (D_omega^(-it))^T."""
     _require_faithful(phi, "left")
     _require_pair(phi, omega)
-    return SuperOperator(
-        omega.dim, np.kron(phi.spectrum.unitary(t), omega.spectrum.unitary(-t).T)
+    return SuperOperator.factored(
+        omega.dim, phi.spectrum.unitary(t), omega.spectrum.unitary(-t).T
     )
 
 
 def modular_conjugation(d: int) -> SuperOperator:
-    """J with J vec(X) = vec(X*); antilinear involution, equal to swap o conj."""
-    return SuperOperator(d, swap_operator(d).matrix, antilinear=True)
+    """J with J vec(X) = vec(X*); antilinear involution, equal to swap o conj.
+
+    Factored with identity factors: tau(X) = X*, so composing J with a dense
+    operator permutes and conjugates its entries.
+    """
+    return SuperOperator.factored(d, None, None, transpose=True, antilinear=True)
 
 
 def modular_flow(omega: DensityMatrix, a: np.ndarray, t: float) -> np.ndarray:
@@ -188,10 +190,10 @@ def pi_left(m: np.ndarray) -> np.ndarray:
     return np.kron(m, np.eye(m.shape[0]))
 
 
-def pi_right(n: np.ndarray) -> np.ndarray:
-    """Dense commutant element 1 (x) N."""
-    n = as_matrix(n)
-    return np.kron(np.eye(n.shape[0]), n)
+def pi_factored(m: np.ndarray) -> SuperOperator:
+    """pi(M) = M (x) 1 in factored form, vec(X) -> vec(M X)."""
+    m = as_matrix(m)
+    return SuperOperator.factored(m.shape[0], m, None)
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,12 @@ def verify_tomita_takesaki(
     """Check the two Tomita-Takesaki conclusions on concrete samples.
 
     For every pair (M, N) of samples the commutator norm
-    ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is computed by dense
-    antilinear composition, not from the closed form 1 (x) conj(M). For
+    ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is the dense pi(M)
+    composed with J on both sides, not the closed form 1 (x) conj(M). For
     every sample and every t, the membership residual
     ||Delta^(it) pi(M) Delta^(-it) - (D^(it) M D^(-it)) (x) 1||_HS is
-    recorded. The report passes iff every residual is below ``tol``.
+    recorded. The factored pi(N) and Delta^(it) act on the dense operators
+    by reshape. The report passes iff every residual is below ``tol``.
     """
     _require_faithful(omega, "reference")
     d = omega.dim
@@ -232,15 +235,15 @@ def verify_tomita_takesaki(
         pim = SuperOperator(d, pi_left(m))
         jmj = j.compose(pim).compose(j)  # linear: two antilinear factors
         for n in mats:
-            pin = pi_left(n)
-            comm.append(hs_norm(jmj.matrix @ pin - pin @ jmj.matrix))
+            pin = pi_factored(n)
+            comm.append(hs_norm(jmj.compose(pin).matrix - pin.compose(jmj).matrix))
 
     flow = []
     for t in t_grid:
         u = relative_modular_unitary(omega, omega, t)
         u_inv = relative_modular_unitary(omega, omega, -t)
         for m in mats:
-            evolved = u.matrix @ pi_left(m) @ u_inv.matrix
+            evolved = u.compose(SuperOperator(d, pi_left(m))).compose(u_inv).matrix
             flow.append(hs_norm(evolved - pi_left(modular_flow(omega, m, t))))
 
     comm_arr = np.array(comm)

@@ -16,6 +16,14 @@ package assume row-major stacking.
 
 A matrix ``A`` of shape (dY, dX) maps to a vector in the bipartite space of
 dimension dY * dX with the left factor of dimension dY.
+
+:class:`SuperOperator` is the one representation of operators on the
+square space H_d (x) H_d. Its factored form ``vec(X) -> vec(A tau(X) B^T)``,
+with tau one of X, conj(X), X^T, X*, applies and composes by reshape and
+forms the d^2 x d^2 matrix only on demand; its dense form holds operators
+assembled entry by entry. By the first identity above, the factored form
+with tau(X) = X is the Kronecker product A (x) B, and P vec(X) = vec(X^T)
+for the swap P gives the transposed forms.
 """
 
 from __future__ import annotations
@@ -154,36 +162,107 @@ def regroup_product_vec(
     return t.transpose(0, 2, 1, 3).ravel()
 
 
-@dataclass(frozen=True)
 class SuperOperator:
-    """Dense operator on the vec'd space H_d (x) H_d.
+    """Operator on the vec'd space H_d (x) H_d, in factored or dense form.
 
-    ``antilinear`` operators apply as ``v -> matrix @ conj(v)``; composing
-    through an antilinear factor conjugates everything to its right, which
-    the composition rule tracks so that e.g. J Delta^(1/2) stays a plain
-    matrix identity.
+    Factored form: ``vec(X) -> vec(A tau(X) B^T)`` with ``tau(X)`` one of
+    X, conj(X), X^T, X* (``antilinear`` selects the conjugation,
+    ``transpose`` the transposition). A factor stored as None is the
+    identity. As a matrix this is (A (x) B) P^transpose acting on
+    conj^antilinear(v), with P the swap; :attr:`matrix` forms it on demand.
+
+    Dense form: the d^2 x d^2 ``matrix``; ``antilinear`` operators apply as
+    ``v -> matrix @ conj(v)``. Composing through an antilinear factor
+    conjugates everything to its right, which the composition rule tracks
+    so that e.g. J Delta^(1/2) stays a plain matrix identity.
+
+    Factored operators apply and compose by reshape at O(d^3) per factor
+    product; a factored operator composed with a dense one moves its
+    factors onto the dense matrix at O(d^5). Only dense o dense pays the
+    O(d^6) matmul.
     """
 
-    d: int
-    matrix: np.ndarray = field(repr=False)
-    antilinear: bool = False
+    def __init__(
+        self,
+        d: int,
+        matrix: np.ndarray | None = None,
+        antilinear: bool = False,
+        factors: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+        transpose: bool = False,
+    ):
+        self.d = d
+        self.antilinear = bool(antilinear)
+        self.transpose = bool(transpose)
+        if (matrix is None) == (factors is None):
+            raise ValueError("give exactly one of a dense matrix and factors")
+        if factors is None:
+            m = as_matrix(matrix)
+            n = d * d
+            if m.shape != (n, n):
+                raise ShapeMismatch(f"superoperator matrix {m.shape} != ({n}, {n})")
+            if self.transpose:
+                raise ValueError("a dense matrix already includes any transposition")
+            self.factors = None
+            self._matrix = m
+            return
+        checked = []
+        for f in factors:
+            if f is not None:
+                f = as_matrix(f)
+                if f.shape != (d, d):
+                    raise ShapeMismatch(f"Kronecker factor {f.shape} != ({d}, {d})")
+            checked.append(f)
+        self.factors = tuple(checked)
+        self._matrix = None
 
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        n = self.d * self.d
-        if m.shape != (n, n):
-            raise ShapeMismatch(f"superoperator matrix {m.shape} != ({n}, {n})")
-        object.__setattr__(self, "matrix", m)
+    @classmethod
+    def factored(
+        cls,
+        d: int,
+        left: np.ndarray | None,
+        right: np.ndarray | None,
+        transpose: bool = False,
+        antilinear: bool = False,
+    ) -> "SuperOperator":
+        """vec(X) -> vec(left tau(X) right^T); None stands for the identity."""
+        return cls(d, None, antilinear, (left, right), transpose)
 
     @classmethod
     def identity(cls, d: int) -> "SuperOperator":
-        return cls(d, np.eye(d * d, dtype=complex))
+        return cls.factored(d, None, None)
+
+    @property
+    def is_factored(self) -> bool:
+        return self.factors is not None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d^2 x d^2 matrix, formed on first use for factored forms."""
+        if self._matrix is None:
+            d = self.d
+            left, right = (np.eye(d) if f is None else f for f in self.factors)
+            m = np.kron(left, right).astype(complex, copy=False)
+            if self.transpose:  # m @ P permutes the columns
+                n = d * d
+                m = m.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
+            self._matrix = m
+        return self._matrix
 
     def apply(self, v: BipartiteVector) -> BipartiteVector:
         if v.dims != (self.d, self.d):
             raise ShapeMismatch(f"vector dims {v.dims} != ({self.d}, {self.d})")
         arr = np.conj(v.amplitudes) if self.antilinear else v.amplitudes
-        return BipartiteVector(self.d, self.d, self.matrix @ arr)
+        if not self.is_factored:
+            return BipartiteVector(self.d, self.d, self.matrix @ arr)
+        x = arr.reshape(self.d, self.d)
+        if self.transpose:
+            x = x.T
+        left, right = self.factors
+        if left is not None:
+            x = left @ x
+        if right is not None:
+            x = x @ right.T
+        return BipartiteVector(self.d, self.d, x.ravel())
 
     def apply_matrix(self, x: np.ndarray) -> np.ndarray:
         """Action on a d x d matrix through the vec correspondence."""
@@ -193,18 +272,65 @@ class SuperOperator:
         """self o other (other acts first)."""
         if self.d != other.d:
             raise ShapeMismatch(f"dimensions {self.d} != {other.d}")
-        right = np.conj(other.matrix) if self.antilinear else other.matrix
-        return SuperOperator(
-            self.d, self.matrix @ right, self.antilinear ^ other.antilinear
-        )
+        antilinear = self.antilinear ^ other.antilinear
+        if self.is_factored and other.is_factored:
+            # tau1(A2 Z B2^T) = A2' tau1(Z) B2'^T: a transposition swaps the
+            # factors, a conjugation conjugates them
+            inner = other.factors[::-1] if self.transpose else other.factors
+            if self.antilinear:
+                inner = tuple(_conj(f) for f in inner)
+            left, right = (_mul(a, b) for a, b in zip(self.factors, inner))
+            return SuperOperator.factored(
+                self.d, left, right, self.transpose ^ other.transpose, antilinear
+            )
+        if other.is_factored:
+            m = other._right_multiply(self.matrix, conjugate=self.antilinear)
+        else:
+            rhs = np.conj(other.matrix) if self.antilinear else other.matrix
+            m = self._left_multiply(rhs) if self.is_factored else self.matrix @ rhs
+        return SuperOperator(self.d, m, antilinear)
+
+    def _left_multiply(self, m: np.ndarray) -> np.ndarray:
+        """(A (x) B) P^transpose @ m, each column of m taken as vec(X)."""
+        d, n = self.d, m.shape[1]
+        t = m.reshape(d, d, n)
+        if self.transpose:
+            t = t.transpose(1, 0, 2)
+        left, right = self.factors
+        if left is not None:
+            t = _contract(left, t, 0)
+        if right is not None:
+            t = _contract(right, t, 1)
+        return t.reshape(d * d, n)
+
+    def _right_multiply(self, m: np.ndarray, conjugate: bool) -> np.ndarray:
+        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X)."""
+        d, n = self.d, m.shape[0]
+        t = m.reshape(n, d, d)
+        left, right = (_conj(f) if conjugate else f for f in self.factors)
+        if left is not None:
+            t = _contract(left.T, t, 1)
+        if right is not None:
+            t = _contract(right.T, t, 2)
+        if self.transpose:
+            t = t.transpose(0, 2, 1)
+        return t.reshape(n, d * d)
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return self.compose(other)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
-        m = self.matrix.T if self.antilinear else np.conj(self.matrix).T
-        return SuperOperator(self.d, m, self.antilinear)
+        if not self.is_factored:
+            m = self.matrix.T if self.antilinear else np.conj(self.matrix).T
+            return SuperOperator(self.d, m, self.antilinear)
+        # ((A (x) B) P)^T = (B^T (x) A^T) P: a transposition swaps the factors
+        flip = (lambda f: f.T) if self.antilinear else (lambda f: np.conj(f).T)
+        factors = self.factors[::-1] if self.transpose else self.factors
+        left, right = (None if f is None else flip(f) for f in factors)
+        return SuperOperator.factored(
+            self.d, left, right, self.transpose, self.antilinear
+        )
 
     def distance(self, other: "SuperOperator") -> float:
         """HS distance between matrices; infinite if linearity types differ."""
@@ -213,13 +339,40 @@ class SuperOperator:
         return float(np.linalg.norm(self.matrix - other.matrix))
 
 
+def _conj(f: np.ndarray | None) -> np.ndarray | None:
+    return None if f is None else np.conj(f)
+
+
+def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Product of two Kronecker factors, None being the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a @ b
+
+
+def _contract(f: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """f applied along one axis of a 3-tensor, without copying the tensor.
+
+    out[..., a, ...] = sum_i f[a, i] t[..., i, ...] with the sum on ``axis``:
+    one matrix product for the outer axes, one per leading index for the
+    middle one.
+    """
+    if axis == 0:
+        return (f @ t.reshape(t.shape[0], -1)).reshape(t.shape)
+    if axis == 2:
+        return (t.reshape(-1, t.shape[2]) @ f.T).reshape(t.shape)
+    return np.matmul(f, t)
+
+
 def swap_operator(d: int) -> SuperOperator:
     """P with P(x (x) y) = y (x) x; P vec(X) = vec(X^T) and P^2 = 1."""
     n = d * d
+    rows = np.arange(n)
+    i, j = np.divmod(rows, d)
     p = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            p[i * d + j, j * d + i] = 1.0
+    p[rows, j * d + i] = 1.0
     return SuperOperator(d, p)
 
 

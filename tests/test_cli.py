@@ -262,3 +262,93 @@ def test_campaign_subcommands_share_one_handler():
     ):
         args = parser.parse_args(argv)
         assert (args.func, args.suite, args.samples) == (cmd_campaign, suite, samples)
+
+
+def _strict_json(text):
+    """Parse rejecting the NaN/Infinity extensions of Python's json module."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "target, field",
+    [
+        ("kms_boundary_defect", "max_boundary_defect"),
+        ("state_invariance_defect", "max_invariance_defect"),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_kms_verify_fails_closed_on_non_finite_defect(
+    target, field, bad, monkeypatch, capsys
+):
+    import modkit.cli as cli
+
+    calls = []
+    real = getattr(cli, target)
+
+    def poisoned(*args):
+        calls.append(None)
+        # one bad value among finite ones: max(0.0, nan) would drop it
+        return bad if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(cli, target, poisoned)
+    code = main(["kms-verify", "--dim", "3", "--samples", "2", "--json"])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    assert out[field] is None  # strict JSON: NaN and inf print as null
+
+
+def test_campaign_json_is_strict_with_nan_margins(monkeypatch, capsys):
+    from modkit import campaigns
+
+    def nan_suite(seed, dimension, samples, tol=None):
+        tally = campaigns._Tally()
+        tally.residual(0.0, 1e-10)
+        tally.residual(float("nan"), 1e-10)
+        return tally.result("vec", seed, dimension, samples)
+
+    monkeypatch.setitem(campaigns._SUITES, "vec", nan_suite)
+    for suite in ("vec", "all"):
+        code = main(
+            ["campaign", "--suite", suite, "--dim", "2", "--samples", "1", "--json"]
+        )
+        out = _strict_json(capsys.readouterr().out)
+        assert code == 1
+        assert out["worst_slack"] is None
+        assert out["failures"] >= 1
+    assert out["suites"][0] == {
+        "suite": "vec",
+        "seed": 0,
+        "dimension": 2,
+        "samples": 1,
+        "checks": 2,
+        "failures": 1,
+        "worst_slack": None,
+    }
+
+
+def test_boolean_checks_report_the_tolerance_in_use(monkeypatch, capsys):
+    from modkit import campaigns
+
+    margins = []
+    real = campaigns._Tally.boolean
+
+    def spy(self, ok, *args, **kwargs):
+        real(self, ok, *args, **kwargs)
+        margins.append(self.margins[-1])
+
+    monkeypatch.setattr(campaigns._Tally, "boolean", spy)
+    code = main(
+        [
+            "campaign", "--suite", "all", "--dim", "3", "--samples", "5",
+            "--tol", "1e-6", "--json",
+        ]
+    )
+    assert code == 0
+    assert _strict_json(capsys.readouterr().out)["failures"] == 0
+    # vec: 1 per sample, kms: 1 per 5 samples, cone: 2 per sample
+    assert margins == [1e-6] * (5 + 1 + 10)
