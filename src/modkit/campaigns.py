@@ -296,6 +296,8 @@ def run_inequality_suite(
     for k in range(samples):
         a = sampling.random_psd(rng, d, trace_one=False)
         b = sampling.random_psd(rng, d, trace_one=False)
+        # one decomposition per operand, shared by all 14 checks
+        a, b, a_plus_b = (states.PositiveFunctional(m) for m in (a, b, a + b))
 
         low, high = ineq.norm_sandwich(a, b, seed=k)
         tally.report(low)
@@ -306,7 +308,7 @@ def run_inequality_suite(
         for mf in registry.values():
             tally.report(ineq.hoa_generalized(a, b, mf, seed=k))
         for t in t_grid:
-            tally.report(ineq.phillips(a + b, b, t, seed=k))
+            tally.report(ineq.phillips(a_plus_b, b, t, seed=k))
 
         phi1 = sampling.random_positive_functional(rng, d, faithful=True)
         phi2 = sampling.random_positive_functional(rng, d)

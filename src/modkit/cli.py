@@ -30,6 +30,7 @@ import time
 import numpy as np
 
 from . import campaigns
+from .campaigns import TOL_RESIDUAL, TOL_STRICT
 from .errors import ModkitError, ParseError, UsageError
 from .kms import (
     centralizer_basis,
@@ -54,8 +55,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
-
-DEFAULT_TOL = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,14 +125,14 @@ def _emit(obj: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _resolve_tol_optional(flag_value: float | None) -> float | None:
-    """Flag beats MODKIT_TOL beats None (each check then uses its default)."""
+def _resolve_tol(flag_value: float | None, default: float | None) -> float | None:
+    """Flag beats MODKIT_TOL beats ``default`` (None: each check's own)."""
     if flag_value is not None:
         source, value = "--tol", flag_value
     elif "MODKIT_TOL" in os.environ:
         source, value = "MODKIT_TOL", os.environ["MODKIT_TOL"]
     else:
-        return None
+        return default
     try:
         tol = float(value)
     except ValueError:
@@ -141,11 +140,6 @@ def _resolve_tol_optional(flag_value: float | None) -> float | None:
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{source} must be a finite number > 0, got {value!r}")
     return tol
-
-
-def _resolve_tol(flag_value: float | None) -> float:
-    resolved = _resolve_tol_optional(flag_value)
-    return DEFAULT_TOL if resolved is None else resolved
 
 
 def cmd_schmidt(args) -> int:
@@ -166,7 +160,7 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_modular(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = _resolve_tol(args.tol, TOL_RESIDUAL)
     phi = DensityMatrix(load_matrix(args.phi))
     omega = DensityMatrix(load_matrix(args.omega))
     delta = relative_modular_operator(phi, omega)
@@ -203,7 +197,7 @@ def cmd_modular(args) -> int:
 
 
 def cmd_kms_verify(args) -> int:
-    tol = _resolve_tol(args.tol)
+    tol = _resolve_tol(args.tol, TOL_RESIDUAL)
     rng = np.random.default_rng(args.seed)
     if args.omega is not None:
         density = DensityMatrix(load_matrix(args.omega))
@@ -226,7 +220,8 @@ def cmd_kms_verify(args) -> int:
 
     basis = centralizer_basis(density)
     commutant_dim = _commutant_dimension(density.matrix)
-    ok = boundary < tol and invariance < 1e-12 and len(basis) == commutant_dim
+    # the invariance bound is fixed: --tol does not loosen it
+    ok = boundary < tol and invariance < TOL_STRICT and len(basis) == commutant_dim
     out = {
         "dimension": density.dim,
         "beta": args.beta,
@@ -259,7 +254,7 @@ def cmd_campaign(args) -> int:
     """``cone``, ``ineq`` and ``campaign``; the suite comes from the parser."""
     started = time.perf_counter()
     results = campaigns.run_suite(
-        args.suite, args.seed, args.dim, args.samples, _resolve_tol_optional(args.tol)
+        args.suite, args.seed, args.dim, args.samples, _resolve_tol(args.tol, None)
     )
     failures = sum(r.failures for r in results)
     if len(results) == 1:

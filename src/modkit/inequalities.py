@@ -17,6 +17,11 @@ Every check returns an :class:`InequalityReport`; pass/fail uses a relative
 slack floor so trace-scale growth with dimension does not produce spurious
 violations. The endpoint convention X^0 = support projection keeps the
 s-family meaningful on singular inputs.
+
+PSD operands are :class:`PositiveFunctional` objects, validated once and
+decomposed once: every power a check takes comes from the cached spectrum,
+so a caller running many checks on one pair builds the functionals once. A
+bare matrix is wrapped in one (a non-Hermitian matrix raises NotPSD).
 """
 
 from __future__ import annotations
@@ -30,10 +35,8 @@ import numpy as np
 from .errors import BadExponent, NotHermitian, NotPSD, OrderViolation, SingularState
 from .linalg import (
     PSD_TOL,
-    SpectralDecomposition,
     abs_hermitian,
     adjoint,
-    as_matrix,
     as_spectral,
     check_psd,
     hs_norm,
@@ -41,7 +44,6 @@ from .linalg import (
     psd_power,
     psd_power_values,
     schatten_norm,
-    spectral_decomposition,
     trace_norm,
 )
 from .sampling import random_psd
@@ -89,30 +91,28 @@ def _report(
     return InequalityReport(name, lhs, rhs, slack, passed, seed, route_residual)
 
 
-def _require_psd(*mats) -> list[tuple[np.ndarray, SpectralDecomposition]]:
-    """Validate each input as :func:`check_psd` does, from one eigh each.
+def _as_functional(x) -> PositiveFunctional:
+    """``x`` itself if it is a PositiveFunctional, else one validating it."""
+    if isinstance(x, PositiveFunctional):
+        return x
+    try:
+        return PositiveFunctional(x)
+    except NotHermitian as exc:
+        raise NotPSD("inequality inputs must be PSD") from exc
 
-    Returns (matrix, decomposition) pairs; every power a check takes of an
-    input comes from that decomposition.
-    """
-    out = []
-    for m in mats:
-        m = as_matrix(m)
-        try:
-            dec = spectral_decomposition(m, PSD_TOL)
-        except NotHermitian as exc:
-            raise NotPSD("inequality inputs must be PSD") from exc
-        if dec.eigenvalues[0] < -PSD_TOL * max(1.0, hs_norm(m)):
-            raise NotPSD("inequality inputs must be PSD")
-        out.append((m, dec))
-    return out
+
+def _overlap(a: PositiveFunctional, b: PositiveFunctional) -> float:
+    """Tr(A + B - |A - B|), the right-hand side of the s-family."""
+    a, b = a.matrix, b.matrix
+    return float(np.real(np.trace(a + b - abs_hermitian(a - b))))
 
 
 def norm_sandwich(
-    x: np.ndarray, y: np.ndarray, seed: int | None = None
+    x: PositiveFunctional | np.ndarray, y: PositiveFunctional | np.ndarray,
+    seed: int | None = None,
 ) -> tuple[InequalityReport, InequalityReport]:
     """Both halves of ||X-Y||_HS^2 <= ||X^2-Y^2||_1 <= ||X-Y||_HS ||X+Y||_HS."""
-    (x, _), (y, _) = _require_psd(x, y)
+    x, y = _as_functional(x).matrix, _as_functional(y).matrix
     diff_sq = hs_norm(x - y) ** 2
     middle = trace_norm(x @ x - y @ y)
     upper = hs_norm(x - y) * hs_norm(x + y)
@@ -123,17 +123,19 @@ def norm_sandwich(
 
 
 def powers_stormer(
-    a: np.ndarray, b: np.ndarray, seed: int | None = None
+    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
+    seed: int | None = None,
 ) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
-    (a, dec_a), (b, dec_b) = _require_psd(a, b)
-    lhs = hs_norm(matrix_sqrt(dec_a) - matrix_sqrt(dec_b)) ** 2
-    rhs = trace_norm(a - b)
+    a, b = _as_functional(a), _as_functional(b)
+    lhs = hs_norm(matrix_sqrt(a.spectrum) - matrix_sqrt(b.spectrum)) ** 2
+    rhs = trace_norm(a.matrix - b.matrix)
     return _report("powers_stormer", lhs, rhs, "le", seed)
 
 
 def ozawa_s(
-    a: np.ndarray, b: np.ndarray, s: float, seed: int | None = None
+    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
+    s: float, seed: int | None = None,
 ) -> InequalityReport:
     """2 Tr(B^s A^(1-s)) >= Tr(A + B - |A - B|) for s in [0, 1].
 
@@ -141,12 +143,10 @@ def ozawa_s(
     """
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
-    (a, dec_a), (b, dec_b) = _require_psd(a, b)
-    lhs = 2.0 * float(
-        np.real(np.trace(psd_power(dec_b, s) @ psd_power(dec_a, 1.0 - s)))
-    )
-    rhs = float(np.real(np.trace(a + b - abs_hermitian(a - b))))
-    return _report(f"ozawa_s[{s:g}]", lhs, rhs, "ge", seed)
+    a, b = _as_functional(a), _as_functional(b)
+    power_b, power_a = psd_power(b.spectrum, s), psd_power(a.spectrum, 1.0 - s)
+    lhs = 2.0 * float(np.real(np.trace(power_b @ power_a)))
+    return _report(f"ozawa_s[{s:g}]", lhs, _overlap(a, b), "ge", seed)
 
 
 def ogata_modular(
@@ -166,8 +166,9 @@ def ogata_modular(
     Route (a) uses the Kronecker eigenpairs of Delta = D2 (x) (D1^-1)^T:
     eigenvalues lambda_i / mu_j on u_i (x) conj(w_j), in which vec(sqrt(D1))
     has coefficients (U* sqrt(D1) W)_ij. Delta^(s/2) takes psd_power's
-    conventions on that d^2 spectrum (clipping, DomainError, support at
-    s = 0), without forming the d^2 x d^2 eigendecomposition.
+    conventions on that d^2 spectrum (clipping, DomainError), without
+    forming the d^2 x d^2 eigendecomposition. At s = 0 it is the support
+    of Delta, supp(D2) (x) 1 for faithful phi1, at route (b)'s floor on D2.
     """
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
@@ -176,7 +177,11 @@ def ogata_modular(
     dec1, dec2 = phi1.spectrum, phi2.spectrum
     ratios = dec2.eigenvalues[:, None] / dec1.eigenvalues[None, :]
     coeffs = adjoint(dec2.eigenvectors) @ phi1.sqrt() @ dec1.eigenvectors
-    image = psd_power_values(ratios, s / 2.0) * coeffs
+    if s == 0:
+        support = psd_power_values(dec2.eigenvalues, 0.0)[:, None]
+        image = np.broadcast_to(support, ratios.shape) * coeffs
+    else:
+        image = psd_power_values(ratios, s / 2.0) * coeffs
     lhs_superop = 2.0 * float(np.real(np.vdot(image, image)))
     lhs_trace = 2.0 * float(
         np.real(np.trace(phi2.power(s) @ phi1.power(1.0 - s)))
@@ -273,26 +278,27 @@ def default_registry() -> dict[str, MonotoneFunction]:
 
 
 def hoa_generalized(
-    a: np.ndarray, b: np.ndarray, mf: MonotoneFunction, seed: int | None = None
+    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
+    mf: MonotoneFunction, seed: int | None = None,
 ) -> InequalityReport:
     """2 Tr(sqrt(f(A)) g(B) sqrt(f(A))) >= Tr(A + B - |A - B|)."""
-    (a, dec_a), (b, dec_b) = _require_psd(a, b)
-    root = mf.apply_sqrt_f(dec_a)
-    lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(dec_b) @ root)))
-    rhs = float(np.real(np.trace(a + b - abs_hermitian(a - b))))
-    return _report(f"hoa[{mf.name}]", lhs, rhs, "ge", seed)
+    a, b = _as_functional(a), _as_functional(b)
+    root = mf.apply_sqrt_f(a.spectrum)
+    lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(b.spectrum) @ root)))
+    return _report(f"hoa[{mf.name}]", lhs, _overlap(a, b), "ge", seed)
 
 
 def phillips(
-    a: np.ndarray, b: np.ndarray, t: float, seed: int | None = None
+    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
+    t: float, seed: int | None = None,
 ) -> InequalityReport:
     """||A^(1/t) - B^(1/t)||_t^t <= ||A - B||_1 for A >= B >= 0 and t >= 1."""
     if t < 1.0:
         raise BadExponent(f"t must be >= 1, got {t}")
-    (a, dec_a), (b, dec_b) = _require_psd(a, b)
-    if not check_psd(a - b):
+    a, b = _as_functional(a), _as_functional(b)
+    if not check_psd(a.matrix - b.matrix):
         raise OrderViolation("Phillips inequality requires A >= B")
-    root_a, root_b = psd_power(dec_a, 1.0 / t), psd_power(dec_b, 1.0 / t)
+    root_a, root_b = (psd_power(f.spectrum, 1.0 / t) for f in (a, b))
     lhs = schatten_norm(root_a - root_b, t) ** t
-    rhs = trace_norm(a - b)
+    rhs = trace_norm(a.matrix - b.matrix)
     return _report(f"phillips[{t:g}]", lhs, rhs, "le", seed)

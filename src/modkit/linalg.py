@@ -45,11 +45,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A* B), conjugate-linear in A."""
-    return complex(np.vdot(a, b))
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Relative deviation from Hermiticity, ||A - A*|| / max(1, ||A||)."""
     return hs_norm(a - adjoint(a)) / max(1.0, hs_norm(a))

@@ -316,9 +316,6 @@ class SuperOperator:
             t = t.transpose(0, 2, 1)
         return t.reshape(n, d * d)
 
-    def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
-        return self.compose(other)
-
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
         if not self.is_factored:

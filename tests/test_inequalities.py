@@ -373,3 +373,112 @@ def test_psd_power_domain_error_survives_single_decomposition():
         ozawa_s(a, np.eye(3), 0.5)
     with pytest.raises(NotPSD):
         ozawa_s(np.diag([-1e-9, 1.0, 1.0]), np.eye(3), 0.5)
+
+
+def _count_eigensolves(monkeypatch) -> list[str]:
+    """Record the name of every numpy eigh/eigvalsh call from here on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(m, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _checks(mf):
+    """Each matrix check as a function of (A, B, A + B)."""
+    return {
+        "norm_sandwich": lambda a, b, ab: norm_sandwich(a, b, seed=3),
+        "powers_stormer": lambda a, b, ab: powers_stormer(a, b, seed=3),
+        "ozawa_s": lambda a, b, ab: ozawa_s(a, b, 0.25, seed=3),
+        "hoa_generalized": lambda a, b, ab: hoa_generalized(a, b, mf, seed=3),
+        "phillips": lambda a, b, ab: phillips(ab, b, 1.5, seed=3),
+    }
+
+
+def test_functional_operands_are_not_decomposed_again(rng, monkeypatch):
+    a = random_psd(rng, 4, trace_one=False)
+    b = random_psd(rng, 4, trace_one=False)
+    operands = [PositiveFunctional(m) for m in (a, b, a + b)]
+    calls = _count_eigensolves(monkeypatch)
+    # what is left is the eigh of A - B for |A - B|, and phillips' order check
+    expected = {
+        "norm_sandwich": [],
+        "powers_stormer": [],
+        "ozawa_s": ["eigh"],
+        "hoa_generalized": ["eigh"],
+        "phillips": ["eigvalsh"],
+    }
+    for name, check in _checks(default_registry()["t/(1+t)"]).items():
+        calls.clear()
+        check(*operands)
+        assert calls == expected[name], name
+
+
+def test_functional_and_matrix_operands_give_equal_reports(rng):
+    mf = default_registry()["log(1+t)"]
+    for _ in range(10):
+        a = random_psd(rng, 5, trace_one=False)
+        b = random_psd(rng, 5, trace_one=False)
+        matrices = (a, b, a + b)
+        functionals = [PositiveFunctional(m) for m in matrices]
+        for name, check in _checks(mf).items():
+            assert check(*matrices) == check(*functionals), name
+
+
+def test_density_matrix_operands_are_accepted():
+    a, b = DensityMatrix.diagonal([0.2, 0.8]), DensityMatrix.diagonal([0.6, 0.4])
+    assert ozawa_s(a, b, 0.5) == ozawa_s(a.matrix, b.matrix, 0.5)
+
+
+def test_non_hermitian_matrix_operand_is_not_psd():
+    with pytest.raises(NotPSD):
+        ozawa_s(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.5)
+
+
+def test_ogata_support_floor_of_small_phi2_eigenvalue():
+    # 1e-9 lies above D2's support floor (1e-10) but below 1e-10 times the
+    # largest ratio lambda_i / mu_j (~1e-8); both routes keep it at s = 0
+    rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+    phi1 = diag_pf(0.01, 0.99)
+    phi2 = PositiveFunctional(rot @ np.diag([1e-9, 1.0]) @ rot.T)
+    rep = ogata_modular(phi1, phi2, 0.0)
+    assert rep.route_residual < 1e-10
+    assert rep.passed
+    assert rep.lhs == pytest.approx(2.0 * phi1.total(), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_ogata_routes_agree_near_the_support_floor(d):
+    from modkit.sampling import random_positive_functional, random_unitary
+
+    rng = np.random.default_rng(d)
+    failed = []
+    for lam_min in (1e-11, 1e-10, 3e-10, 1e-9, 1e-8):
+        for _ in range(20):
+            phi1 = random_positive_functional(rng, d, faithful=True)
+            u = random_unitary(rng, d)
+            vals = np.concatenate([[lam_min], rng.uniform(0.05, 1.0, d - 1)])
+            phi2 = PositiveFunctional((u * vals) @ np.conj(u).T)
+            for s in (0.0, 0.25, 1.0):
+                rep = ogata_modular(phi1, phi2, s)
+                if not rep.passed:
+                    failed.append((lam_min, s, rep.route_residual))
+    assert failed == []
+
+
+def test_inequality_suite_decomposes_each_instance_once(monkeypatch):
+    from modkit.campaigns import run_suite
+
+    default_registry()  # the registry's spot checks run once per process
+    calls = _count_eigensolves(monkeypatch)
+    samples = 3
+    run_suite("inequalities", seed=5, dimension=4, samples=samples)
+    # A, B and A + B once each, |A - B| in 5 ozawa_s and 3 hoa checks, the
+    # Ogata pair; eigvalsh is phillips' A >= B check, 4 per instance
+    assert calls.count("eigh") == 13 * samples
+    assert calls.count("eigvalsh") == 4 * samples
