@@ -17,6 +17,11 @@ eigenbasis sum, which is entire in z; the strip constraint
 0 <= Im z <= beta mirrors the analyticity statement of the KMS property
 and is enforced as a contract, not a numerical necessity. On the upper
 boundary, F(t + i beta) = omega(sigma_t(B) A).
+
+Every time argument is a scalar or a 1-D array of times. An array is
+evaluated from one change of basis per operator and one phase matrix
+per time, and gives the results stacked along a leading axis; a scalar
+gives a complex, float or matrix, unstacked.
 """
 
 from __future__ import annotations
@@ -64,9 +69,13 @@ def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
     return GibbsSystem(float(beta), density, h)
 
 
-def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: float) -> np.ndarray:
+def heisenberg_evolve(
+    sys: GibbsSystem, a: np.ndarray, t: float | np.ndarray
+) -> np.ndarray:
     """exp(iHt) A exp(-iHt) in physical time.
 
+    ``t`` is a scalar or a 1-D array of times; an array gives the evolved
+    matrices stacked along a leading axis, from one change of basis of A.
     Energy is conserved ([A, H] = 0 implies a fixed point) and the Gibbs
     state is invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
@@ -74,9 +83,11 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: float) -> np.ndarray:
     if a.shape != (sys.dim, sys.dim):
         raise ShapeMismatch(f"operator shape {a.shape} != ({sys.dim}, {sys.dim})")
     v = sys.density.spectrum.eigenvectors
-    phases = np.exp(1j * t * sys.energies())
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(np.multiply.outer(1j * t, sys.energies()))
     a_eig = adjoint(v) @ a @ v
-    return v @ (np.outer(phases, np.conj(phases)) * a_eig) @ adjoint(v)
+    outer = phases[..., :, None] * np.conj(phases)[..., None, :]
+    return v @ (outer * a_eig) @ adjoint(v)
 
 
 def modular_hamiltonian(sys: GibbsSystem) -> SuperOperator:
@@ -92,20 +103,24 @@ def modular_hamiltonian(sys: GibbsSystem) -> SuperOperator:
 
 
 def kms_function(
-    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: complex
-) -> complex:
+    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: complex | np.ndarray
+) -> complex | np.ndarray:
     """Two-point function F(z) = omega(A sigma_z(B)) on the strip.
 
     In the eigenbasis of H (eigenvalues E_j, weights lambda_j of D):
 
         F(z) = sum_jk lambda_j A_jk B_kj exp(i z (E_k - E_j)).
 
-    Raises :class:`OutsideStrip` unless 0 <= Im z <= beta.
+    ``z`` is a complex scalar, giving a complex, or a 1-D array, giving
+    an array; the weights lambda_j A_jk B_kj are formed once for all z.
+    Raises :class:`OutsideStrip` unless 0 <= Im z <= beta for every z.
     """
-    z = complex(z)
-    if z.imag < 0 or z.imag > sys.beta:
+    z = np.asarray(z, dtype=complex)
+    outside = (z.imag < 0) | (z.imag > sys.beta)
+    if np.any(outside):
         raise OutsideStrip(
-            f"Im z = {z.imag:g} outside [0, beta] with beta = {sys.beta:g}"
+            f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
+            f"with beta = {sys.beta:g}"
         )
     a = as_matrix(a)
     b = as_matrix(b)
@@ -118,8 +133,10 @@ def kms_function(
     energy = sys.energies()
     a_eig = adjoint(v) @ a @ v
     b_eig = adjoint(v) @ b @ v
-    phase = np.exp(1j * z * (energy[None, :] - energy[:, None]))
-    return complex(np.sum(lam[:, None] * a_eig * b_eig.T * phase))
+    weights = lam[:, None] * a_eig * b_eig.T
+    phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
+    values = (weights * phase).reshape(*z.shape, -1).sum(axis=-1)
+    return complex(values) if z.ndim == 0 else values
 
 
 def centralizer_basis(
@@ -156,19 +173,35 @@ def centralizer_basis(
     return basis
 
 
-def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: float) -> float:
-    """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state."""
+def state_invariance_defect(
+    sys: GibbsSystem, a: np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
+    """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
+
+    A scalar ``t`` gives a float, a 1-D array of times an array.
+    """
     d = sys.density.matrix
     evolved = heisenberg_evolve(sys, a, t)
-    return abs(complex(np.trace(d @ evolved)) - complex(np.trace(d @ as_matrix(a))))
+    defect = np.abs(_trace(d @ evolved) - np.trace(d @ as_matrix(a)))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def kms_boundary_defect(
-    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: float
-) -> float:
-    """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual."""
+    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
+    """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
+
+    The left side is the eigenbasis sum of :func:`kms_function`; the right
+    side forms sigma_t(B) as a matrix and takes the trace in the standard
+    basis. A scalar ``t`` gives a float, a 1-D array of times an array.
+    """
+    t = np.asarray(t, dtype=float)
     lhs = kms_function(sys, a, b, t + 1j * sys.beta)
-    rhs = complex(
-        np.trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ as_matrix(a))
-    )
-    return abs(lhs - rhs)
+    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ as_matrix(a))
+    defect = np.abs(lhs - rhs)
+    return float(defect) if defect.ndim == 0 else defect
+
+
+def _trace(m: np.ndarray) -> complex | np.ndarray:
+    """Trace over the last two axes of a matrix or a stack of matrices."""
+    return np.trace(m, axis1=-2, axis2=-1)

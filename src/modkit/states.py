@@ -31,11 +31,13 @@ class PositiveFunctional:
 
     The spectral decomposition is computed eagerly and cached; eigenvalues
     in [-tol, 0) are rounding noise and enter cached derived quantities
-    clipped at zero.
+    clipped at zero. ``matrix`` is a read-only copy of the input, so a later
+    write to the caller's array cannot desynchronise it from the spectrum.
     """
 
     def __init__(self, matrix, tol: float = PSD_TOL):
-        m = as_matrix(matrix)
+        m = as_matrix(matrix).copy()
+        m.flags.writeable = False
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"expected square matrix, got {m.shape}")
         spectrum = spectral_decomposition(m, tol)

@@ -290,31 +290,50 @@ class SuperOperator:
             m = self._left_multiply(rhs) if self.is_factored else self.matrix @ rhs
         return SuperOperator(self.d, m, antilinear)
 
-    def _left_multiply(self, m: np.ndarray) -> np.ndarray:
-        """(A (x) B) P^transpose @ m, each column of m taken as vec(X)."""
+    def _left_multiply(
+        self,
+        m: np.ndarray,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """(A (x) B) P^transpose @ m, each column of m taken as vec(X).
+
+        Without ``out`` every contraction allocates its result. With
+        ``out`` (C-contiguous, shaped like m) the product is written there
+        and returned; when both factors are set the first contraction
+        writes ``work``, so ``out`` may then be ``m`` itself.
+        """
         d, n = self.d, m.shape[1]
         t = m.reshape(d, d, n)
         if self.transpose:
             t = t.transpose(1, 0, 2)
         left, right = self.factors
-        if left is not None:
-            t = _contract(left, t, 0)
-        if right is not None:
-            t = _contract(right, t, 1)
+        t = _contract_each(t, ((left, 0), (right, 1)), out, work)
         return t.reshape(d * d, n)
 
-    def _right_multiply(self, m: np.ndarray, conjugate: bool) -> np.ndarray:
-        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X)."""
+    def _right_multiply(
+        self,
+        m: np.ndarray,
+        conjugate: bool,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X).
+
+        ``out`` and ``work`` as in :meth:`_left_multiply`; a transposition
+        comes last, as a copy into ``out``.
+        """
         d, n = self.d, m.shape[0]
         t = m.reshape(n, d, d)
         left, right = (_conj(f) if conjugate else f for f in self.factors)
-        if left is not None:
-            t = _contract(left.T, t, 1)
-        if right is not None:
-            t = _contract(right.T, t, 2)
-        if self.transpose:
-            t = t.transpose(0, 2, 1)
-        return t.reshape(n, d * d)
+        steps = ((_transpose(left), 1), (_transpose(right), 2))
+        if not self.transpose:
+            return _contract_each(t, steps, out, work).reshape(n, d * d)
+        t = _contract_each(t, steps, None, None).transpose(0, 2, 1)
+        if out is None:
+            return t.reshape(n, d * d)
+        np.copyto(out.reshape(n, d, d), t)
+        return out
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
@@ -349,18 +368,51 @@ def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a @ b
 
 
-def _contract(f: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+def _transpose(f: np.ndarray | None) -> np.ndarray | None:
+    return None if f is None else f.T
+
+
+def _contract(
+    f: np.ndarray, t: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """f applied along one axis of a 3-tensor, without copying the tensor.
 
     out[..., a, ...] = sum_i f[a, i] t[..., i, ...] with the sum on ``axis``:
     one matrix product for the outer axes, one per leading index for the
-    middle one.
+    middle one. ``out`` (C-contiguous, t's size) receives the result if
+    given, else it is allocated; it must not overlap t.
     """
     if axis == 0:
-        return (f @ t.reshape(t.shape[0], -1)).reshape(t.shape)
+        flat = t.reshape(t.shape[0], -1)
+        dest = None if out is None else out.reshape(flat.shape)
+        return np.matmul(f, flat, out=dest).reshape(t.shape)
     if axis == 2:
-        return (t.reshape(-1, t.shape[2]) @ f.T).reshape(t.shape)
-    return np.matmul(f, t)
+        flat = t.reshape(-1, t.shape[2])
+        dest = None if out is None else out.reshape(flat.shape)
+        return np.matmul(flat, f.T, out=dest).reshape(t.shape)
+    return np.matmul(f, t, out=None if out is None else out.reshape(t.shape))
+
+
+def _contract_each(
+    t: np.ndarray,
+    steps: tuple[tuple[np.ndarray | None, int], ...],
+    out: np.ndarray | None,
+    work: np.ndarray | None,
+) -> np.ndarray:
+    """Apply the (factor, axis) contractions in order, skipping None factors.
+
+    With ``out`` the last contraction writes it and the one before writes
+    ``work``, so no contraction reads the buffer it writes. Identity
+    factors alone copy t into ``out``.
+    """
+    steps = [(f, axis) for f, axis in steps if f is not None]
+    if out is not None and not steps:
+        np.copyto(out.reshape(t.shape), t)
+        return out.reshape(t.shape)
+    targets = [None] * len(steps) if out is None else [work, out][-len(steps):]
+    for (f, axis), dest in zip(steps, targets):
+        t = _contract(f, t, axis, dest)
+    return t
 
 
 def swap_operator(d: int) -> SuperOperator:

@@ -120,6 +120,16 @@ def test_modular_command_verify(tmp_path):
     assert out["tt_passed"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_modular_verify_needs_a_sample(samples, tmp_path, capsys):
+    phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
+    with pytest.raises(SystemExit) as exc:
+        main(["modular", phi, omega, "--verify", "--samples", samples, "--json"])
+    assert exc.value.code == 4
+    assert capsys.readouterr().out == ""
+
+
 def test_modular_singular_omega_exits_3(tmp_path):
     phi = write_matrix(tmp_path / "phi.json", np.eye(2) / 2)
     omega = write_matrix(tmp_path / "omega.json", np.diag([1.0, 0.0]))

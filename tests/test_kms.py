@@ -140,6 +140,39 @@ def test_kms_function_strip_contract(rng):
         kms_function(sys, a, b, 0.3 + 1.1j)
 
 
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_time_arrays_match_scalar_times(d, beta):
+    rng = np.random.default_rng(int(100 * beta) + d)
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), beta)
+    a, b = complex_gaussian(rng, d), complex_gaussian(rng, d)
+    t_grid = np.array([-2.0, -0.4, 0.0, 1.0, 2.7])
+    boundary = kms_boundary_defect(sys, a, b, t_grid)
+    invariance = state_invariance_defect(sys, a, t_grid)
+    evolved = heisenberg_evolve(sys, a, t_grid)
+    values = kms_function(sys, a, b, t_grid + 0.5j * beta)
+    assert boundary.shape == invariance.shape == values.shape == (5,)
+    assert evolved.shape == (5, d, d)
+    for k, t in enumerate(t_grid):
+        scalar = kms_boundary_defect(sys, a, b, float(t))
+        assert isinstance(scalar, float)
+        assert abs(boundary[k] - scalar) <= 1e-15
+        assert abs(invariance[k] - state_invariance_defect(sys, a, float(t))) <= 1e-15
+        assert np.max(np.abs(evolved[k] - heisenberg_evolve(sys, a, float(t)))) <= 1e-15
+        value = kms_function(sys, a, b, complex(t + 0.5j * beta))
+        assert isinstance(value, complex)
+        assert abs(values[k] - value) <= 1e-15
+
+
+def test_kms_function_strip_contract_for_time_arrays(rng):
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
+    a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
+    kms_function(sys, a, b, np.array([0.0, 0.5j, 2.0 + 1.0j]))  # all inside
+    for bad in (-0.1j, 1.1j):
+        with pytest.raises(OutsideStrip):
+            kms_function(sys, a, b, np.array([0.5j, 0.3 + bad, 1.0j]))
+
+
 def test_state_invariance(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 4), 1.7)
     for t in (-1.0, 0.3, 2.5):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modkit.errors import DomainError, NotPSD, ShapeMismatch
+from modkit.inequalities import ozawa_s
 from modkit.linalg import hs_norm, trace_norm
 from modkit.sampling import complex_gaussian, random_density, random_psd
 from modkit.states import (
@@ -133,3 +134,15 @@ def test_araki_norm_estimates(rng):
         upper = hs_norm(x - y) * hs_norm(x + y)
         assert lower <= middle + 1e-12
         assert middle <= upper + 1e-12
+
+
+def test_functional_is_not_desynchronised_by_a_later_write():
+    m = np.diag([1.0, 2.0]).astype(complex)
+    pf = PositiveFunctional(m)
+    before = ozawa_s(pf, np.eye(2), 0.5)
+    m[0, 0] = -5  # the caller's array; pf keeps its own copy
+    after = ozawa_s(pf, np.eye(2), 0.5)
+    assert after == before
+    assert np.array_equal(pf.matrix, np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        pf.matrix[0, 0] = -5

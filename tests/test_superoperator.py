@@ -4,19 +4,25 @@ Property tests (hypothesis) cover the four tau maps X, conj(X), X^T, X*,
 both linearities, identity factors and mixed dense/factored compositions
 at d = 2, 3 and 16. The dense builders are checked against their loop
 definitions, Ogata's route (a) against the dense 256^2-eigh route it
-replaced, and the Tomita-Takesaki residuals against the all-dense formula.
+replaced, and the Tomita-Takesaki residuals against the all-dense formula
+and, bit for bit, against the same products through ``compose``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modkit.errors import ShapeMismatch
 from modkit.inequalities import ogata_modular
 from modkit.linalg import hs_norm, psd_power
 from modkit.modular import (
     _assemble_antilinear,
+    modular_conjugation,
     modular_flow,
+    pi_factored,
     pi_left,
     relative_modular_operator,
     relative_modular_unitary,
@@ -231,3 +237,80 @@ def test_tomita_takesaki_residuals_match_dense_formula(d):
     assert np.max(np.abs(rep.commutant_residuals - comm)) <= 1e-13
     assert np.max(np.abs(rep.flow_residuals - flow)) <= 1e-13
     assert rep.passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_pi_left_equals_kron(d):
+    rng = np.random.default_rng(70 + d)
+    m = complex_gaussian(rng, d)
+    kron = np.kron(m, np.eye(d))
+    assert np.array_equal(pi_left(m), kron)
+    # bit-equal but for the sign of zero: kron's off-block entries are
+    # M[a, c] * 0.0, -0.0 where M[a, c] is negative; + 0.0 maps -0.0 to 0.0
+    assert pi_left(m).tobytes() == (kron + 0.0).tobytes()
+    out = np.full((d * d, d * d), np.nan, dtype=complex)
+    assert pi_left(m, out=out) is out
+    assert np.array_equal(out, kron)
+    wide = np.zeros((d * d, 2 * d * d), dtype=complex)
+    real = np.zeros((d * d, d * d))
+    for bad in (wide[:, ::2], real, np.zeros((d, d), dtype=complex)):
+        with pytest.raises(ShapeMismatch):
+            pi_left(m, out=bad)
+
+
+def compose_tomita_takesaki(omega, mats, t_grid):
+    """Reference: the verifier's products through SuperOperator.compose.
+
+    Every product allocates its own d^2 x d^2 array; pi(M) is np.kron.
+    """
+    d = omega.dim
+    eye = np.eye(d)
+    j = modular_conjugation(d)
+    comm = []
+    for m in mats:
+        jmj = j.compose(SuperOperator(d, np.kron(m, eye))).compose(j)
+        for n in mats:
+            pin = pi_factored(n)
+            comm.append(hs_norm(jmj.compose(pin).matrix - pin.compose(jmj).matrix))
+    flow = []
+    for t in t_grid:
+        u = relative_modular_unitary(omega, omega, t)
+        u_inv = relative_modular_unitary(omega, omega, -t)
+        for m in mats:
+            pim = SuperOperator(d, np.kron(m, eye))
+            evolved = u.compose(pim).compose(u_inv).matrix
+            flow.append(hs_norm(evolved - np.kron(modular_flow(omega, m, t), eye)))
+    return np.array(comm), np.array(flow)
+
+
+def test_tomita_takesaki_buffers_are_bit_equal_to_compose():
+    rng = np.random.default_rng(80)
+    omega = random_faithful_density(rng, 16)
+    mats = [complex_gaussian(rng, 16) for _ in range(4)]
+    t_grid = [0.3, 1.0, 2.7]
+    rep = verify_tomita_takesaki(omega, mats, t_grid)
+    comm, flow = compose_tomita_takesaki(omega, mats, t_grid)
+    assert rep.commutant_residuals.tobytes() == comm.tobytes()
+    assert rep.flow_residuals.tobytes() == flow.tobytes()
+
+
+# tracemalloc peak of one verify_tomita_takesaki call on the input below
+# when every product allocated its own array (compose_tomita_takesaki's
+# scheme inside the verifier); numpy 2.4, x86_64
+COMPOSE_PEAK_BYTES = 6_314_616
+
+
+def test_tomita_takesaki_traced_peak_within_compose_scheme():
+    """Guards the reused buffers: holding every dense pi(M) would exceed it."""
+    rng = np.random.default_rng(80)
+    omega = random_faithful_density(rng, 16)
+    mats = [complex_gaussian(rng, 16) for _ in range(4)]
+    t_grid = [0.3, 1.0, 2.7]
+    verify_tomita_takesaki(omega, mats, t_grid)
+    tracemalloc.start()
+    try:
+        verify_tomita_takesaki(omega, mats, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPOSE_PEAK_BYTES
