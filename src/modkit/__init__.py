@@ -13,7 +13,6 @@ from .cone import (
     cone_pairing,
     decompose_general,
     decompose_j_fixed,
-    representative_of,
 )
 from .errors import (
     BadBeta,
@@ -53,11 +52,9 @@ from .kms import (
     gibbs_hamiltonian,
     heisenberg_evolve,
     kms_function,
-    modular_hamiltonian,
 )
 from .linalg import (
     SpectralDecomposition,
-    apply_spectral_function,
     as_spectral,
     check_psd,
     jordan_decompose,
@@ -69,7 +66,6 @@ from .linalg import (
     trace_norm,
 )
 from .modular import (
-    StandardForm,
     TomitaTakesakiReport,
     connes_cocycle,
     modular_conjugation,
@@ -85,7 +81,6 @@ from .schmidt import SchmidtData, is_cyclic_separating, schmidt_decompose, schmi
 from .states import (
     DensityMatrix,
     PositiveFunctional,
-    evaluate_state,
     functional_distance,
     is_faithful,
     purify,
@@ -96,7 +91,6 @@ from .vecops import (
     conjugate_vec,
     kron_apply_vec,
     partial_trace,
-    regroup_product_vec,
     swap_operator,
     unvec,
     vec,

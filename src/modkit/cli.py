@@ -56,6 +56,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
+# singular values of the commutator map at or below this (times max(1, top))
+# count toward the commutant dimension that kms-verify checks
+COMMUTANT_NULL_RTOL = 1e-8
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with the documented code 4."""
@@ -151,7 +155,7 @@ def cmd_schmidt(args) -> int:
         "dims": [u.dim_left, u.dim_right],
         "rank": data.rank,
         "coefficients": [round(float(c), 12) for c in data.coefficients],
-        "cyclic_separating": bool(is_cyclic_separating(u, args.rank_tol))
+        "cyclic_separating": bool(is_cyclic_separating(u))
         if square
         else None,
     }
@@ -236,7 +240,7 @@ def cmd_kms_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _commutant_dimension(d: np.ndarray, tol: float = 1e-8) -> int:
+def _commutant_dimension(d: np.ndarray) -> int:
     """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
 
     Cutoff is absolute at density-matrix scale, so a numerically zero map
@@ -246,7 +250,8 @@ def _commutant_dimension(d: np.ndarray, tol: float = 1e-8) -> int:
     eye = np.eye(n)
     k = np.kron(eye, d.T) - np.kron(d, eye)
     sigma = np.linalg.svd(k, compute_uv=False)
-    return int(np.count_nonzero(sigma <= tol * max(1.0, float(sigma[0]))))
+    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma[0]))
+    return int(np.count_nonzero(sigma <= cutoff))
 
 
 def cmd_campaign(args) -> int:
@@ -314,7 +319,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("schmidt", parents=[], help="Schmidt data of vec(input)")
     p.add_argument("input", help="matrix JSON file, or - for stdin")
-    p.add_argument("--rank-tol", type=float, default=1e-10)
+    p.add_argument(
+        "--rank-tol", type=float, default=1e-10, help="cutoff for rank, coefficients"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_schmidt)
 

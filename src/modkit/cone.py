@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotJFixed, NotPSD
 from .linalg import (
+    HERMITICITY_RTOL,
     PSD_TOL,
     adjoint,
     check_psd,
     hermiticity_defect,
     jordan_decompose,
 )
-from .states import PositiveFunctional
 from .vecops import BipartiteVector, unvec, vec
 
 
@@ -34,9 +34,9 @@ class ConeElement:
     witness: np.ndarray
 
     @classmethod
-    def from_witness(cls, x: np.ndarray, tol: float = PSD_TOL) -> "ConeElement":
+    def from_witness(cls, x: np.ndarray) -> "ConeElement":
         x = np.asarray(x, dtype=complex)
-        if not check_psd(x, tol):
+        if not check_psd(x):
             raise NotPSD("witness is not PSD within tolerance")
         return cls(vec(x), x)
 
@@ -51,15 +51,7 @@ def cone_contains(v: BipartiteVector, tol: float = PSD_TOL) -> bool:
     return check_psd(unvec(v), tol)
 
 
-def representative_of(omega: PositiveFunctional) -> ConeElement:
-    """The unique cone vector vec(sqrt(D)) inducing the functional omega."""
-    x = omega.sqrt()
-    return ConeElement(vec(x), x)
-
-
-def decompose_j_fixed(
-    v: BipartiteVector, tol: float = 1e-10
-) -> tuple[ConeElement, ConeElement]:
+def decompose_j_fixed(v: BipartiteVector) -> tuple[ConeElement, ConeElement]:
     """Split a J-fixed vector into orthogonal cone elements.
 
     J v = v means the witness T = unvec(v) is Hermitian; the Jordan parts
@@ -69,7 +61,7 @@ def decompose_j_fixed(
     if v.dim_left != v.dim_right:
         raise DimensionMismatch(f"expected square bipartition, got {v.dims}")
     t = unvec(v)
-    if hermiticity_defect(t) > tol:
+    if hermiticity_defect(t) > HERMITICITY_RTOL:
         raise NotJFixed(
             f"vector is not fixed by the modular conjugation "
             f"(witness Hermiticity defect {hermiticity_defect(t):.3e})"

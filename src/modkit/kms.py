@@ -26,6 +26,7 @@ gives a complex, float or matrix, unstacked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ import numpy as np
 from .errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
 from .linalg import adjoint, as_matrix
 from .states import DensityMatrix, is_faithful
-from .vecops import SuperOperator
 
 GAP_RTOL = 1e-9
 
@@ -60,9 +60,10 @@ class GibbsSystem:
 
 
 def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
-    """H = -(1/beta) log D; requires beta > 0 and faithful D."""
-    if beta <= 0:
-        raise BadBeta(f"inverse temperature must be positive, got {beta}")
+    """H = -(1/beta) log D; requires a finite beta > 0 and faithful D."""
+    # written so that NaN fails too: nan <= 0 is False
+    if not (math.isfinite(beta) and beta > 0):
+        raise BadBeta(f"inverse temperature must be finite and positive, got {beta}")
     if not is_faithful(density):
         raise SingularState("Gibbs Hamiltonian needs a faithful density")
     h = density.spectrum.apply(lambda lam: -np.log(lam) / beta)
@@ -88,18 +89,6 @@ def heisenberg_evolve(
     a_eig = adjoint(v) @ a @ v
     outer = phases[..., :, None] * np.conj(phases)[..., None, :]
     return v @ (outer * a_eig) @ adjoint(v)
-
-
-def modular_hamiltonian(sys: GibbsSystem) -> SuperOperator:
-    """Dense commutator generator H (x) 1 - 1 (x) H^T, acting as X -> HX - XH.
-
-    Exponentiating it reproduces the Heisenberg evolution:
-    exp(i t . ) applied to vec(X) equals vec(exp(iHt) X exp(-iHt)).
-    """
-    d = sys.dim
-    eye = np.eye(d)
-    m = np.kron(sys.hamiltonian, eye) - np.kron(eye, sys.hamiltonian.T)
-    return SuperOperator(d, m)
 
 
 def kms_function(
@@ -139,12 +128,10 @@ def kms_function(
     return complex(values) if z.ndim == 0 else values
 
 
-def centralizer_basis(
-    density: DensityMatrix, gap_tol: float = GAP_RTOL
-) -> list[np.ndarray]:
+def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
     """Hilbert-Schmidt orthonormal basis of {B : [B, D] = 0}.
 
-    Eigenvalues of D closer than ``gap_tol`` times the spectral diameter are
+    Eigenvalues of D closer than ``GAP_RTOL`` times the spectral diameter are
     grouped into one eigenblock; the basis consists of the matrix units
     within each block, so its size is the sum of the squared multiplicities.
     A flat spectrum yields the full matrix algebra: the threshold never
@@ -156,7 +143,7 @@ def centralizer_basis(
     v = spec.eigenvectors
     diameter = float(vals[-1] - vals[0])
     noise_floor = 1e-13 * max(1.0, abs(float(vals[-1])))
-    threshold = max(gap_tol * diameter, noise_floor)
+    threshold = max(GAP_RTOL * diameter, noise_floor)
 
     blocks: list[list[int]] = [[0]]
     for i in range(1, len(vals)):

@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * eigenvalues are returned in ascending order (``numpy.linalg.eigh`` order),
   which makes decompositions reproducible run to run,
 * Hermiticity is tested with the scale-free criterion
-  ``||A - A*||_HS <= rtol * max(1, ||A||_HS)``,
+  ``||A - A*||_HS <= HERMITICITY_RTOL * max(1, ||A||_HS)``,
 * fractional matrix powers use the principal branch via the spectral
   decomposition and are defined on PSD inputs only; inputs with genuinely
   negative spectrum are rejected instead of complexified.
@@ -50,20 +50,20 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return hs_norm(a - adjoint(a)) / max(1.0, hs_norm(a))
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (A + A*)/2.
 
     Raises
     ------
     NotHermitian
-        If ``||A - A*||_HS > rtol * max(1, ||A||_HS)``.
+        If ``||A - A*||_HS > HERMITICITY_RTOL * max(1, ||A||_HS)``.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > rtol:
+    if hermiticity_defect(m) > HERMITICITY_RTOL:
         raise NotHermitian(
-            f"matrix is not Hermitian within rtol={rtol:g} "
+            f"matrix is not Hermitian within rtol={HERMITICITY_RTOL:g} "
             f"(defect {hermiticity_defect(m):.3e})"
         )
     return 0.5 * (m + adjoint(m))
@@ -106,9 +106,9 @@ class SpectralDecomposition:
         """Eigenvalues with negative rounding noise set to zero."""
         return np.maximum(self.eigenvalues, 0.0)
 
-    def support(self, zero_tol: float = PSD_TOL) -> np.ndarray:
-        """Mask of the eigenvalues above ``zero_tol * max(1, largest)``."""
-        return _support(self.eigenvalues, zero_tol)
+    def support(self) -> np.ndarray:
+        """Mask of the eigenvalues above ``PSD_TOL * max(1, largest)``."""
+        return _support(self.eigenvalues, PSD_TOL)
 
     def power(self, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
         """A^s on the clipped spectrum.
@@ -160,50 +160,11 @@ def _nonnegative_power(vals: np.ndarray, s: float, zero_tol: float) -> np.ndarra
     return np.maximum(vals, 0.0) ** s
 
 
-def spectral_decomposition(
-    a: np.ndarray, rtol: float = HERMITICITY_RTOL
-) -> SpectralDecomposition:
+def spectral_decomposition(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues."""
-    m = require_hermitian(a, rtol)
+    m = require_hermitian(a)
     vals, vecs = np.linalg.eigh(m)
     return SpectralDecomposition(vals, vecs)
-
-
-def apply_spectral_function(
-    a: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: Callable[[np.ndarray], np.ndarray] | None = None,
-    rtol: float = HERMITICITY_RTOL,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Parameters
-    ----------
-    a : ndarray
-        Hermitian matrix (validated against ``rtol``).
-    f : callable
-        Scalar function, applied elementwise to the eigenvalue array. May be
-        complex-valued (e.g. ``lam -> exp(1j*t*log(lam))``); the result is
-        Hermitian exactly when ``f`` is real-valued on the spectrum.
-    domain : callable, optional
-        Predicate on the eigenvalue array declaring where ``f`` is defined,
-        e.g. ``lambda lam: lam > 0`` for the logarithm. Eigenvalues failing
-        the predicate raise :class:`DomainError`.
-
-    Returns
-    -------
-    ndarray
-        ``V f(Lambda) V*``.
-    """
-    dec = spectral_decomposition(a, rtol)
-    if domain is not None:
-        ok = np.asarray(domain(dec.eigenvalues))
-        if not np.all(ok):
-            bad = dec.eigenvalues[~ok]
-            raise DomainError(
-                f"eigenvalues outside the declared domain of f: {bad}"
-            )
-    return dec.apply(f)
 
 
 def as_spectral(a) -> SpectralDecomposition:
@@ -211,42 +172,41 @@ def as_spectral(a) -> SpectralDecomposition:
     return a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a)
 
 
-def psd_power(a, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
-    """Principal power A^s of a PSD matrix (or of its decomposition).
+def psd_power(a, s: float) -> np.ndarray:
+    """Principal power A^s, s >= 0, of a PSD matrix (or of its decomposition).
 
-    Negative rounding noise in the spectrum (above ``-zero_tol * scale``) is
+    Negative rounding noise in the spectrum (above ``-PSD_TOL * scale``) is
     clipped to zero; anything more negative raises :class:`DomainError`.
     For ``s > 0`` the power is continuous at zero and applied directly; at
     ``s = 0`` the support convention holds (eigenvalues at or below
-    ``zero_tol * scale`` map to 0, the rest to 1), yielding the support
+    ``PSD_TOL * scale`` map to 0, the rest to 1), yielding the support
     projection, which is the operator-monotone limit of ``t^s``. ``s < 0``
-    requires full support at the same floor.
+    raises :class:`DomainError`: inverse powers are taken on faithful
+    states only, through :meth:`SpectralDecomposition.power`.
     """
     dec = as_spectral(a)
-    return dec._synthesize(psd_power_values(dec.eigenvalues, s, zero_tol))
+    return dec._synthesize(psd_power_values(dec.eigenvalues, s))
 
 
-def psd_power_values(
-    vals: np.ndarray, s: float, zero_tol: float = PSD_TOL
-) -> np.ndarray:
+def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
     """The eigenvalues of :func:`psd_power`, from eigenvalues of any shape or order.
 
     Applies psd_power's conventions and raise points to a bare spectrum,
     e.g. the lambda_i / mu_j of a Kronecker product, whose eigenvectors
     are never formed.
     """
+    if s < 0:
+        raise DomainError(
+            f"psd_power takes s >= 0, got {s}; inverse powers of a faithful "
+            f"state come from SpectralDecomposition.power"
+        )
     top, low = float(np.max(vals)), float(np.min(vals))
-    floor = zero_tol * max(1.0, top)
-    if low < -floor:
+    if low < -PSD_TOL * max(1.0, top):
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {low:.3e}); refusing "
             f"fractional power of negative spectrum"
         )
-    if s < 0:
-        if not low > floor:
-            raise DomainError("negative power of a singular PSD matrix")
-        return vals.astype(complex) ** s
-    return _nonnegative_power(vals, s, zero_tol)
+    return _nonnegative_power(vals, s, PSD_TOL)
 
 
 def matrix_sqrt(a) -> np.ndarray:
@@ -254,9 +214,9 @@ def matrix_sqrt(a) -> np.ndarray:
     return psd_power(a, 0.5)
 
 
-def support_projection(a: np.ndarray, zero_tol: float = PSD_TOL) -> np.ndarray:
+def support_projection(a: np.ndarray) -> np.ndarray:
     """Spectral projection onto the range of a PSD matrix."""
-    return psd_power(a, 0.0, zero_tol)
+    return psd_power(a, 0.0)
 
 
 def jordan_decompose(t) -> tuple[np.ndarray, np.ndarray]:

@@ -29,54 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix, check_psd, hs_norm
-from .schmidt import is_cyclic_separating
+from .linalg import adjoint, as_matrix, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
-from .vecops import BipartiteVector, SuperOperator, unvec, vec
+from .vecops import SuperOperator
 
 
 def _require_faithful(omega: PositiveFunctional, role: str) -> None:
     if not is_faithful(omega):
         raise SingularState(f"{role} state must be faithful (nonsingular density)")
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """The triple (pi(M), H, Omega) for M = B(H_d) with Omega = vec(sqrt(D)).
-
-    Stores the unit-norm cone representative; ``scale`` records the norm of
-    the originally supplied cyclic vector when one was given.
-    """
-
-    d: int
-    omega_vec: BipartiteVector
-    density: DensityMatrix
-    scale: float = 1.0
-
-    @classmethod
-    def from_density(cls, density: DensityMatrix) -> "StandardForm":
-        _require_faithful(density, "reference")
-        omega_vec = vec(density.sqrt())
-        return cls(density.dim, omega_vec, density)
-
-    @classmethod
-    def from_cyclic_vector(cls, v: BipartiteVector) -> "StandardForm":
-        """Build from an (optionally unnormalized) cone-gauge cyclic vector.
-
-        The witness unvec(v) must be PSD up to a positive scale; the stored
-        Omega is v / ||v|| and the norm is recorded in ``scale``.
-        """
-        if not is_cyclic_separating(v):
-            raise SingularState("vector is not cyclic and separating")
-        scale = v.norm()
-        x = unvec(v) / scale
-        if not check_psd(x):
-            raise ValueError(
-                "cyclic vector is not in the cone gauge (unvec not PSD); "
-                "construct from its reduced density instead"
-            )
-        density = DensityMatrix(x @ x)
-        return cls(v.dim_left, vec(density.sqrt()), density, scale=scale)
 
 
 def _require_pair(phi: PositiveFunctional, omega: PositiveFunctional) -> None:

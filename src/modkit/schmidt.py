@@ -7,7 +7,9 @@ decomposition M = sum_i s_i |y_i><x_i| turns into
 
 so Schmidt coefficients are singular values and the Schmidt rank is the
 matrix rank of unvec(u). Full rank d on a square bipartition is exactly the
-cyclic-and-separating condition for the left-multiplication algebra.
+cyclic-and-separating condition for the left-multiplication algebra; it is
+decided by the one faithfulness threshold of :func:`states.is_faithful` on
+the reduced state Tr_2 |u><u|, not by ``rank_tol``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
-from .vecops import BipartiteVector, unvec
+from .states import PositiveFunctional, is_faithful
+from .vecops import BipartiteVector, partial_trace, unvec
 
 RANK_RTOL = 1e-10
 
@@ -76,10 +79,16 @@ def schmidt_rank(u: BipartiteVector, rank_tol: float = RANK_RTOL) -> int:
     return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
 
 
-def is_cyclic_separating(u: BipartiteVector, rank_tol: float = RANK_RTOL) -> bool:
-    """True iff u is cyclic and separating, i.e. has full Schmidt rank d."""
+def is_cyclic_separating(u: BipartiteVector) -> bool:
+    """True iff u is cyclic and separating: its reduced state Tr_2 |u><u| is faithful.
+
+    The eigenvalues of Tr_2 |u><u| are the squared Schmidt coefficients, so
+    this is full Schmidt rank d at the threshold ``is_faithful`` applies.
+    """
     if u.dim_left != u.dim_right:
         raise DimensionMismatch(
             f"cyclic/separating needs equal factors, got {u.dims}"
         )
-    return schmidt_rank(u, rank_tol) == u.dim_left
+    if u.norm() == 0.0:
+        raise ZeroVector("the zero vector is neither cyclic nor separating")
+    return is_faithful(PositiveFunctional(partial_trace(u, u, "right")))

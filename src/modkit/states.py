@@ -20,7 +20,7 @@ from .linalg import (
     spectral_decomposition,
     trace_norm,
 )
-from .vecops import BipartiteVector, unvec, vec
+from .vecops import BipartiteVector, vec
 
 FAITHFUL_RTOL = 1e-12
 TRACE_TOL = 1e-10
@@ -30,18 +30,19 @@ class PositiveFunctional:
     """Positive linear functional, carried by a PSD matrix of free trace.
 
     The spectral decomposition is computed eagerly and cached; eigenvalues
-    in [-tol, 0) are rounding noise and enter cached derived quantities
-    clipped at zero. ``matrix`` is a read-only copy of the input, so a later
-    write to the caller's array cannot desynchronise it from the spectrum.
+    in [-PSD_TOL * max(1, ||D||_HS), 0) are rounding noise and enter cached
+    derived quantities clipped at zero. ``matrix`` is a read-only copy of the
+    input, so a later write to the caller's array cannot desynchronise it
+    from the spectrum.
     """
 
-    def __init__(self, matrix, tol: float = PSD_TOL):
+    def __init__(self, matrix):
         m = as_matrix(matrix).copy()
         m.flags.writeable = False
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"expected square matrix, got {m.shape}")
-        spectrum = spectral_decomposition(m, tol)
-        floor = -tol * max(1.0, hs_norm(m))
+        spectrum = spectral_decomposition(m)
+        floor = -PSD_TOL * max(1.0, hs_norm(m))
         if spectrum.eigenvalues[0] < floor:
             raise NotPSD(
                 f"min eigenvalue {spectrum.eigenvalues[0]:.3e} below "
@@ -85,8 +86,8 @@ class PositiveFunctional:
 class DensityMatrix(PositiveFunctional):
     """PSD trace-one matrix with cached spectral decomposition."""
 
-    def __init__(self, matrix, tol: float = PSD_TOL):
-        super().__init__(matrix, tol)
+    def __init__(self, matrix):
+        super().__init__(matrix)
         tr = np.trace(self.matrix)
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix trace {tr:.12g} != 1")
@@ -111,22 +112,6 @@ def is_faithful(d: PositiveFunctional, singularity_tol: float = FAITHFUL_RTOL) -
 def purify(d: DensityMatrix) -> BipartiteVector:
     """Canonical purification vec(sqrt(D)); unit norm, right trace gives D."""
     return vec(d.sqrt())
-
-
-def evaluate_state(omega_vec: BipartiteVector, m: np.ndarray) -> complex:
-    """<Omega, (M (x) 1) Omega>; equals Tr(D M) when Omega = vec(sqrt(D)).
-
-    Computed as Tr(X* M X) with X = unvec(Omega), avoiding the Kronecker
-    product.
-    """
-    mm = as_matrix(m)
-    x = unvec(omega_vec)
-    if mm.shape != (omega_vec.dim_left, omega_vec.dim_left):
-        raise ShapeMismatch(
-            f"operator shape {mm.shape} incompatible with left factor "
-            f"dimension {omega_vec.dim_left}"
-        )
-    return complex(np.vdot(x, mm @ x))
 
 
 def functional_distance(phi1: PositiveFunctional, phi2: PositiveFunctional) -> float:

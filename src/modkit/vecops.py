@@ -142,26 +142,6 @@ def partial_trace(v: BipartiteVector, w: BipartiteVector, side: str) -> np.ndarr
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def regroup_product_vec(
-    u: BipartiteVector, dims_a: tuple[int, int], dims_b: tuple[int, int]
-) -> np.ndarray:
-    """Reorder vec(A (x) B) into the multipartite basis order.
-
-    The plain bipartite vec of a product operator indexes components as
-    (m, mu, n, nu); the multipartite convention groups row/column pairs per
-    factor, (m, n, mu, nu), in which vec(A (x) B) = vec(A) (x) vec(B). The
-    permutation is done by reshaping, never as a dense matrix.
-    """
-    dy1, dx1 = dims_a
-    dy2, dx2 = dims_b
-    if u.dims != (dy1 * dy2, dx1 * dx2):
-        raise ShapeMismatch(
-            f"vector dims {u.dims} != product dims ({dy1 * dy2}, {dx1 * dx2})"
-        )
-    t = u.amplitudes.reshape(dy1, dy2, dx1, dx2)
-    return t.transpose(0, 2, 1, 3).ravel()
-
-
 class SuperOperator:
     """Operator on the vec'd space H_d (x) H_d, in factored or dense form.
 
@@ -226,10 +206,6 @@ class SuperOperator:
     ) -> "SuperOperator":
         """vec(X) -> vec(left tau(X) right^T); None stands for the identity."""
         return cls(d, None, antilinear, (left, right), transpose)
-
-    @classmethod
-    def identity(cls, d: int) -> "SuperOperator":
-        return cls.factored(d, None, None)
 
     @property
     def is_factored(self) -> bool:

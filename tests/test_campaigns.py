@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from modkit.campaigns import CampaignResult, run_suite
@@ -68,3 +70,21 @@ def test_tally_fails_closed_on_non_finite(bad):
         feed(tally)
         result = tally.result("x", 0, 2, 1)
         assert (result.checks, result.failures) == (2, 1), name
+
+
+# checks per suite for n samples (kms adds a centralizer check every 5th)
+SUITE_CHECKS = {
+    "vec": lambda n: 7 * n,
+    "modular": lambda n: 9 * n,
+    "kms": lambda n: 4 * n + math.ceil(n / 5),
+    "cone": lambda n: 7 * n,
+    "inequalities": lambda n: 16 * n,
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 6])
+def test_check_counts_per_suite(n):
+    results = run_suite("all", seed=3, dimension=2, samples=n)
+    assert {r.suite: r.checks for r in results} == {
+        suite: count(n) for suite, count in SUITE_CHECKS.items()
+    }

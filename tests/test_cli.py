@@ -362,3 +362,25 @@ def test_boolean_checks_report_the_tolerance_in_use(monkeypatch, capsys):
     assert _strict_json(capsys.readouterr().out)["failures"] == 0
     # vec: 1 per sample, kms: 1 per 5 samples, cone: 2 per sample
     assert margins == [1e-6] * (5 + 1 + 10)
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_kms_verify_non_finite_beta_exits_3(beta, capsys):
+    assert main(["kms-verify", "--dim", "2", f"--beta={beta}", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BadBeta" in captured.err
+
+
+def test_schmidt_rank_tol_does_not_govern_cyclic_separating(tmp_path, capsys):
+    # coefficient ratio 1e-8: full rank at --rank-tol 1e-10, but the reduced
+    # state's eigenvalue ratio 1e-16 is below the faithfulness threshold
+    path = write_matrix(tmp_path / "thin.json", np.diag([1.0, 1e-8]))
+    assert main(["schmidt", path, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rank"], out["cyclic_separating"]) == (2, False)
+    # a coarse --rank-tol drops a coefficient but leaves the verdict alone
+    path = write_matrix(tmp_path / "wide.json", np.diag([1.0, 1e-3]))
+    assert main(["schmidt", path, "--rank-tol", "1e-2", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rank"], out["cyclic_separating"]) == (1, True)

@@ -7,13 +7,17 @@ from modkit.cone import (
     cone_pairing,
     decompose_general,
     decompose_j_fixed,
-    representative_of,
 )
 from modkit.errors import DimensionMismatch, NotJFixed, NotPSD
 from modkit.modular import modular_conjugation, pi_left
-from modkit.sampling import complex_gaussian, random_hermitian, random_psd
-from modkit.states import DensityMatrix, PositiveFunctional, evaluate_state
-from modkit.vecops import SuperOperator, vec
+from modkit.sampling import (
+    complex_gaussian,
+    random_density,
+    random_hermitian,
+    random_psd,
+)
+from modkit.states import DensityMatrix, PositiveFunctional, purify
+from modkit.vecops import SuperOperator, unvec, vec
 
 
 def matrix_unit(d, mu, nu):
@@ -42,22 +46,23 @@ def test_contains_needs_square(rng):
 
 
 def test_representative_tracial():
-    rep = representative_of(DensityMatrix.maximally_mixed(3))
-    assert np.allclose(rep.vector.amplitudes, vec(np.eye(3)).amplitudes / np.sqrt(3))
+    rep = purify(DensityMatrix.maximally_mixed(3))
+    assert np.allclose(rep.amplitudes, vec(np.eye(3)).amplitudes / np.sqrt(3))
 
 
 def test_representative_diagonal():
     lam = np.array([0.5, 0.3, 0.2])
-    rep = representative_of(DensityMatrix(np.diag(lam)))
-    assert np.allclose(rep.witness, np.diag(np.sqrt(lam)))
+    rep = purify(DensityMatrix(np.diag(lam)))
+    assert np.allclose(unvec(rep), np.diag(np.sqrt(lam)))
 
 
 def test_representative_reproduces_functional(rng):
+    # <Omega, (M (x) 1) Omega> = Tr(X* M X) with X = unvec(Omega)
     d = DensityMatrix(random_psd(rng, 3))
-    rep = representative_of(d)
+    x = unvec(purify(d))
     for _ in range(10):
         m = complex_gaussian(rng, 3)
-        assert evaluate_state(rep.vector, m) == pytest.approx(
+        assert complex(np.vdot(x, m @ x)) == pytest.approx(
             complex(np.trace(d.matrix @ m)), abs=1e-12
         )
 
@@ -176,6 +181,18 @@ def test_invariance_under_m_jm(rng):
 
 def test_representative_accepts_positive_functional(rng):
     phi = PositiveFunctional(2.5 * random_psd(rng, 3))
-    rep = representative_of(phi)
-    assert cone_contains(rep.vector)
-    assert rep.vector.norm() ** 2 == pytest.approx(phi.total(), rel=1e-10)
+    rep = purify(phi)
+    assert cone_contains(rep)
+    assert rep.norm() ** 2 == pytest.approx(phi.total(), rel=1e-10)
+
+
+def test_purification_lies_in_cone(rng):
+    # vec(sqrt(D)) is the cone representative of D, singular states included
+    for d in (2, 3, 16):
+        for density in (
+            random_density(rng, d),
+            DensityMatrix.diagonal([1.0] + [0.0] * (d - 1)),
+        ):
+            omega = purify(density)
+            assert cone_contains(omega)
+            assert omega.norm() == pytest.approx(1.0, rel=1e-12)

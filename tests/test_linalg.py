@@ -3,11 +3,11 @@ import pytest
 
 from modkit.errors import BadExponent, DomainError, NotHermitian
 from modkit.linalg import (
-    apply_spectral_function,
     check_psd,
     jordan_decompose,
     matrix_sqrt,
     psd_power,
+    psd_power_values,
     schatten_norm,
     spectral_decomposition,
     support_projection,
@@ -18,30 +18,24 @@ from modkit.sampling import complex_gaussian, random_hermitian, random_psd
 
 def test_spectral_function_identity():
     a = np.diag([2.0, 3.0])
-    assert np.allclose(apply_spectral_function(a, lambda t: t), a)
+    assert np.allclose(spectral_decomposition(a).apply(lambda t: t), a)
 
 
 def test_spectral_function_sqrt_diagonal():
     a = np.diag([4.0, 9.0])
-    assert np.allclose(apply_spectral_function(a, np.sqrt), np.diag([2.0, 3.0]))
+    assert np.allclose(spectral_decomposition(a).apply(np.sqrt), np.diag([2.0, 3.0]))
 
 
 def test_spectral_sqrt_squares_back(rng):
     # oracle: the square of the computed root must reproduce the input
     a = random_psd(rng, 3, trace_one=False)
-    root = apply_spectral_function(a, lambda t: np.sqrt(np.maximum(t, 0.0)))
+    root = spectral_decomposition(a).apply(lambda t: np.sqrt(np.maximum(t, 0.0)))
     assert np.linalg.norm(root @ root - a) < 1e-12 * max(1.0, np.linalg.norm(a))
 
 
 def test_spectral_function_rejects_non_hermitian(rng):
     with pytest.raises(NotHermitian):
-        apply_spectral_function(complex_gaussian(rng, 3), np.sqrt)
-
-
-def test_spectral_function_domain_error():
-    a = np.diag([1.0, -2.0])
-    with pytest.raises(DomainError):
-        apply_spectral_function(a, np.log, domain=lambda lam: lam > 0)
+        spectral_decomposition(complex_gaussian(rng, 3)).apply(np.sqrt)
 
 
 def test_spectral_decomposition_orthonormal(rng):
@@ -206,3 +200,15 @@ def test_psd_power_accepts_decomposition(rng):
         assert np.array_equal(psd_power(dec, s), psd_power(a, s))
     with pytest.raises(DomainError):
         psd_power(spectral_decomposition(np.diag([1.0, -1.0])), 0.5)
+
+
+def test_psd_power_rejects_negative_exponent():
+    # full support, far from any floor: inverse powers still belong to
+    # SpectralDecomposition.power alone
+    a = np.diag([0.5, 2.0])
+    for s in (-0.5, -1.0):
+        with pytest.raises(DomainError):
+            psd_power(a, s)
+        with pytest.raises(DomainError):
+            psd_power_values(np.array([0.5, 2.0]), s)
+    assert np.allclose(spectral_decomposition(a).power(-1.0), np.diag([2.0, 0.5]))

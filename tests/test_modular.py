@@ -4,7 +4,6 @@ import scipy.linalg
 
 from modkit.errors import ShapeMismatch, SingularState
 from modkit.modular import (
-    StandardForm,
     connes_cocycle,
     modular_conjugation,
     modular_flow,
@@ -264,35 +263,6 @@ def test_verify_tt_random_faithful_d4(rng):
         omega, [complex_gaussian(rng, 4) for _ in range(4)], [0.3, 1.0, 2.7]
     )
     assert report.passed
-
-
-def test_standard_form_from_density(rng):
-    omega = random_faithful_density(rng, 3)
-    sf = StandardForm.from_density(omega)
-    assert sf.d == 3
-    assert sf.omega_vec.norm() == pytest.approx(1.0)
-    assert np.allclose(sf.omega_vec.amplitudes, vec(omega.sqrt()).amplitudes)
-
-
-def test_standard_form_from_cyclic_vector_records_scale(rng):
-    omega = random_faithful_density(rng, 3)
-    v = vec(2.0 * omega.sqrt())
-    sf = StandardForm.from_cyclic_vector(v)
-    assert sf.scale == pytest.approx(2.0)
-    assert np.linalg.norm(
-        sf.omega_vec.amplitudes - vec(omega.sqrt()).amplitudes
-    ) < 1e-10
-
-
-def test_standard_form_rejects_singular_vector():
-    with pytest.raises(SingularState):
-        StandardForm.from_cyclic_vector(vec(np.diag([1.0, 0.0])))
-
-
-def test_standard_form_rejects_non_cone_gauge(rng):
-    a = complex_gaussian(rng, 3) + 3 * np.eye(3)  # nonsingular, not PSD
-    with pytest.raises(ValueError):
-        StandardForm.from_cyclic_vector(vec(a))
 
 
 def test_dimension_mismatch(rng):

@@ -4,7 +4,7 @@ import pytest
 from modkit.errors import DimensionMismatch, ZeroVector
 from modkit.sampling import complex_gaussian, random_faithful_density, random_unitary
 from modkit.schmidt import is_cyclic_separating, schmidt_decompose, schmidt_rank
-from modkit.states import purify
+from modkit.states import PositiveFunctional, is_faithful, purify
 from modkit.vecops import BipartiteVector, partial_trace, vec
 
 
@@ -101,3 +101,24 @@ def test_cyclic_separating_faithful_purification(rng):
 def test_cyclic_separating_needs_square(rng):
     with pytest.raises(DimensionMismatch):
         is_cyclic_separating(vec(complex_gaussian(rng, 2, 3)))
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("r", [1e-5, 1e-6, 1e-7, 1e-9, 1e-11])
+def test_cyclic_separating_shares_the_faithfulness_threshold(d, r):
+    # Schmidt coefficients (1, ..., 1, r): the reduced state's eigenvalue
+    # ratio is r^2, faithful at the 1e-12 threshold only for r above 1e-6
+    x = np.diag([1.0] * (d - 1) + [r])
+    if d > 2:
+        rng = np.random.default_rng(16)
+        x = random_unitary(rng, d) @ x @ random_unitary(rng, d)
+    u = vec(x)
+    faithful = is_faithful(PositiveFunctional(partial_trace(u, u, "right")))
+    assert is_cyclic_separating(u) is faithful
+    if r != 1e-6:  # at the threshold itself rounding decides
+        assert faithful is (r > 1e-6)
+
+
+def test_cyclic_separating_zero_vector():
+    with pytest.raises(ZeroVector):
+        is_cyclic_separating(vec(np.zeros((3, 3))))

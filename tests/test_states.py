@@ -8,7 +8,6 @@ from modkit.sampling import complex_gaussian, random_density, random_psd
 from modkit.states import (
     DensityMatrix,
     PositiveFunctional,
-    evaluate_state,
     functional_distance,
     is_faithful,
     purify,
@@ -59,35 +58,6 @@ def test_purify_round_trip(rng):
     d = random_density(rng, 4)
     omega = purify(d)
     assert np.linalg.norm(partial_trace(omega, omega, "right") - d.matrix) < 1e-10
-
-
-def test_evaluate_state_normalization(rng):
-    omega = purify(random_density(rng, 3))
-    assert evaluate_state(omega, np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evaluate_state_diagonal_weights():
-    lam = np.array([0.5, 0.3, 0.2])
-    omega = purify(DensityMatrix(np.diag(lam)))
-    for k in range(3):
-        assert evaluate_state(omega, matrix_unit(3, k, k)) == pytest.approx(
-            lam[k], abs=1e-12
-        )
-
-
-def test_evaluate_state_trace_oracle(rng):
-    d = random_density(rng, 4)
-    omega = purify(d)
-    for _ in range(10):
-        m = complex_gaussian(rng, 4)
-        assert evaluate_state(omega, m) == pytest.approx(
-            complex(np.trace(d.matrix @ m)), abs=1e-12
-        )
-
-
-def test_evaluate_state_shape_mismatch(rng):
-    with pytest.raises(ShapeMismatch):
-        evaluate_state(purify(random_density(rng, 3)), np.eye(2))
 
 
 def test_is_faithful():

@@ -9,7 +9,6 @@ from modkit.vecops import (
     conjugate_vec,
     kron_apply_vec,
     partial_trace,
-    regroup_product_vec,
     swap_operator,
     unvec,
     vec,
@@ -168,20 +167,6 @@ def test_s_equals_pk_equals_kp(rng):
     target = vec(np.conj(x).T).amplitudes
     assert np.allclose(pk.amplitudes, target)
     assert np.allclose(kp.amplitudes, target)
-
-
-def test_regroup_product_vec(rng):
-    a = complex_gaussian(rng, 2)
-    b = complex_gaussian(rng, 2)
-    regrouped = regroup_product_vec(vec(np.kron(a, b)), (2, 2), (2, 2))
-    assert np.allclose(regrouped, np.kron(vec(a).amplitudes, vec(b).amplitudes))
-
-
-def test_regroup_rectangular_factors(rng):
-    a = complex_gaussian(rng, 2, 3)
-    b = complex_gaussian(rng, 4, 2)
-    regrouped = regroup_product_vec(vec(np.kron(a, b)), (2, 3), (4, 2))
-    assert np.allclose(regrouped, np.kron(vec(a).amplitudes, vec(b).amplitudes))
 
 
 def test_superoperator_antilinear_composition(rng):
