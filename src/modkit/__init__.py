@@ -55,14 +55,9 @@ from .kms import (
 )
 from .linalg import (
     SpectralDecomposition,
-    as_spectral,
     check_psd,
-    jordan_decompose,
-    matrix_sqrt,
-    psd_power,
     schatten_norm,
     spectral_decomposition,
-    support_projection,
     trace_norm,
 )
 from .modular import (

@@ -147,6 +147,11 @@ def _resolve_tol(flag_value: float | None, default: float | None) -> float | Non
 
 
 def cmd_schmidt(args) -> int:
+    # the chained comparison is False for NaN too
+    if not 0.0 < args.rank_tol < 1.0:
+        raise UsageError(
+            f"--rank-tol must be a finite number in (0, 1), got {args.rank_tol!r}"
+        )
     m = load_matrix(args.input)
     u = vec(m)
     data = schmidt_decompose(u, rank_tol=args.rank_tol)

@@ -21,7 +21,7 @@ from .linalg import (
     adjoint,
     check_psd,
     hermiticity_defect,
-    jordan_decompose,
+    spectral_decomposition,
 )
 from .vecops import BipartiteVector, unvec, vec
 
@@ -66,7 +66,7 @@ def decompose_j_fixed(v: BipartiteVector) -> tuple[ConeElement, ConeElement]:
             f"vector is not fixed by the modular conjugation "
             f"(witness Hermiticity defect {hermiticity_defect(t):.3e})"
         )
-    plus, minus = jordan_decompose(t)
+    plus, minus = spectral_decomposition(t).jordan()
     return ConeElement(vec(plus), plus), ConeElement(vec(minus), minus)
 
 
@@ -83,8 +83,8 @@ def decompose_general(
     y = unvec(v)
     herm = 0.5 * (y + adjoint(y))
     skew = (y - adjoint(y)) / 2j
-    h_plus, h_minus = jordan_decompose(herm)
-    k_plus, k_minus = jordan_decompose(skew)
+    h_plus, h_minus = spectral_decomposition(herm).jordan()
+    k_plus, k_minus = spectral_decomposition(skew).jordan()
     return (
         ConeElement(vec(h_plus), h_plus),
         ConeElement(vec(h_minus), h_minus),

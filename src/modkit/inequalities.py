@@ -34,15 +34,13 @@ import numpy as np
 
 from .errors import BadExponent, NotHermitian, NotPSD, OrderViolation, SingularState
 from .linalg import (
-    abs_hermitian,
+    SpectralDecomposition,
     adjoint,
-    as_spectral,
     check_psd,
     hs_norm,
-    matrix_sqrt,
-    psd_power,
     psd_power_values,
     schatten_norm,
+    spectral_decomposition,
     trace_norm,
 )
 from .sampling import random_psd
@@ -103,7 +101,8 @@ def _as_functional(x) -> PositiveFunctional:
 def _overlap(a: PositiveFunctional, b: PositiveFunctional) -> float:
     """Tr(A + B - |A - B|), the right-hand side of the s-family."""
     a, b = a.matrix, b.matrix
-    return float(np.real(np.trace(a + b - abs_hermitian(a - b))))
+    abs_diff = spectral_decomposition(a - b).apply(np.abs)
+    return float(np.real(np.trace(a + b - abs_diff)))
 
 
 def norm_sandwich(
@@ -127,7 +126,7 @@ def powers_stormer(
 ) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
     a, b = _as_functional(a), _as_functional(b)
-    lhs = hs_norm(matrix_sqrt(a.spectrum) - matrix_sqrt(b.spectrum)) ** 2
+    lhs = hs_norm(a.sqrt() - b.sqrt()) ** 2
     rhs = trace_norm(a.matrix - b.matrix)
     return _report("powers_stormer", lhs, rhs, "le", seed)
 
@@ -143,8 +142,7 @@ def ozawa_s(
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
     a, b = _as_functional(a), _as_functional(b)
-    power_b, power_a = psd_power(b.spectrum, s), psd_power(a.spectrum, 1.0 - s)
-    lhs = 2.0 * float(np.real(np.trace(power_b @ power_a)))
+    lhs = 2.0 * float(np.real(np.trace(b.power(s) @ a.power(1.0 - s))))
     return _report(f"ozawa_s[{s:g}]", lhs, _overlap(a, b), "ge", seed)
 
 
@@ -164,7 +162,7 @@ def ogata_modular(
 
     Route (a) uses the Kronecker eigenpairs of Delta = D2 (x) (D1^-1)^T:
     eigenvalues lambda_i / mu_j on u_i (x) conj(w_j), in which vec(sqrt(D1))
-    has coefficients (U* sqrt(D1) W)_ij. Delta^(s/2) takes psd_power's
+    has coefficients (U* sqrt(D1) W)_ij. Delta^(s/2) takes psd_power_values'
     conventions on that d^2 spectrum (clipping, DomainError), without
     forming the d^2 x d^2 eigendecomposition. At s = 0 it is the support
     of Delta, supp(D2) (x) 1 for faithful phi1, at route (b)'s floor on D2.
@@ -208,24 +206,23 @@ class MonotoneFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
 
-    def apply_f(self, a) -> np.ndarray:
-        """f(A) for a PSD matrix or its decomposition."""
-        return as_spectral(a).apply(self.f, clip=True)
+    def apply_f(self, a: SpectralDecomposition) -> np.ndarray:
+        """f(A) from the decomposition of a PSD matrix."""
+        return a.apply(self.f, clip=True)
 
-    def apply_sqrt_f(self, a) -> np.ndarray:
-        return as_spectral(a).apply(lambda lam: np.sqrt(self.f(lam)), clip=True)
+    def apply_sqrt_f(self, a: SpectralDecomposition) -> np.ndarray:
+        return a.apply(lambda lam: np.sqrt(self.f(lam)), clip=True)
 
-    def apply_g(self, b) -> np.ndarray:
+    def apply_g(self, b: SpectralDecomposition) -> np.ndarray:
         """g through the spectrum, with g = 0 on the (numerical) kernel."""
-        dec = as_spectral(b)
-        support = dec.support()
+        support = b.support()
 
         def g(lam):
             out = np.zeros_like(lam)
             out[support] = lam[support] / self.f(lam[support])
             return out
 
-        return dec.apply(g, clip=True)
+        return b.apply(g, clip=True)
 
 
 def monotone_function(
@@ -245,7 +242,8 @@ def monotone_function(
     for _ in range(20):
         a = random_psd(rng, 4, trace_one=False)
         b = a + random_psd(rng, 4, trace_one=False)
-        if not check_psd(mf.apply_f(b) - mf.apply_f(a), 1e-10):
+        f_a, f_b = (mf.apply_f(spectral_decomposition(m)) for m in (a, b))
+        if not check_psd(f_b - f_a, 1e-10):
             raise BadExponent(f"{name}: failed the operator monotonicity spot check")
     return mf
 
@@ -293,7 +291,6 @@ def phillips(
     a, b = _as_functional(a), _as_functional(b)
     if not check_psd(a.matrix - b.matrix):
         raise OrderViolation("Phillips inequality requires A >= B")
-    root_a, root_b = (psd_power(f.spectrum, 1.0 / t) for f in (a, b))
-    lhs = schatten_norm(root_a - root_b, t) ** t
+    lhs = schatten_norm(a.power(1.0 / t) - b.power(1.0 / t), t) ** t
     rhs = trace_norm(a.matrix - b.matrix)
     return _report(f"phillips[{t:g}]", lhs, rhs, "le", seed)

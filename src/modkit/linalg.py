@@ -7,9 +7,16 @@ Conventions used throughout the package:
   which makes decompositions reproducible run to run,
 * Hermiticity is tested with the scale-free criterion
   ``||A - A*||_HS <= HERMITICITY_RTOL * max(1, ||A||_HS)``,
-* fractional matrix powers use the principal branch via the spectral
-  decomposition and are defined on PSD inputs only; inputs with genuinely
-  negative spectrum are rejected instead of complexified.
+* one PSD floor, ``-PSD_TOL * max(1, lambda_max)`` (:func:`psd_floor`),
+  decides "PSD up to rounding" everywhere: :func:`check_psd`, the
+  ``PositiveFunctional`` validator and :func:`psd_power_values` share it,
+  and the support cut at ``s = 0`` is its mirror image,
+* :class:`SpectralDecomposition` is the one spectral calculus: its
+  ``power``, ``apply``, ``unitary`` and ``jordan`` (and, on a validated
+  operand, ``PositiveFunctional.power``) are the only ways to form
+  V f(lambda) V*. Fractional powers use the principal branch and are
+  defined on PSD spectra only; a spectrum below the floor is rejected
+  instead of complexified.
 """
 
 from __future__ import annotations
@@ -88,10 +95,6 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * values) @ adjoint(v)
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(lambda) V*."""
-        return self._synthesize(self.eigenvalues)
-
     def apply(
         self, f: Callable[[np.ndarray], np.ndarray], clip: bool = False
     ) -> np.ndarray:
@@ -108,22 +111,23 @@ class SpectralDecomposition:
 
     def support(self) -> np.ndarray:
         """Mask of the eigenvalues above ``PSD_TOL * max(1, largest)``."""
-        return _support(self.eigenvalues, PSD_TOL)
+        return _support(self.eigenvalues)
 
-    def power(self, s: float, zero_tol: float = PSD_TOL) -> np.ndarray:
-        """A^s on the clipped spectrum.
+    def power(self, s: float) -> np.ndarray:
+        """A^s; for s >= 0 on the spectrum of :func:`psd_power_values`.
 
-        At ``s = 0`` the support convention holds: eigenvalues at or below
-        ``zero_tol * max(1, largest)`` map to 0, the rest to 1. ``s < 0``
-        needs a strictly positive spectrum but applies no such floor, so a
-        faithful state with a tiny eigenvalue keeps its inverse powers.
+        For ``s >= 0`` a spectrum below the PSD floor raises
+        :class:`DomainError`, noise above it is clipped, and at ``s = 0``
+        the support convention holds. ``s < 0`` needs a strictly positive
+        spectrum but applies no floor, so a faithful state with a tiny
+        eigenvalue keeps its inverse powers.
         """
         if s < 0:
             self._require_positive("negative power")
             # exp(s log lambda) as a complex power: the modular cross-route
             # margins sit at rounding level and are pinned to this arithmetic
             return self._synthesize(self.eigenvalues.astype(complex) ** s)
-        return self._synthesize(_nonnegative_power(self.eigenvalues, s, zero_tol))
+        return self._synthesize(psd_power_values(self.eigenvalues, s))
 
     def unitary(self, t: float) -> np.ndarray:
         """A^(it) = exp(it log A); needs a strictly positive spectrum."""
@@ -143,21 +147,18 @@ class SpectralDecomposition:
             )
 
 
-def _support(vals: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Mask of the clipped eigenvalues above ``zero_tol * max(1, largest)``.
+def psd_floor(vals: np.ndarray, tol: float = PSD_TOL) -> float:
+    """The PSD floor ``-tol * max(1, lambda_max)`` of a spectrum.
 
-    ``vals`` may have any shape and order.
+    Eigenvalues at or above it are PSD up to rounding. ``vals`` may have
+    any shape and order.
     """
-    clipped = np.maximum(vals, 0.0)
-    top = float(clipped.max()) if clipped.size else 0.0
-    return clipped > zero_tol * max(1.0, top)
+    return -tol * max(1.0, float(np.max(vals)))
 
 
-def _nonnegative_power(vals: np.ndarray, s: float, zero_tol: float) -> np.ndarray:
-    """lambda^s for s >= 0 on the clipped spectrum; the support at s = 0."""
-    if s == 0:
-        return _support(vals, zero_tol).astype(float)
-    return np.maximum(vals, 0.0) ** s
+def _support(vals: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above the mirror image of the PSD floor."""
+    return vals > -psd_floor(vals)
 
 
 def spectral_decomposition(a: np.ndarray) -> SpectralDecomposition:
@@ -167,70 +168,33 @@ def spectral_decomposition(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def as_spectral(a) -> SpectralDecomposition:
-    """``a`` itself if it is already decomposed, else its decomposition."""
-    return a if isinstance(a, SpectralDecomposition) else spectral_decomposition(a)
-
-
-def psd_power(a, s: float) -> np.ndarray:
-    """Principal power A^s, s >= 0, of a PSD matrix (or of its decomposition).
-
-    Negative rounding noise in the spectrum (above ``-PSD_TOL * scale``) is
-    clipped to zero; anything more negative raises :class:`DomainError`.
-    For ``s > 0`` the power is continuous at zero and applied directly; at
-    ``s = 0`` the support convention holds (eigenvalues at or below
-    ``PSD_TOL * scale`` map to 0, the rest to 1), yielding the support
-    projection, which is the operator-monotone limit of ``t^s``. ``s < 0``
-    raises :class:`DomainError`: inverse powers are taken on faithful
-    states only, through :meth:`SpectralDecomposition.power`.
-    """
-    dec = as_spectral(a)
-    return dec._synthesize(psd_power_values(dec.eigenvalues, s))
-
-
 def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
-    """The eigenvalues of :func:`psd_power`, from eigenvalues of any shape or order.
+    """lambda^s, s >= 0, of a PSD spectrum of any shape or order.
 
-    Applies psd_power's conventions and raise points to a bare spectrum,
-    e.g. the lambda_i / mu_j of a Kronecker product, whose eigenvectors
-    are never formed.
+    The eigenvalues of :meth:`SpectralDecomposition.power` for s >= 0; a
+    bare spectrum, e.g. the lambda_i / mu_j of a Kronecker product, takes
+    them without its eigenvectors. A spectrum below the PSD floor raises
+    :class:`DomainError`; noise above it is clipped to zero. At ``s = 0``
+    the support convention holds (eigenvalues at or below
+    ``PSD_TOL * max(1, lambda_max)`` map to 0, the rest to 1), the
+    operator-monotone limit of ``t^s``. ``s < 0`` raises
+    :class:`DomainError`: inverse powers are taken on faithful states only,
+    through :meth:`SpectralDecomposition.power`.
     """
     if s < 0:
         raise DomainError(
-            f"psd_power takes s >= 0, got {s}; inverse powers of a faithful "
-            f"state come from SpectralDecomposition.power"
+            f"psd_power_values takes s >= 0, got {s}; inverse powers of a "
+            f"faithful state come from SpectralDecomposition.power"
         )
-    top, low = float(np.max(vals)), float(np.min(vals))
-    if low < -PSD_TOL * max(1.0, top):
+    low = float(np.min(vals))
+    if low < psd_floor(vals):
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {low:.3e}); refusing "
             f"fractional power of negative spectrum"
         )
-    return _nonnegative_power(vals, s, PSD_TOL)
-
-
-def matrix_sqrt(a) -> np.ndarray:
-    """Principal square root of a PSD matrix."""
-    return psd_power(a, 0.5)
-
-
-def support_projection(a: np.ndarray) -> np.ndarray:
-    """Spectral projection onto the range of a PSD matrix."""
-    return psd_power(a, 0.0)
-
-
-def jordan_decompose(t) -> tuple[np.ndarray, np.ndarray]:
-    """Split a Hermitian matrix into its positive and negative parts.
-
-    Returns PSD matrices ``(T_plus, T_minus)`` with ``T = T_plus - T_minus``
-    and ``T_plus @ T_minus = 0``.
-    """
-    return as_spectral(t).jordan()
-
-
-def abs_hermitian(t) -> np.ndarray:
-    """|T| = T_plus + T_minus for Hermitian T."""
-    return as_spectral(t).apply(np.abs)
+    if s == 0:
+        return _support(vals).astype(float)
+    return np.maximum(vals, 0.0) ** s
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
@@ -253,10 +217,10 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def check_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff A is Hermitian within ``tol`` and its spectrum is >= -tol scale.
+    """True iff A is Hermitian within ``tol`` and its spectrum is PSD.
 
-    The eigenvalue floor is ``-tol * max(1, ||A||_HS)``; non-Hermitian input
-    returns False rather than raising.
+    The eigenvalue floor is :func:`psd_floor` at ``tol``; non-Hermitian
+    input returns False rather than raising.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -264,4 +228,4 @@ def check_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
     if hermiticity_defect(m) > tol:
         return False
     vals = np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
-    return bool(vals[0] >= -tol * max(1.0, hs_norm(m)))
+    return bool(vals[0] >= psd_floor(vals, tol))

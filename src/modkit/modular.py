@@ -98,9 +98,9 @@ def relative_modular_power(
         left = phi.spectrum.power(s)
     else:
         left = phi.power(s)
-    # omega is faithful, so D_omega^0 is the identity: no support floor
-    right = omega.spectrum.power(-s, zero_tol=0.0)
-    return SuperOperator.factored(omega.dim, left, right.T)
+    # omega is faithful, so D_omega^0 is exactly the identity
+    right = None if s == 0 else omega.spectrum.power(-s).T
+    return SuperOperator.factored(omega.dim, left, right)
 
 
 def relative_modular_unitary(

@@ -40,11 +40,9 @@ def random_density(rng: np.random.Generator, d: int) -> DensityMatrix:
     return DensityMatrix(random_psd(rng, d, trace_one=True))
 
 
-def random_faithful_density(
-    rng: np.random.Generator, d: int, ridge: float = FAITHFUL_RIDGE
-) -> DensityMatrix:
+def random_faithful_density(rng: np.random.Generator, d: int) -> DensityMatrix:
     g = complex_gaussian(rng, d)
-    w = g @ np.conj(g).T + ridge * np.eye(d)
+    w = g @ np.conj(g).T + FAITHFUL_RIDGE * np.eye(d)
     return DensityMatrix(w / np.real(np.trace(w)))
 
 

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import DomainError, NotPSD, ShapeMismatch
 from .linalg import (
-    PSD_TOL,
     SpectralDecomposition,
     as_matrix,
-    hs_norm,
+    psd_floor,
     spectral_decomposition,
     trace_norm,
 )
@@ -30,8 +29,8 @@ class PositiveFunctional:
     """Positive linear functional, carried by a PSD matrix of free trace.
 
     The spectral decomposition is computed eagerly and cached; eigenvalues
-    in [-PSD_TOL * max(1, ||D||_HS), 0) are rounding noise and enter cached
-    derived quantities clipped at zero. ``matrix`` is a read-only copy of the
+    in [psd_floor, 0) are rounding noise and enter cached derived
+    quantities clipped at zero. ``matrix`` is a read-only copy of the
     input, so a later write to the caller's array cannot desynchronise it
     from the spectrum.
     """
@@ -42,7 +41,7 @@ class PositiveFunctional:
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"expected square matrix, got {m.shape}")
         spectrum = spectral_decomposition(m)
-        floor = -PSD_TOL * max(1.0, hs_norm(m))
+        floor = psd_floor(spectrum.eigenvalues)
         if spectrum.eigenvalues[0] < floor:
             raise NotPSD(
                 f"min eigenvalue {spectrum.eigenvalues[0]:.3e} below "

@@ -384,3 +384,13 @@ def test_schmidt_rank_tol_does_not_govern_cyclic_separating(tmp_path, capsys):
     assert main(["schmidt", path, "--rank-tol", "1e-2", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["rank"], out["cyclic_separating"]) == (1, True)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1", "0", "1"])
+def test_schmidt_bad_rank_tol_is_usage_error(bad, tmp_path, capsys):
+    path = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.5]))
+    assert main(["schmidt", path, f"--rank-tol={bad}", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rank-tol must be a finite number in (0, 1)" in captured.err
+

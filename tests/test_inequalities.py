@@ -13,7 +13,7 @@ from modkit.inequalities import (
     power_monotone,
     powers_stormer,
 )
-from modkit.linalg import support_projection
+from modkit.linalg import spectral_decomposition
 from modkit.sampling import random_psd
 from modkit.states import DensityMatrix, PositiveFunctional
 
@@ -74,14 +74,17 @@ def test_powers_stormer_campaign(rng):
 
 def test_powers_stormer_chain_to_ozawa(rng):
     # ||sqrt A - sqrt B||_2^2 = TrA + TrB - 2Tr(sqrtA sqrtB) <= ||A - B||_1
-    from modkit.linalg import matrix_sqrt, trace_norm
+    from modkit.linalg import trace_norm
 
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
     expand = (
         np.trace(a).real
         + np.trace(b).real
-        - 2 * np.trace(matrix_sqrt(a) @ matrix_sqrt(b)).real
+        - 2
+        * np.trace(
+            spectral_decomposition(a).power(0.5) @ spectral_decomposition(b).power(0.5)
+        ).real
     )
     rep = powers_stormer(a, b)
     assert rep.lhs == pytest.approx(expand, abs=1e-10)
@@ -124,11 +127,11 @@ def test_ozawa_endpoints_use_support(rng):
     a = np.diag([0.5, 0.0, 0.7])
     b = np.diag([0.2, 0.3, 0.0])
     rep0 = ozawa_s(a, b, 0.0)
-    lhs_oracle = 2 * np.trace(support_projection(b) @ a).real
+    lhs_oracle = 2 * np.trace(spectral_decomposition(b).power(0.0) @ a).real
     assert rep0.lhs == pytest.approx(lhs_oracle, abs=1e-12)
     assert rep0.passed
     rep1 = ozawa_s(a, b, 1.0)
-    lhs_oracle1 = 2 * np.trace(b @ support_projection(a)).real
+    lhs_oracle1 = 2 * np.trace(b @ spectral_decomposition(a).power(0.0)).real
     assert rep1.lhs == pytest.approx(lhs_oracle1, abs=1e-12)
     assert rep1.passed
 
@@ -196,14 +199,12 @@ def test_registry_functions_pass_hoa(rng):
 
 def test_hoa_identity_function_reduces_to_support(rng):
     # f(t) = t gives g = supp(B): lhs = 2 Tr(sqrt(A) supp(B) sqrt(A))
-    from modkit.linalg import matrix_sqrt
-
     mf = power_monotone(1.0)
     a = random_psd(rng, 3, trace_one=False)
     b = np.diag([0.5, 0.0, 0.25])
     rep = hoa_generalized(a, b, mf)
-    root = matrix_sqrt(a)
-    oracle = 2 * np.trace(root @ support_projection(b) @ root).real
+    root = spectral_decomposition(a).power(0.5)
+    oracle = 2 * np.trace(root @ spectral_decomposition(b).power(0.0) @ root).real
     assert rep.lhs == pytest.approx(oracle, abs=1e-10)
 
 
@@ -364,12 +365,11 @@ def test_checks_decompose_each_input_once(rng, monkeypatch):
 
 
 def test_psd_power_domain_error_survives_single_decomposition():
-    # passes the NotPSD floor (-1e-10 ||A||_HS) but not psd_power's
-    # (-1e-10 lambda_max), so the check raises DomainError as before
-    from modkit.errors import DomainError
-
+    # below the one PSD floor (-1e-10 lambda_max = -1.2e-10) though above
+    # -1e-10 ||A||_HS: the operand is rejected when it is validated, before
+    # any power is taken
     a = np.diag([-1.5e-10, 1.2, 1.2])
-    with pytest.raises(DomainError):
+    with pytest.raises(NotPSD):
         ozawa_s(a, np.eye(3), 0.5)
     with pytest.raises(NotPSD):
         ozawa_s(np.diag([-1e-9, 1.0, 1.0]), np.eye(3), 0.5)

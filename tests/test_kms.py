@@ -221,6 +221,21 @@ def test_centralizer_matches_nullspace_oracle(rng):
     assert len(centralizer_basis(rotated)) == commutant_nullity(rotated.matrix)
 
 
+@pytest.mark.parametrize("d", [2, 16])
+def test_kms_verify_commutant_route_matches_blocks(rng, d):
+    # the route kms-verify compares: the SVD nullity of the commutator map
+    # against the centralizer basis, both equal to the sum of m^2 over blocks
+    from modkit.cli import _commutant_dimension
+
+    cases = [random_degenerate_density(rng, d) for _ in range(10)]
+    if d == 16:
+        cases.append((DensityMatrix.maximally_mixed(16), [16]))
+    for density, blocks in cases:
+        expected = sum(m * m for m in blocks)
+        assert _commutant_dimension(density.matrix) == expected
+        assert len(centralizer_basis(density)) == expected
+
+
 def test_centralizer_elements_kill_commutators(rng):
     density, _ = random_degenerate_density(rng, 4)
     basis = centralizer_basis(density)

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from modkit.errors import BadExponent, DomainError, NotHermitian
+from modkit.errors import BadExponent, DomainError, NotHermitian, NotPSD
 from modkit.linalg import (
     check_psd,
-    jordan_decompose,
-    matrix_sqrt,
-    psd_power,
     psd_power_values,
     schatten_norm,
     spectral_decomposition,
-    support_projection,
     trace_norm,
 )
 from modkit.sampling import complex_gaussian, random_hermitian, random_psd
+from modkit.states import PositiveFunctional
 
 
 def test_spectral_function_identity():
@@ -46,21 +43,21 @@ def test_spectral_decomposition_orthonormal(rng):
 
 
 def test_jordan_diagonal_split():
-    plus, minus = jordan_decompose(np.diag([1.0, -2.0]))
+    plus, minus = spectral_decomposition(np.diag([1.0, -2.0])).jordan()
     assert np.allclose(plus, np.diag([1.0, 0.0]))
     assert np.allclose(minus, np.diag([0.0, 2.0]))
 
 
 def test_jordan_psd_input(rng):
     a = random_psd(rng, 3)
-    plus, minus = jordan_decompose(a)
+    plus, minus = spectral_decomposition(a).jordan()
     assert np.linalg.norm(plus - a) < 1e-12
     assert np.linalg.norm(minus) < 1e-12
 
 
 def test_jordan_random_spectral_oracle(rng):
     t = random_hermitian(rng, 4)
-    plus, minus = jordan_decompose(t)
+    plus, minus = spectral_decomposition(t).jordan()
     # independent oracle: split the spectrum by sign
     vals, vecs = np.linalg.eigh(t)
     plus_oracle = (vecs * np.where(vals > 0, vals, 0.0)) @ np.conj(vecs).T
@@ -73,7 +70,7 @@ def test_jordan_random_spectral_oracle(rng):
 
 def test_jordan_trace_identity(rng):
     t = random_hermitian(rng, 5)
-    plus, minus = jordan_decompose(t)
+    plus, minus = spectral_decomposition(t).jordan()
     assert abs(trace_norm(t) - np.trace(plus + minus).real) < 1e-12
 
 
@@ -124,30 +121,23 @@ def test_check_psd_non_hermitian_false(rng):
 def test_power_round_trip(rng):
     a = random_psd(rng, 4, trace_one=False) + 0.05 * np.eye(4)
     for s in (0.3, 0.5, 0.9, 1.0):
-        back = psd_power(psd_power(a, s), 1.0 / s)
+        back = spectral_decomposition(spectral_decomposition(a).power(s)).power(1.0 / s)
         assert np.linalg.norm(back - a) < 1e-10 * max(1.0, np.linalg.norm(a))
 
 
 def test_psd_power_support_convention(rng):
-    a = np.diag([0.0, 0.5, 2.0])
-    proj = psd_power(a, 0.0)
+    proj = spectral_decomposition(np.diag([0.0, 0.5, 2.0])).power(0.0)
     assert np.allclose(proj, np.diag([0.0, 1.0, 1.0]))
-    assert np.allclose(support_projection(a), proj)
 
 
 def test_psd_power_negative_needs_full_support():
     with pytest.raises(DomainError):
-        psd_power(np.diag([0.0, 1.0]), -0.5)
+        spectral_decomposition(np.diag([0.0, 1.0])).power(-0.5)
 
 
 def test_psd_power_rejects_indefinite():
     with pytest.raises(DomainError):
-        psd_power(np.diag([1.0, -1.0]), 0.5)
-
-
-def test_matrix_sqrt_matches_power(rng):
-    a = random_psd(rng, 3, trace_one=False)
-    assert np.allclose(matrix_sqrt(a), psd_power(a, 0.5))
+        spectral_decomposition(np.diag([1.0, -1.0])).power(0.5)
 
 
 def test_spectral_power_matches_scipy(rng):
@@ -168,7 +158,7 @@ def test_spectral_power_support_and_clip():
 
 
 def test_spectral_negative_power_needs_positive_spectrum_only():
-    # below psd_power's 1e-10 support floor, yet strictly positive
+    # below the 1e-10 support floor of s >= 0, yet strictly positive
     tiny = spectral_decomposition(np.diag([1e-11, 1.0]))
     assert np.allclose(tiny.power(-0.5), np.diag([1e-11**-0.5, 1.0]), rtol=1e-12)
     singular = spectral_decomposition(np.diag([0.0, 1.0]))
@@ -193,22 +183,36 @@ def test_spectral_apply_clip():
     assert np.allclose(dec.apply(np.sqrt, clip=True), np.diag([0.0, 2.0]))
 
 
-def test_psd_power_accepts_decomposition(rng):
-    a = random_psd(rng, 4, trace_one=False)
-    dec = spectral_decomposition(a)
-    for s in (0.0, 0.5, 1.0):
-        assert np.array_equal(psd_power(dec, s), psd_power(a, s))
-    with pytest.raises(DomainError):
-        psd_power(spectral_decomposition(np.diag([1.0, -1.0])), 0.5)
-
-
 def test_psd_power_rejects_negative_exponent():
     # full support, far from any floor: inverse powers still belong to
     # SpectralDecomposition.power alone
     a = np.diag([0.5, 2.0])
     for s in (-0.5, -1.0):
         with pytest.raises(DomainError):
-            psd_power(a, s)
-        with pytest.raises(DomainError):
             psd_power_values(np.array([0.5, 2.0]), s)
     assert np.allclose(spectral_decomposition(a).power(-1.0), np.diag([2.0, 0.5]))
+
+
+def _accepts(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("k", [0.5, 0.99, 1.01, 2.0])
+def test_one_psd_floor(d, c, k):
+    # diag(lambda_min, c, ..., c) with lambda_min = -k * 1e-10 * max(1, c):
+    # above the floor -1e-10 * max(1, lambda_max) for k < 1, below for k > 1
+    vals = np.array([-k * 1e-10 * max(1.0, c)] + [c] * (d - 1))
+    m = np.diag(vals)
+    verdicts = [
+        _accepts(lambda: PositiveFunctional(m), NotPSD),
+        check_psd(m),
+        _accepts(lambda: psd_power_values(vals, 0.5), DomainError),
+        _accepts(lambda: spectral_decomposition(m).power(0.5), DomainError),
+    ]
+    assert verdicts == [k < 1] * 4

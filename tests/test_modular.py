@@ -274,9 +274,8 @@ def test_dimension_mismatch(rng):
 
 def test_faithfulness_threshold_keeps_inverse_powers():
     # eigenvalue ratio 1e-11: faithful at the 1e-12 threshold, but below the
-    # 1e-10 support floor that psd_power applies to negative powers
+    # 1e-10 support floor of nonnegative powers
     from modkit.errors import DomainError
-    from modkit.linalg import psd_power
     from modkit.states import is_faithful
 
     p = np.array([1 - 1e-11, 1e-11])
@@ -296,5 +295,6 @@ def test_faithfulness_threshold_keeps_inverse_powers():
     u = connes_cocycle(flat, d, 0.7)
     assert np.allclose(np.diag(u), np.exp(0.7j * (np.log(0.5) - np.log(p))))
 
+    # inverse powers go through the spectrum after a faithfulness check
     with pytest.raises(DomainError):
-        psd_power(d.matrix, -0.5)
+        d.power(-0.5)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from modkit.errors import ShapeMismatch
 from modkit.inequalities import ogata_modular
-from modkit.linalg import hs_norm, psd_power
+from modkit.linalg import hs_norm, spectral_decomposition
 from modkit.modular import (
     _assemble_antilinear,
     modular_conjugation,
@@ -156,9 +156,9 @@ def test_assemble_antilinear_equals_loop(d):
 
 
 def dense_ogata_lhs(phi1, phi2, s):
-    """Route (a) as it was: psd_power of the dense d^2 x d^2 Delta."""
+    """Route (a) as it was: the power of the dense d^2 x d^2 Delta."""
     delta = relative_modular_operator(phi2, phi1)
-    image = psd_power(delta.matrix, s / 2.0) @ vec(phi1.sqrt()).amplitudes
+    image = spectral_decomposition(delta.matrix).power(s / 2.0) @ vec(phi1.sqrt()).amplitudes
     return 2.0 * float(np.real(np.vdot(image, image)))
 
 
