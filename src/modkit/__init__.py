@@ -35,15 +35,13 @@ from .errors import (
 )
 from .inequalities import (
     InequalityReport,
+    MONOTONE_FUNCTIONS,
     MonotoneFunction,
-    default_registry,
     hoa_generalized,
-    monotone_function,
     norm_sandwich,
     ogata_modular,
     ozawa_s,
     phillips,
-    power_monotone,
     powers_stormer,
 )
 from .kms import (
@@ -72,7 +70,7 @@ from .modular import (
     relative_s_matrix,
     verify_tomita_takesaki,
 )
-from .schmidt import SchmidtData, is_cyclic_separating, schmidt_decompose, schmidt_rank
+from .schmidt import SchmidtData, is_cyclic_separating, schmidt_decompose
 from .states import (
     DensityMatrix,
     PositiveFunctional,
@@ -84,7 +82,6 @@ from .vecops import (
     BipartiteVector,
     SuperOperator,
     conjugate_vec,
-    kron_apply_vec,
     partial_trace,
     swap_operator,
     unvec,

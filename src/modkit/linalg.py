@@ -6,7 +6,8 @@ Conventions used throughout the package:
 * eigenvalues are returned in ascending order (``numpy.linalg.eigh`` order),
   which makes decompositions reproducible run to run,
 * Hermiticity is tested with the scale-free criterion
-  ``||A - A*||_HS <= HERMITICITY_RTOL * max(1, ||A||_HS)``,
+  ``||A - A*||_HS <= HERMITICITY_RTOL * max(1, ||A||_HS)``, which a matrix
+  holding NaN or inf never meets,
 * one PSD floor, ``-PSD_TOL * max(1, lambda_max)`` (:func:`psd_floor`),
   decides "PSD up to rounding" everywhere: :func:`check_psd`, the
   ``PositiveFunctional`` validator and :func:`psd_power_values` share it,
@@ -21,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +55,13 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Relative deviation from Hermiticity, ||A - A*|| / max(1, ||A||)."""
+    """Relative deviation from Hermiticity, ||A - A*|| / max(1, ||A||).
+
+    A NaN or infinite entry gives ``inf``, so no non-finite matrix passes
+    as Hermitian: eigensolvers return arbitrary finite values for them.
+    """
+    if not np.isfinite(a).all():
+        return math.inf
     return hs_norm(a - adjoint(a)) / max(1.0, hs_norm(a))
 
 
@@ -151,8 +159,11 @@ def psd_floor(vals: np.ndarray, tol: float = PSD_TOL) -> float:
     """The PSD floor ``-tol * max(1, lambda_max)`` of a spectrum.
 
     Eigenvalues at or above it are PSD up to rounding. ``vals`` may have
-    any shape and order.
+    any shape and order. A spectrum holding NaN or inf has floor NaN, which
+    no eigenvalue is at or above, so callers test ``not min >= floor``.
     """
+    if not np.isfinite(vals).all():
+        return math.nan
     return -tol * max(1.0, float(np.max(vals)))
 
 
@@ -187,7 +198,7 @@ def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
             f"faithful state come from SpectralDecomposition.power"
         )
     low = float(np.min(vals))
-    if low < psd_floor(vals):
+    if not low >= psd_floor(vals):
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {low:.3e}); refusing "
             f"fractional power of negative spectrum"
@@ -220,7 +231,7 @@ def check_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff A is Hermitian within ``tol`` and its spectrum is PSD.
 
     The eigenvalue floor is :func:`psd_floor` at ``tol``; non-Hermitian
-    input returns False rather than raising.
+    input, NaN or inf included, returns False rather than raising.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:

@@ -71,14 +71,6 @@ def schmidt_decompose(u: BipartiteVector, rank_tol: float = RANK_RTOL) -> Schmid
     )
 
 
-def schmidt_rank(u: BipartiteVector, rank_tol: float = RANK_RTOL) -> int:
-    """Matrix rank of unvec(u) at the relative threshold rank_tol."""
-    if u.norm() == 0.0:
-        raise ZeroVector("Schmidt rank of the zero vector is undefined")
-    sigma = np.linalg.svd(unvec(u), compute_uv=False)
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-
-
 def is_cyclic_separating(u: BipartiteVector) -> bool:
     """True iff u is cyclic and separating: its reduced state Tr_2 |u><u| is faithful.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NotPSD, ShapeMismatch
+from .errors import DomainError, NotHermitian, NotPSD, ShapeMismatch
 from .linalg import (
     SpectralDecomposition,
     as_matrix,
@@ -32,7 +32,8 @@ class PositiveFunctional:
     in [psd_floor, 0) are rounding noise and enter cached derived
     quantities clipped at zero. ``matrix`` is a read-only copy of the
     input, so a later write to the caller's array cannot desynchronise it
-    from the spectrum.
+    from the spectrum. A matrix that is not Hermitian, holds NaN or inf, or
+    has an eigenvalue below :func:`linalg.psd_floor` raises NotPSD.
     """
 
     def __init__(self, matrix):
@@ -40,11 +41,14 @@ class PositiveFunctional:
         m.flags.writeable = False
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"expected square matrix, got {m.shape}")
-        spectrum = spectral_decomposition(m)
+        try:
+            spectrum = spectral_decomposition(m)
+        except NotHermitian as exc:
+            raise NotPSD(str(exc)) from exc
         floor = psd_floor(spectrum.eigenvalues)
-        if spectrum.eigenvalues[0] < floor:
+        if not spectrum.eigenvalues[0] >= floor:
             raise NotPSD(
-                f"min eigenvalue {spectrum.eigenvalues[0]:.3e} below "
+                f"min eigenvalue {spectrum.eigenvalues[0]:.3e} not at or above "
                 f"tolerance floor {floor:.3e}"
             )
         self.matrix = m
@@ -100,12 +104,12 @@ class DensityMatrix(PositiveFunctional):
         return cls(np.eye(d) / d)
 
 
-def is_faithful(d: PositiveFunctional, singularity_tol: float = FAITHFUL_RTOL) -> bool:
-    """True iff the smallest eigenvalue exceeds singularity_tol * largest.
+def is_faithful(d: PositiveFunctional) -> bool:
+    """True iff the smallest eigenvalue exceeds FAITHFUL_RTOL * largest.
 
-    The default 1e-12 keeps D^(-1/2) computable in double precision.
+    The threshold 1e-12 keeps D^(-1/2) computable in double precision.
     """
-    return d.min_eigenvalue() > singularity_tol * d.max_eigenvalue()
+    return d.min_eigenvalue() > FAITHFUL_RTOL * d.max_eigenvalue()
 
 
 def purify(d: DensityMatrix) -> BipartiteVector:

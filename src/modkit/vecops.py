@@ -108,21 +108,6 @@ def unvec(v: BipartiteVector) -> np.ndarray:
     return v.amplitudes.reshape(v.dim_left, v.dim_right).copy()
 
 
-def kron_apply_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> BipartiteVector:
-    """(A (x) B) vec(X) computed as vec(A X B^T), without forming A (x) B.
-
-    Shapes must compose: A is (y1, x1), B is (y2, x2), X is (x1, x2); the
-    result lives in H_y1 (x) H_y2.
-    """
-    a, b, x = as_matrix(a), as_matrix(b), as_matrix(x)
-    if x.shape != (a.shape[1], b.shape[1]):
-        raise ShapeMismatch(
-            f"X has shape {x.shape}, expected ({a.shape[1]}, {b.shape[1]}) "
-            f"to compose with A {a.shape} and B {b.shape}"
-        )
-    return vec(a @ x @ b.T)
-
-
 def partial_trace(v: BipartiteVector, w: BipartiteVector, side: str) -> np.ndarray:
     """Partial trace of the rank-one operator |v><w| over one factor.
 

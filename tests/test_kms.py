@@ -236,6 +236,28 @@ def test_kms_verify_commutant_route_matches_blocks(rng, d):
         assert len(centralizer_basis(density)) == expected
 
 
+@pytest.mark.parametrize(
+    "mults,gap",
+    [(m, g) for m in ((1, 1), (3, 1, 5, 7)) for g in (1e-6, 1e-4, 1e-2)]
+    + [((2,), 0.0), ((16,), 0.0)],
+)
+def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
+    # kms-verify passes only if the eigenblock count of centralizer_basis and
+    # the SVD nullity of B -> BD - DB agree. They do for eigenvalue gaps of
+    # 1e-6 or more and for exact degeneracy (one level), at d = 2 and d = 16;
+    # gaps between ~1e-13 and 1e-8 fall between the two cutoffs
+    from modkit.cli import _commutant_dimension
+
+    d = sum(mults)
+    steps = np.repeat(np.arange(len(mults)), mults)
+    vals = (1.0 - gap * steps.sum()) / d + gap * steps  # trace one, exact gaps
+    u = random_unitary(np.random.default_rng(d), d)
+    density = DensityMatrix((u * vals) @ np.conj(u).T)
+    expected = sum(m * m for m in mults)
+    assert len(centralizer_basis(density)) == expected
+    assert _commutant_dimension(density.matrix) == expected
+
+
 def test_centralizer_elements_kill_commutators(rng):
     density, _ = random_degenerate_density(rng, 4)
     basis = centralizer_basis(density)

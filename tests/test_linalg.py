@@ -216,3 +216,22 @@ def test_one_psd_floor(d, c, k):
         _accepts(lambda: spectral_decomposition(m).power(0.5), DomainError),
     ]
     assert verdicts == [k < 1] * 4
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_spectra_fail_closed(d, bad):
+    # NaN and inf never pass as PSD: eigensolvers return arbitrary finite
+    # values for such matrices, and max(1, nan) is 1, so no floor catches them
+    from modkit.cone import cone_contains
+    from modkit.vecops import vec
+
+    vals = np.ones(d)
+    vals[-1] = bad
+    m = np.diag(vals)
+    assert check_psd(m) is False
+    assert cone_contains(vec(m)) is False
+    with pytest.raises(NotPSD):
+        PositiveFunctional(m)
+    with pytest.raises(DomainError):
+        psd_power_values(vals, 0.5)

@@ -3,7 +3,7 @@ import pytest
 
 from modkit.errors import DimensionMismatch, ZeroVector
 from modkit.sampling import complex_gaussian, random_faithful_density, random_unitary
-from modkit.schmidt import is_cyclic_separating, schmidt_decompose, schmidt_rank
+from modkit.schmidt import is_cyclic_separating, schmidt_decompose
 from modkit.states import PositiveFunctional, is_faithful, purify
 from modkit.vecops import BipartiteVector, partial_trace, vec
 
@@ -58,29 +58,27 @@ def test_coefficients_squared_match_reduced_state(rng):
 def test_zero_vector_raises():
     with pytest.raises(ZeroVector):
         schmidt_decompose(BipartiteVector(2, 2, np.zeros(4)))
-    with pytest.raises(ZeroVector):
-        schmidt_rank(BipartiteVector(2, 2, np.zeros(4)))
 
 
 def test_rank_product_and_identity(rng):
     a = complex_gaussian(rng, 3, 1).ravel()
     b = complex_gaussian(rng, 3, 1).ravel()
-    assert schmidt_rank(BipartiteVector(3, 3, np.kron(a, b))) == 1
-    assert schmidt_rank(vec(np.eye(4))) == 4
+    assert schmidt_decompose(BipartiteVector(3, 3, np.kron(a, b))).rank == 1
+    assert schmidt_decompose(vec(np.eye(4))).rank == 4
 
 
 def test_rank_of_projector():
     proj = np.diag([1.0, 1.0, 0.0, 0.0])
-    assert schmidt_rank(vec(proj)) == 2
+    assert schmidt_decompose(vec(proj)).rank == 2
 
 
 def test_rank_invariant_under_local_unitaries(rng):
     for r in (1, 2, 3, 4):
         x = complex_gaussian(rng, 4, r) @ complex_gaussian(rng, r, 4)
         u = vec(x)
-        assert schmidt_rank(u) == r
+        assert schmidt_decompose(u).rank == r
         rotated = np.kron(random_unitary(rng, 4), random_unitary(rng, 4)) @ u.amplitudes
-        assert schmidt_rank(BipartiteVector(4, 4, rotated)) == r
+        assert schmidt_decompose(BipartiteVector(4, 4, rotated)).rank == r
 
 
 def test_cyclic_separating_identity():

@@ -63,9 +63,8 @@ def test_purify_round_trip(rng):
 def test_is_faithful():
     assert is_faithful(DensityMatrix.maximally_mixed(4))
     assert not is_faithful(DensityMatrix(np.diag([1.0, 0.0])))
-    assert not is_faithful(
-        DensityMatrix(np.diag([1 - 1e-14, 1e-14])), singularity_tol=1e-12
-    )
+    # below the 1e-12 relative threshold
+    assert not is_faithful(DensityMatrix(np.diag([1 - 1e-14, 1e-14])))
 
 
 def test_functional_distance_zero(rng):
