@@ -117,7 +117,7 @@ def run_vec_suite(
 
         density = sampling.random_density(rng, d)
         omega = states.purify(density)
-        reduced = vecops.partial_trace(omega, omega, "right")
+        reduced = vecops.partial_trace(omega)
         tally.residual(hs_norm(reduced - density.matrix), t_res)
 
         u = vec(sampling.complex_gaussian(rng, d))
@@ -126,7 +126,7 @@ def run_vec_suite(
             float(np.linalg.norm(data.reconstruct().amplitudes - u.amplitudes)),
             t_res,
         )
-        red = vecops.partial_trace(u, u, "right")
+        red = vecops.partial_trace(u)
         eigs = np.sort(np.linalg.eigvalsh(red))[::-1]
         coeff_sq = np.zeros(d)
         coeff_sq[: data.rank] = data.coefficients**2

@@ -2,12 +2,13 @@
 
 Subcommands: ``schmidt``, ``modular``, ``kms-verify``, ``cone``, ``ineq``,
 ``campaign``. Matrices travel as JSON objects with fields (in this order)
-``rows``, ``cols``, ``data``, where data is a row-major list of
-``[re, im]`` pairs; ``-`` reads the payload from stdin.
+``rows``, ``cols``, ``data``, where rows and cols are JSON integers and
+data is a row-major list of ``[re, im]`` pairs of JSON numbers (booleans
+are neither); ``-`` reads the payload from stdin.
 
 Exit codes: 0 all checks pass, 1 checks ran but failed, 2 payload parse
 error, 3 domain error (singular state, bad shapes, non-PSD input),
-4 usage error (bad flags, unknown suite).
+4 usage error (bad flags, unknown suite, a non-finite ``--t``).
 
 The environment variable ``MODKIT_TOL`` overrides the default residual
 tolerance; an explicit ``--tol`` beats the environment. Either must be a
@@ -34,6 +35,7 @@ from .campaigns import TOL_RESIDUAL, TOL_STRICT
 from .errors import ModkitError, ParseError, UsageError
 from .kms import (
     centralizer_basis,
+    commutant_dimension,
     gibbs_hamiltonian,
     kms_boundary_defect,
     state_invariance_defect,
@@ -56,10 +58,6 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
-# singular values of the commutator map at or below this (times max(1, top))
-# count toward the commutant dimension that kms-verify checks
-COMMUTANT_NULL_RTOL = 1e-8
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with the documented code 4."""
@@ -81,10 +79,9 @@ def load_matrix(source: str) -> np.ndarray:
         raise ParseError(f"invalid JSON in {source}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("matrix payload must be a JSON object")
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("payload needs integer 'rows'/'cols' and 'data'") from exc
+    rows, cols, data = obj.get("rows"), obj.get("cols"), obj.get("data")
+    if not (_is_json_int(rows) and _is_json_int(cols)):
+        raise ParseError("payload needs JSON integers 'rows' and 'cols'")
     if rows < 1 or cols < 1:
         raise ParseError(f"dimensions must be positive, got {rows} x {cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -92,13 +89,27 @@ def load_matrix(source: str) -> np.ndarray:
             f"'data' must list rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    if not all(
+        isinstance(z, list) and len(z) == 2 and all(map(_is_json_number, z))
+        for z in data
+    ):
+        raise ParseError("'data' entries must be [re, im] pairs of numbers")
     try:
         flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("'data' entries must be [re, im] pairs") from exc
+    except OverflowError as exc:
+        raise ParseError("matrix entries must be finite") from exc
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ParseError("matrix entries must be finite")
     return flat.reshape(rows, cols)
+
+
+def _is_json_int(x) -> bool:
+    """True for a JSON integer; bool is an int subclass and is excluded."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_json_number(x) -> bool:
+    return isinstance(x, float) or _is_json_int(x)
 
 
 def dump_matrix(m: np.ndarray) -> dict:
@@ -170,6 +181,8 @@ def cmd_schmidt(args) -> int:
 
 def cmd_modular(args) -> int:
     tol = _resolve_tol(args.tol, TOL_RESIDUAL)
+    if args.t and not all(map(math.isfinite, args.t)):
+        raise UsageError(f"--t must be finite, got {args.t}")
     phi = DensityMatrix(load_matrix(args.phi))
     omega = DensityMatrix(load_matrix(args.omega))
     delta = relative_modular_operator(phi, omega)
@@ -227,7 +240,7 @@ def cmd_kms_verify(args) -> int:
     invariance = float(np.max(np.hstack(invariances)))
 
     basis = centralizer_basis(density)
-    commutant_dim = _commutant_dimension(density.matrix)
+    commutant_dim = commutant_dimension(density.matrix)
     # the invariance bound is fixed: --tol does not loosen it
     ok = boundary < tol and invariance < TOL_STRICT and len(basis) == commutant_dim
     out = {
@@ -243,20 +256,6 @@ def cmd_kms_verify(args) -> int:
     }
     _emit(out, args.json)
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _commutant_dimension(d: np.ndarray) -> int:
-    """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
-
-    Cutoff is absolute at density-matrix scale, so a numerically zero map
-    (flat spectrum) counts as fully null.
-    """
-    n = d.shape[0]
-    eye = np.eye(n)
-    k = np.kron(eye, d.T) - np.kron(d, eye)
-    sigma = np.linalg.svd(k, compute_uv=False)
-    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma[0]))
-    return int(np.count_nonzero(sigma <= cutoff))
 
 
 def cmd_campaign(args) -> int:

@@ -21,10 +21,10 @@ s-family meaningful on singular inputs. Every right-hand side
 Tr(A + B - |A - B|) is A(1) + B(1) - ||A - B||_1, through
 :func:`states.functional_distance`.
 
-PSD operands are :class:`PositiveFunctional` objects, validated once and
-decomposed once: every power a check takes comes from the cached spectrum,
-so a caller running many checks on one pair builds the functionals once. A
-bare matrix is wrapped in one (a non-Hermitian matrix raises NotPSD).
+Every operand is a :class:`PositiveFunctional`, validated and decomposed
+once, on construction: every power a check takes comes from the cached
+spectrum, so a caller running many checks on one pair builds the
+functionals once.
 """
 
 from __future__ import annotations
@@ -86,21 +86,16 @@ def _report(
     return InequalityReport(name, lhs, rhs, slack, passed, route_residual)
 
 
-def _as_functional(x) -> PositiveFunctional:
-    """``x`` itself if it is a PositiveFunctional, else one validating it."""
-    return x if isinstance(x, PositiveFunctional) else PositiveFunctional(x)
-
-
 def _overlap(a: PositiveFunctional, b: PositiveFunctional) -> float:
     """Tr(A + B - |A - B|) = A(1) + B(1) - ||A - B||_1, the s-family's right side."""
     return a.total() + b.total() - functional_distance(a, b)
 
 
 def norm_sandwich(
-    x: PositiveFunctional | np.ndarray, y: PositiveFunctional | np.ndarray
+    x: PositiveFunctional, y: PositiveFunctional
 ) -> tuple[InequalityReport, InequalityReport]:
     """Both halves of ||X-Y||_HS^2 <= ||X^2-Y^2||_1 <= ||X-Y||_HS ||X+Y||_HS."""
-    x, y = _as_functional(x).matrix, _as_functional(y).matrix
+    x, y = x.matrix, y.matrix
     diff_sq = hs_norm(x - y) ** 2
     middle = trace_norm(x @ x - y @ y)
     upper = hs_norm(x - y) * hs_norm(x + y)
@@ -110,27 +105,20 @@ def norm_sandwich(
     )
 
 
-def powers_stormer(
-    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray
-) -> InequalityReport:
+def powers_stormer(a: PositiveFunctional, b: PositiveFunctional) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
-    a, b = _as_functional(a), _as_functional(b)
     lhs = hs_norm(a.sqrt() - b.sqrt()) ** 2
     rhs = trace_norm(a.matrix - b.matrix)
     return _report("powers_stormer", lhs, rhs, "le")
 
 
-def ozawa_s(
-    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
-    s: float
-) -> InequalityReport:
+def ozawa_s(a: PositiveFunctional, b: PositiveFunctional, s: float) -> InequalityReport:
     """2 Tr(B^s A^(1-s)) >= Tr(A + B - |A - B|) for s in [0, 1].
 
     At the endpoints the zeroth power is the support projection.
     """
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
-    a, b = _as_functional(a), _as_functional(b)
     lhs = 2.0 * float(np.real(np.trace(b.power(s) @ a.power(1.0 - s))))
     return _report(f"ozawa_s[{s:g}]", lhs, _overlap(a, b), "ge")
 
@@ -192,10 +180,14 @@ class MonotoneFunction:
     f: Callable[[np.ndarray], np.ndarray]
 
     def apply_sqrt_f(self, a: SpectralDecomposition) -> np.ndarray:
-        return a.apply(lambda lam: np.sqrt(self.f(lam)), clip=True)
+        """sqrt(f(A)), with negative rounding noise clipped to zero first."""
+        return a.apply(lambda lam: np.sqrt(self.f(np.maximum(lam, 0.0))))
 
     def apply_g(self, b: SpectralDecomposition) -> np.ndarray:
-        """g through the spectrum, with g = 0 on the (numerical) kernel."""
+        """g through the spectrum, with g = 0 on the (numerical) kernel.
+
+        The support holds positive eigenvalues only, so nothing needs clipping.
+        """
         support = b.support()
 
         def g(lam):
@@ -203,7 +195,7 @@ class MonotoneFunction:
             out[support] = lam[support] / self.f(lam[support])
             return out
 
-        return b.apply(g, clip=True)
+        return b.apply(g)
 
 
 # the shipped operator monotone functions, in campaign order; each f passes
@@ -216,24 +208,20 @@ MONOTONE_FUNCTIONS = (
 
 
 def hoa_generalized(
-    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
-    mf: MonotoneFunction
+    a: PositiveFunctional, b: PositiveFunctional, mf: MonotoneFunction
 ) -> InequalityReport:
     """2 Tr(sqrt(f(A)) g(B) sqrt(f(A))) >= Tr(A + B - |A - B|)."""
-    a, b = _as_functional(a), _as_functional(b)
     root = mf.apply_sqrt_f(a.spectrum)
     lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(b.spectrum) @ root)))
     return _report(f"hoa[{mf.name}]", lhs, _overlap(a, b), "ge")
 
 
 def phillips(
-    a: PositiveFunctional | np.ndarray, b: PositiveFunctional | np.ndarray,
-    t: float
+    a: PositiveFunctional, b: PositiveFunctional, t: float
 ) -> InequalityReport:
     """||A^(1/t) - B^(1/t)||_t^t <= ||A - B||_1 for A >= B >= 0 and t >= 1."""
     if t < 1.0:
         raise BadExponent(f"t must be >= 1, got {t}")
-    a, b = _as_functional(a), _as_functional(b)
     if not check_psd(a.matrix - b.matrix):
         raise OrderViolation("Phillips inequality requires A >= B")
     lhs = schatten_norm(a.power(1.0 / t) - b.power(1.0 / t), t) ** t

@@ -36,6 +36,9 @@ from .linalg import adjoint, as_matrix
 from .states import DensityMatrix, is_faithful
 
 GAP_RTOL = 1e-9
+# singular values of the commutator map at or below this (times max(1, top))
+# count toward the commutant dimension
+COMMUTANT_NULL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,15 @@ def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
     A flat spectrum yields the full matrix algebra: the threshold never
     drops below the eigensolver noise floor, so rounding scatter in a
     degenerate spectrum cannot split a block.
+
+    :func:`commutant_dimension` counts the same centralizer by a second,
+    independent route, with its own cutoff. A gap g between adjacent
+    eigenvalues joins them here when g <= max(1e-9 * diameter,
+    1e-13 * max(1, lambda_max)); there, the commutator map's singular
+    values are the differences lambda_i - lambda_j, and g counts as null
+    when g <= 1e-8 * max(1, diameter). For a density (diameter < 1) the
+    routes agree outside roughly 1e-13 < g <= 1e-8 and may count
+    differently inside that window.
     """
     spec = density.spectrum
     vals = spec.eigenvalues
@@ -158,6 +170,21 @@ def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
             for j in block:
                 basis.append(np.outer(v[:, i], np.conj(v[:, j])))
     return basis
+
+
+def commutant_dimension(d: np.ndarray) -> int:
+    """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
+
+    The brute-force route to the size of :func:`centralizer_basis`. Cutoff
+    is absolute at density-matrix scale, so a numerically zero map (flat
+    spectrum) counts as fully null.
+    """
+    n = d.shape[0]
+    eye = np.eye(n)
+    k = np.kron(eye, d.T) - np.kron(d, eye)
+    sigma = np.linalg.svd(k, compute_uv=False)
+    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma[0]))
+    return int(np.count_nonzero(sigma <= cutoff))
 
 
 def state_invariance_defect(

@@ -15,9 +15,9 @@ Conventions used throughout the package:
 * :class:`SpectralDecomposition` is the one spectral calculus: its
   ``power``, ``apply``, ``unitary`` and ``jordan`` (and, on a validated
   operand, ``PositiveFunctional.power``) are the only ways to form
-  V f(lambda) V*. Fractional powers use the principal branch and are
-  defined on PSD spectra only; a spectrum below the floor is rejected
-  instead of complexified.
+  V f(lambda) V*; ``apply`` hands f the eigenvalues unclipped. Fractional
+  powers use the principal branch and are defined on PSD spectra only; a
+  spectrum below the floor is rejected instead of complexified.
 """
 
 from __future__ import annotations
@@ -103,19 +103,14 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * values) @ adjoint(v)
 
-    def apply(
-        self, f: Callable[[np.ndarray], np.ndarray], clip: bool = False
-    ) -> np.ndarray:
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """V f(lambda) V* for a scalar function applied to the eigenvalues.
 
-        With ``clip`` the eigenvalues are first clipped at zero, so that
-        negative rounding noise of a PSD matrix never reaches ``f``.
+        ``f`` sees the eigenvalues as they are; a caller whose ``f`` is
+        defined on [0, inf) only clips the rounding noise of a PSD spectrum
+        itself.
         """
-        return self._synthesize(f(self._clipped() if clip else self.eigenvalues))
-
-    def _clipped(self) -> np.ndarray:
-        """Eigenvalues with negative rounding noise set to zero."""
-        return np.maximum(self.eigenvalues, 0.0)
+        return self._synthesize(f(self.eigenvalues))
 
     def support(self) -> np.ndarray:
         """Mask of the eigenvalues above ``PSD_TOL * max(1, largest)``."""
@@ -144,8 +139,9 @@ class SpectralDecomposition:
 
     def jordan(self) -> tuple[np.ndarray, np.ndarray]:
         """Positive and negative parts (A_plus, A_minus), A = A_plus - A_minus."""
+        plus = np.maximum(self.eigenvalues, 0.0)
         minus = np.maximum(-self.eigenvalues, 0.0)
-        return self._synthesize(self._clipped()), self._synthesize(minus)
+        return self._synthesize(plus), self._synthesize(minus)
 
     def _require_positive(self, what: str) -> None:
         if self.eigenvalues.size and not self.eigenvalues[0] > 0:

@@ -199,8 +199,9 @@ def verify_tomita_takesaki(
     """Check the two Tomita-Takesaki conclusions on concrete samples.
 
     For every pair (M, N) of samples the commutator norm
-    ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is the dense pi(M)
-    composed with J on both sides, formed once per M, not the closed form
+    ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is J's definition
+    applied to the dense pi(M) from both sides, formed once per M as one
+    conjugating permutation of its entries, not the closed form
     1 (x) conj(M). For every sample and every t, the membership residual
     ||Delta^(it) pi(M) Delta^(-it) - (D^(it) M D^(-it)) (x) 1||_HS is
     recorded: the factors of Delta^(+-it) act on the dense pi(M) by
@@ -212,17 +213,18 @@ def verify_tomita_takesaki(
     """
     _require_faithful(omega, "reference")
     d = omega.dim
-    j = modular_conjugation(d)
     mats = [as_matrix(m) for m in samples]
     a, b, jmj = (np.empty((d * d, d * d), dtype=complex) for _ in range(3))
 
     comm = []
     for m in mats:
-        # J o pi(M) o J, composed as SuperOperator.compose does: the
-        # antilinear J on the left conjugates pi(M), then J's transposition
-        # acts from both sides (its Kronecker factors are identities)
-        np.conjugate(pi_left(m, out=a), out=a)
-        j._right_multiply(j._left_multiply(a, out=b), conjugate=True, out=jmj)
+        # J o pi(M) o J with J vec(X) = vec(X*): entry ((i, a), (j, c)) is
+        # conj(pi(M)[(a, i), (c, j)]), one conjugating index permutation
+        # (copied, then conjugated in place: a ufunc reading the strided
+        # view would allocate an iteration buffer)
+        pim = pi_left(m, out=a).reshape(d, d, d, d)
+        np.copyto(jmj.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2))
+        np.conjugate(jmj, out=jmj)
         for n in mats:
             pin = pi_factored(n)
             pin._left_multiply(jmj, out=a)  # pi(N) J pi(M) J

@@ -83,4 +83,4 @@ def is_cyclic_separating(u: BipartiteVector) -> bool:
         )
     if u.norm() == 0.0:
         raise ZeroVector("the zero vector is neither cyclic nor separating")
-    return is_faithful(PositiveFunctional(partial_trace(u, u, "right")))
+    return is_faithful(PositiveFunctional(partial_trace(u)))

@@ -95,14 +95,6 @@ class DensityMatrix(PositiveFunctional):
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix trace {tr:.12g} != 1")
 
-    @classmethod
-    def diagonal(cls, probs) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(probs, dtype=float)))
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d) / d)
-
 
 def is_faithful(d: PositiveFunctional) -> bool:
     """True iff the smallest eigenvalue exceeds FAITHFUL_RTOL * largest.

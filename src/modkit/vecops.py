@@ -5,8 +5,7 @@ Convention (load-bearing, do not change): ``vec`` stacks ROWS, i.e.
 ``ravel``. With this choice
 
     (A (x) B) vec(X)        = vec(A X B^T)
-    Tr_right(vec A vec B*)  = A B*
-    Tr_left (vec A vec B*)  = (B* A)^T
+    Tr_right |vec A><vec A| = A A*
     vec(|u><v|)             = u (x) conj(v)
 
 The common column-stacking convention would flip the first identity to the
@@ -108,23 +107,10 @@ def unvec(v: BipartiteVector) -> np.ndarray:
     return v.amplitudes.reshape(v.dim_left, v.dim_right).copy()
 
 
-def partial_trace(v: BipartiteVector, w: BipartiteVector, side: str) -> np.ndarray:
-    """Partial trace of the rank-one operator |v><w| over one factor.
-
-    With A = unvec(v) and B = unvec(w):
-
-    * ``side='right'`` traces out the right factor and returns ``A B*``,
-    * ``side='left'`` traces out the left factor and returns ``(B* A)^T``.
-    """
-    if v.dims != w.dims:
-        raise ShapeMismatch(f"dims {v.dims} != {w.dims}")
-    a = unvec(v)
-    b = unvec(w)
-    if side == "right":
-        return a @ np.conj(b).T
-    if side == "left":
-        return (np.conj(b).T @ a).T
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def partial_trace(u: BipartiteVector) -> np.ndarray:
+    """The reduced state Tr_2 |u><u| = A A* of A = unvec(u)."""
+    a = unvec(u)
+    return a @ np.conj(a).T
 
 
 class SuperOperator:
@@ -225,10 +211,6 @@ class SuperOperator:
             x = x @ right.T
         return BipartiteVector(self.d, self.d, x.ravel())
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Action on a d x d matrix through the vec correspondence."""
-        return unvec(self.apply(vec(x)))
-
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         """self o other (other acts first)."""
         if self.d != other.d:
@@ -281,8 +263,8 @@ class SuperOperator:
     ) -> np.ndarray:
         """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X).
 
-        ``out`` and ``work`` as in :meth:`_left_multiply`; a transposition
-        comes last, as a copy into ``out``.
+        ``out`` and ``work`` as in :meth:`_left_multiply`, for operators
+        without a transposition: a transposition comes last, as a copy.
         """
         d, n = self.d, m.shape[0]
         t = m.reshape(n, d, d)
@@ -290,11 +272,10 @@ class SuperOperator:
         steps = ((_transpose(left), 1), (_transpose(right), 2))
         if not self.transpose:
             return _contract_each(t, steps, out, work).reshape(n, d * d)
+        if out is not None:
+            raise ValueError("a transposed operator's product is a new array")
         t = _contract_each(t, steps, None, None).transpose(0, 2, 1)
-        if out is None:
-            return t.reshape(n, d * d)
-        np.copyto(out.reshape(n, d, d), t)
-        return out
+        return t.reshape(n, d * d)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
@@ -363,13 +344,12 @@ def _contract_each(
     """Apply the (factor, axis) contractions in order, skipping None factors.
 
     With ``out`` the last contraction writes it and the one before writes
-    ``work``, so no contraction reads the buffer it writes. Identity
-    factors alone copy t into ``out``.
+    ``work``, so no contraction reads the buffer it writes; identity
+    factors alone leave nothing to write there.
     """
     steps = [(f, axis) for f, axis in steps if f is not None]
     if out is not None and not steps:
-        np.copyto(out.reshape(t.shape), t)
-        return out.reshape(t.shape)
+        raise ValueError("identity factors give no product to write into out")
     targets = [None] * len(steps) if out is None else [work, out][-len(steps):]
     for (f, axis), dest in zip(steps, targets):
         t = _contract(f, t, axis, dest)

@@ -79,7 +79,7 @@ def test_criterion_02_schmidt_reconstruction_and_spectrum():
         u = vec(complex_gaussian(rng, dy, dx))
         data = schmidt_decompose(u)
         worst_recon = max(worst_recon, (data.reconstruct() - u).norm())
-        reduced = partial_trace(u, u, "right")
+        reduced = partial_trace(u)
         eigs = np.sort(np.linalg.eigvalsh(reduced))[::-1]
         padded = np.zeros(dy)
         padded[: data.rank] = data.coefficients**2
@@ -245,11 +245,12 @@ def test_criterion_09_inequality_campaigns():
         d = 2 + k % 5  # dimensions 2..6
         a = random_psd(rng, d, trace_one=False)
         b = random_psd(rng, d, trace_one=False)
+        a, b, a_plus_b = (PositiveFunctional(m) for m in (a, b, a + b))
         reports = list(norm_sandwich(a, b))
         reports.append(powers_stormer(a, b))
         reports.extend(ozawa_s(a, b, s) for s in s_grid)
         reports.extend(hoa_generalized(a, b, mf) for mf in MONOTONE_FUNCTIONS)
-        reports.extend(phillips(a + b, b, t) for t in t_grid)
+        reports.extend(phillips(a_plus_b, b, t) for t in t_grid)
         phi1 = random_positive_functional(rng, d, faithful=True)
         phi2 = random_positive_functional(rng, d)
         og = ogata_modular(phi1, phi2, s_grid[k % 5])
@@ -273,7 +274,7 @@ def _commuting_scalar_oracles() -> bool:
     rng = np.random.default_rng(1090)
     da = rng.uniform(0.05, 2.0, size=5)
     db = rng.uniform(0.05, 2.0, size=5)
-    a, b = np.diag(da), np.diag(db)
+    a, b, a_plus_b = (PositiveFunctional(np.diag(v)) for v in (da, db, da + db))
     checks = []
 
     low, high = norm_sandwich(a, b)
@@ -296,12 +297,11 @@ def _commuting_scalar_oracles() -> bool:
     rep = hoa_generalized(a, b, mf)
     checks.append(abs(rep.lhs - 2 * np.sum(np.log1p(da) * db / np.log1p(db))))
     for t in (1.5, 2.0):
-        rep = phillips(a + b, b, t)
+        rep = phillips(a_plus_b, b, t)
         checks.append(
             abs(rep.lhs - np.sum(((da + db) ** (1 / t) - db ** (1 / t)) ** t))
         )
-    phi1, phi2 = PositiveFunctional(a), PositiveFunctional(b)
-    og = ogata_modular(phi1, phi2, 0.5)
+    og = ogata_modular(a, b, 0.5)
     checks.append(abs(og.lhs - 2 * np.sum(db**0.5 * da**0.5)))
     return max(checks) < 1e-12
 

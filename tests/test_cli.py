@@ -49,6 +49,18 @@ def test_dump_matrix_field_order():
         '{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], ["x", 0]]}',
         '{"rows": 0, "cols": 2, "data": []}',
         '[1, 2, 3]',
+        # headers are JSON integers, not floats, strings or booleans
+        '{"rows": 2.9, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+        '{"rows": 2.0, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+        '{"rows": "2", "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+        '{"rows": 2, "cols": true, "data": [[1, 0], [0, 0]]}',
+        # entries are pairs of JSON numbers, not booleans
+        '{"rows": 1, "cols": 1, "data": [[true, false]]}',
+        '{"rows": 1, "cols": 1, "data": [[1, 0, 0]]}',
+        pytest.param(
+            '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+            id="entry-beyond-double-range",
+        ),
     ],
 )
 def test_load_matrix_parse_errors(tmp_path, payload):
@@ -128,6 +140,46 @@ def test_modular_verify_needs_a_sample(samples, tmp_path, capsys):
         main(["modular", phi, omega, "--verify", "--samples", samples, "--json"])
     assert exc.value.code == 4
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_modular_non_finite_t_is_usage_error(bad, tmp_path, capsys):
+    phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
+    argv = ["modular", phi, omega, "--verify", "--t", "0.5", f"--t={bad}", "--json"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--t must be finite" in captured.err
+
+
+def _edge_state(d, ratio):
+    """Diagonal density whose smallest-to-largest eigenvalue ratio is ``ratio``."""
+    vals = np.ones(d)
+    vals[0] = ratio
+    return np.diag(vals / vals.sum())
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("ratio, singular", [(5e-13, True), (2e-12, False)])
+def test_state_files_at_the_faithfulness_threshold(
+    d, ratio, singular, tmp_path, capsys
+):
+    # is_faithful needs min > 1e-12 * max; below it both commands exit 3
+    phi = write_matrix(tmp_path / "phi.json", np.eye(d) / d)
+    omega = write_matrix(tmp_path / "omega.json", _edge_state(d, ratio))
+    for argv in (
+        ["modular", phi, omega, "--verify", "--samples", "1", "--json"],
+        ["kms-verify", omega, "--samples", "2", "--json"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        if singular:
+            assert code == 3, argv[0]
+            assert "SingularState" in captured.err
+        else:
+            assert code != 3, argv[0]
+            assert "passed" in _strict_json(captured.out)
 
 
 def test_modular_singular_omega_exits_3(tmp_path):
@@ -307,6 +359,43 @@ def test_kms_verify_fails_closed_on_non_finite_defect(
     monkeypatch.setattr(cli, target, poisoned)
     code = main(["kms-verify", "--dim", "3", "--samples", "2", "--json"])
     out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    assert out[field] is None  # strict JSON: NaN and inf print as null
+
+
+@pytest.mark.parametrize(
+    "target, call, field",
+    [
+        ("distance", 1, "cross_route_residual"),
+        ("distance", 2, "polar_residual"),
+        ("hs_norm", 2, "tt_max_commutant_residual"),
+        ("hs_norm", 6, "tt_max_flow_residual"),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_modular_fails_closed_on_non_finite_residual(
+    target, call, field, bad, tmp_path, monkeypatch, capsys
+):
+    import modkit.modular as modular
+    from modkit.vecops import SuperOperator
+
+    owner = SuperOperator if target == "distance" else modular
+    calls = []
+    real = getattr(owner, target)
+
+    def poisoned(*args):
+        calls.append(None)
+        # one bad value among finite ones; with 2 samples the first 4
+        # hs_norm calls are commutator norms, the rest flow residuals
+        return bad if len(calls) == call else real(*args)
+
+    monkeypatch.setattr(owner, target, poisoned)
+    phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
+    code = main(["modular", phi, omega, "--verify", "--samples", "2", "--json"])
+    out = _strict_json(capsys.readouterr().out)
+    assert len(calls) >= call
     assert code == 1
     assert out["passed"] is False
     assert out[field] is None  # strict JSON: NaN and inf print as null

@@ -46,7 +46,7 @@ def test_contains_needs_square(rng):
 
 
 def test_representative_tracial():
-    rep = purify(DensityMatrix.maximally_mixed(3))
+    rep = purify(DensityMatrix(np.eye(3) / 3))
     assert np.allclose(rep.amplitudes, vec(np.eye(3)).amplitudes / np.sqrt(3))
 
 
@@ -191,7 +191,7 @@ def test_purification_lies_in_cone(rng):
     for d in (2, 3, 16):
         for density in (
             random_density(rng, d),
-            DensityMatrix.diagonal([1.0] + [0.0] * (d - 1)),
+            DensityMatrix(np.diag([1.0] + [0.0] * (d - 1))),
         ):
             omega = purify(density)
             assert cone_contains(omega)

@@ -21,13 +21,18 @@ def diag_pf(*vals):
     return PositiveFunctional(np.diag(np.asarray(vals, dtype=float)))
 
 
+def pfs(*matrices):
+    """One PositiveFunctional per matrix."""
+    return [PositiveFunctional(m) for m in matrices]
+
+
 def shipped(name):
     """The shipped MonotoneFunction called ``name``."""
     return next(mf for mf in MONOTONE_FUNCTIONS if mf.name == name)
 
 
 def test_norm_sandwich_degenerate():
-    x = np.diag([0.4, 0.6])
+    x = diag_pf(0.4, 0.6)
     low, high = norm_sandwich(x, x)
     assert low.lhs == low.rhs == 0.0
     assert high.lhs == high.rhs == 0.0
@@ -36,7 +41,7 @@ def test_norm_sandwich_degenerate():
 
 def test_norm_sandwich_frozen_values():
     # X = diag(1,0), Y = diag(0,1): all three quantities equal 2
-    x, y = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x, y = diag_pf(1.0, 0.0), diag_pf(0.0, 1.0)
     low, high = norm_sandwich(x, y)
     assert low.lhs == pytest.approx(2.0)
     assert low.rhs == pytest.approx(2.0)
@@ -48,23 +53,23 @@ def test_norm_sandwich_campaign(rng):
     for _ in range(200):
         x = random_psd(rng, 4, trace_one=False)
         y = random_psd(rng, 4, trace_one=False)
-        low, high = norm_sandwich(x, y)
+        low, high = norm_sandwich(*pfs(x, y))
         assert low.passed and high.passed
 
 
 def test_norm_sandwich_rejects_non_psd(rng):
     with pytest.raises(NotPSD):
-        norm_sandwich(np.diag([1.0, -1.0]), np.eye(2))
+        norm_sandwich(*pfs(np.diag([1.0, -1.0]), np.eye(2)))
 
 
 def test_powers_stormer_trivial():
-    a = np.diag([0.3, 0.7])
+    a = diag_pf(0.3, 0.7)
     rep = powers_stormer(a, a)
     assert rep.lhs == rep.rhs == 0.0
 
 
 def test_powers_stormer_equality_case():
-    rep = powers_stormer(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    rep = powers_stormer(diag_pf(1.0, 0.0), diag_pf(0.0, 1.0))
     assert rep.lhs == pytest.approx(2.0)
     assert rep.rhs == pytest.approx(2.0)
 
@@ -73,7 +78,7 @@ def test_powers_stormer_campaign(rng):
     for _ in range(200):
         a = random_psd(rng, 5, trace_one=False)
         b = random_psd(rng, 5, trace_one=False)
-        assert powers_stormer(a, b).passed
+        assert powers_stormer(*pfs(a, b)).passed
 
 
 def test_powers_stormer_chain_to_ozawa(rng):
@@ -90,9 +95,9 @@ def test_powers_stormer_chain_to_ozawa(rng):
             spectral_decomposition(a).power(0.5) @ spectral_decomposition(b).power(0.5)
         ).real
     )
-    rep = powers_stormer(a, b)
+    rep = powers_stormer(*pfs(a, b))
     assert rep.lhs == pytest.approx(expand, abs=1e-10)
-    half = ozawa_s(a, b, 0.5)
+    half = ozawa_s(*pfs(a, b), 0.5)
     bound = np.trace(a).real + np.trace(b).real - half.rhs
     assert rep.lhs <= bound + 1e-10
     assert bound == pytest.approx(trace_norm(a - b), abs=1e-10)
@@ -100,15 +105,13 @@ def test_powers_stormer_chain_to_ozawa(rng):
 
 def test_ozawa_equality_at_equal_inputs(rng):
     a = random_psd(rng, 3, trace_one=False)
-    rep = ozawa_s(a, a, 0.5)
+    rep = ozawa_s(*pfs(a, a), 0.5)
     assert rep.lhs == pytest.approx(2 * np.trace(a).real, rel=1e-12)
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ozawa_commuting_scalar_oracle():
-    a = np.diag([0.7, 0.3])
-    b = np.diag([0.4, 0.6])
-    rep = ozawa_s(a, b, 0.5)
+    rep = ozawa_s(diag_pf(0.7, 0.3), diag_pf(0.4, 0.6), 0.5)
     # independent scalar computation on the diagonal
     lhs = 2 * (np.sqrt(0.4 * 0.7) + np.sqrt(0.6 * 0.3))
     rhs = 2 * (min(0.7, 0.4) + min(0.3, 0.6))
@@ -122,6 +125,7 @@ def test_ozawa_grid_campaign(rng):
     for _ in range(100):
         a = random_psd(rng, 4, trace_one=False)
         b = random_psd(rng, 4, trace_one=False)
+        a, b = pfs(a, b)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert ozawa_s(a, b, s).passed
 
@@ -130,18 +134,18 @@ def test_ozawa_endpoints_use_support(rng):
     # singular inputs: s = 0 reduces to 2 Tr(supp(B) A) >= Tr(A+B-|A-B|)
     a = np.diag([0.5, 0.0, 0.7])
     b = np.diag([0.2, 0.3, 0.0])
-    rep0 = ozawa_s(a, b, 0.0)
+    rep0 = ozawa_s(*pfs(a, b), 0.0)
     lhs_oracle = 2 * np.trace(spectral_decomposition(b).power(0.0) @ a).real
     assert rep0.lhs == pytest.approx(lhs_oracle, abs=1e-12)
     assert rep0.passed
-    rep1 = ozawa_s(a, b, 1.0)
+    rep1 = ozawa_s(*pfs(a, b), 1.0)
     lhs_oracle1 = 2 * np.trace(b @ spectral_decomposition(a).power(0.0)).real
     assert rep1.lhs == pytest.approx(lhs_oracle1, abs=1e-12)
     assert rep1.passed
 
 
 def test_ozawa_bad_exponent(rng):
-    a = random_psd(rng, 2)
+    a = PositiveFunctional(random_psd(rng, 2))
     with pytest.raises(BadExponent):
         ozawa_s(a, a, 1.5)
 
@@ -199,7 +203,7 @@ def test_registry_functions_pass_hoa(rng):
         a = random_psd(rng, 4, trace_one=False)
         b = random_psd(rng, 4, trace_one=False)
         for mf in MONOTONE_FUNCTIONS:
-            assert hoa_generalized(a, b, mf).passed
+            assert hoa_generalized(*pfs(a, b), mf).passed
 
 
 def _monotone_spot_check(f) -> bool:
@@ -214,7 +218,10 @@ def _monotone_spot_check(f) -> bool:
     for _ in range(20):
         a = random_psd(rng, 4, trace_one=False)
         b = a + random_psd(rng, 4, trace_one=False)
-        f_a, f_b = (spectral_decomposition(m).apply(f, clip=True) for m in (a, b))
+        f_a, f_b = (
+            spectral_decomposition(m).apply(lambda lam: f(np.maximum(lam, 0.0)))
+            for m in (a, b)
+        )
         if not check_psd(f_b - f_a, 1e-10):
             return False
     return True
@@ -228,12 +235,22 @@ def test_monotone_functions_pass_the_spot_check():
     assert not _monotone_spot_check(lambda t: t**2)
 
 
+def test_monotone_functions_clip_rounding_noise():
+    # f lives on [0, inf): a PSD spectrum's negative rounding noise is
+    # clipped to zero before it reaches f, and g vanishes off the support
+    mf = MonotoneFunction("t", lambda t: t)
+    dec = spectral_decomposition(np.diag([-1e-14, 4.0]))
+    with np.errstate(invalid="raise"):
+        assert np.allclose(mf.apply_sqrt_f(dec), np.diag([0.0, 2.0]))
+        assert np.allclose(mf.apply_g(dec), np.diag([0.0, 1.0]))
+
+
 def test_hoa_identity_function_reduces_to_support(rng):
     # f(t) = t gives g = supp(B): lhs = 2 Tr(sqrt(A) supp(B) sqrt(A))
     mf = MonotoneFunction("t", lambda t: t)
     a = random_psd(rng, 3, trace_one=False)
     b = np.diag([0.5, 0.0, 0.25])
-    rep = hoa_generalized(a, b, mf)
+    rep = hoa_generalized(*pfs(a, b), mf)
     root = spectral_decomposition(a).power(0.5)
     oracle = 2 * np.trace(root @ spectral_decomposition(b).power(0.0) @ root).real
     assert rep.lhs == pytest.approx(oracle, abs=1e-10)
@@ -244,6 +261,7 @@ def test_hoa_sqrt_reproduces_ozawa_half(rng):
     mf = shipped("t^0.5")
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
+    a, b = pfs(a, b)
     rep_hoa = hoa_generalized(a, b, mf)
     rep_oz = ozawa_s(a, b, 0.5)
     assert rep_hoa.lhs == pytest.approx(rep_oz.lhs, rel=1e-10)
@@ -253,15 +271,14 @@ def test_hoa_sqrt_reproduces_ozawa_half(rng):
 def test_phillips_t_one_equality(rng):
     a = random_psd(rng, 3, trace_one=False)
     b = random_psd(rng, 3, trace_one=False)
-    rep = phillips(a + b, b, 1.0)
+    rep = phillips(*pfs(a + b, b), 1.0)
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
 
 def test_phillips_frozen_scalar_case():
     # A = 2B with B = diag(1,2), t = 2:
     # ||sqrt(2B) - sqrt(B)||_2^2 = (sqrt2 - 1)^2 * Tr(B) = (sqrt2-1)^2 * 3
-    b = np.diag([1.0, 2.0])
-    rep = phillips(2 * b, b, 2.0)
+    rep = phillips(diag_pf(2.0, 4.0), diag_pf(1.0, 2.0), 2.0)
     assert rep.lhs == pytest.approx((np.sqrt(2) - 1) ** 2 * 3.0, rel=1e-12)
     assert rep.rhs == pytest.approx(3.0, rel=1e-12)
     assert rep.passed
@@ -271,6 +288,7 @@ def test_phillips_campaign(rng):
     for _ in range(100):
         b = random_psd(rng, 4, trace_one=False)
         a = b + random_psd(rng, 4, trace_one=False)
+        a, b = pfs(a, b)
         for t in (1.0, 1.5, 2.0, 3.0):
             assert phillips(a, b, t).passed
 
@@ -279,9 +297,9 @@ def test_phillips_order_violation(rng):
     b = random_psd(rng, 3, trace_one=False) + 0.5 * np.eye(3)
     a = random_psd(rng, 3, trace_one=False)
     with pytest.raises(OrderViolation):
-        phillips(a, a + b @ b, 2.0)  # a < a + b^2, order reversed
+        phillips(*pfs(a, a + b @ b), 2.0)  # a < a + b^2, order reversed
     with pytest.raises(BadExponent):
-        phillips(a + b, b, 0.5)
+        phillips(*pfs(a + b, b), 0.5)
 
 
 def test_slack_scaling(rng):
@@ -289,21 +307,21 @@ def test_slack_scaling(rng):
     # squared-norm sandwich lower bound
     a = random_psd(rng, 3, trace_one=False)
     b = random_psd(rng, 3, trace_one=False)
-    base_oz = ozawa_s(a, b, 0.5).slack
-    base_ps = powers_stormer(a, b).slack
-    base_ph = phillips(a + b, b, 2.0).slack
-    base_low, _ = norm_sandwich(a, b)
+    base_oz = ozawa_s(*pfs(a, b), 0.5).slack
+    base_ps = powers_stormer(*pfs(a, b)).slack
+    base_ph = phillips(*pfs(a + b, b), 2.0).slack
+    base_low, _ = norm_sandwich(*pfs(a, b))
     for c in (0.1, 10.0):
-        assert ozawa_s(c * a, c * b, 0.5).slack == pytest.approx(
+        assert ozawa_s(*pfs(c * a, c * b), 0.5).slack == pytest.approx(
             c * base_oz, rel=1e-9
         )
-        assert powers_stormer(c * a, c * b).slack == pytest.approx(
+        assert powers_stormer(*pfs(c * a, c * b)).slack == pytest.approx(
             c * base_ps, rel=1e-9
         )
-        assert phillips(c * (a + b), c * b, 2.0).slack == pytest.approx(
+        assert phillips(*pfs(c * (a + b), c * b), 2.0).slack == pytest.approx(
             c * base_ph, rel=1e-9
         )
-        low_c, _ = norm_sandwich(c * a, c * b)
+        low_c, _ = norm_sandwich(*pfs(c * a, c * b))
         assert low_c.slack == pytest.approx(c * c * base_low.slack, rel=1e-9)
 
 
@@ -312,7 +330,7 @@ def test_commuting_inputs_reduce_to_scalars(rng):
     # real arithmetic computed independently
     diag_a = rng.uniform(0.05, 2.0, size=4)
     diag_b = rng.uniform(0.05, 2.0, size=4)
-    a, b = np.diag(diag_a), np.diag(diag_b)
+    a, b, big = pfs(np.diag(diag_a), np.diag(diag_b), np.diag(diag_a + diag_b))
 
     low, high = norm_sandwich(a, b)
     assert low.lhs == pytest.approx(np.sum((diag_a - diag_b) ** 2), abs=1e-12)
@@ -340,7 +358,6 @@ def test_commuting_inputs_reduce_to_scalars(rng):
     g_b = 1 + diag_b
     assert rep.lhs == pytest.approx(2 * np.sum(f_a * g_b), abs=1e-12)
 
-    big = a + b
     for t in (1.5, 2.0):
         rep = phillips(big, b, t)
         assert rep.lhs == pytest.approx(
@@ -363,13 +380,14 @@ def test_checks_decompose_each_input_once(rng, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
 
-    # one eigenproblem per input; |A - B| enters only through ||A - B||_1
+    # one eigenproblem per input, when its functional is built; |A - B|
+    # enters only through ||A - B||_1
     for check, expected in (
-        (lambda: norm_sandwich(a, b), 2),
-        (lambda: powers_stormer(a, b), 2),
-        (lambda: ozawa_s(a, b, 0.25), 2),
-        (lambda: hoa_generalized(a, b, mf), 2),
-        (lambda: phillips(a + b, b, 1.5), 3),
+        (lambda: norm_sandwich(*pfs(a, b)), 2),
+        (lambda: powers_stormer(*pfs(a, b)), 2),
+        (lambda: ozawa_s(*pfs(a, b), 0.25), 2),
+        (lambda: hoa_generalized(*pfs(a, b), mf), 2),
+        (lambda: phillips(*pfs(a + b, b), 1.5), 3),
     ):
         calls.clear()
         check()
@@ -380,11 +398,10 @@ def test_psd_power_domain_error_survives_single_decomposition():
     # below the one PSD floor (-1e-10 lambda_max = -1.2e-10) though above
     # -1e-10 ||A||_HS: the operand is rejected when it is validated, before
     # any power is taken
-    a = np.diag([-1.5e-10, 1.2, 1.2])
     with pytest.raises(NotPSD):
-        ozawa_s(a, np.eye(3), 0.5)
+        diag_pf(-1.5e-10, 1.2, 1.2)
     with pytest.raises(NotPSD):
-        ozawa_s(np.diag([-1e-9, 1.0, 1.0]), np.eye(3), 0.5)
+        diag_pf(-1e-9, 1.0, 1.0)
 
 
 def _count_eigensolves(monkeypatch) -> list[str]:
@@ -431,25 +448,15 @@ def test_functional_operands_are_not_decomposed_again(rng, monkeypatch):
         assert calls == expected[name], name
 
 
-def test_functional_and_matrix_operands_give_equal_reports(rng):
-    mf = shipped("log(1+t)")
-    for _ in range(10):
-        a = random_psd(rng, 5, trace_one=False)
-        b = random_psd(rng, 5, trace_one=False)
-        matrices = (a, b, a + b)
-        functionals = [PositiveFunctional(m) for m in matrices]
-        for name, check in _checks(mf).items():
-            assert check(*matrices) == check(*functionals), name
-
-
 def test_density_matrix_operands_are_accepted():
-    a, b = DensityMatrix.diagonal([0.2, 0.8]), DensityMatrix.diagonal([0.6, 0.4])
-    assert ozawa_s(a, b, 0.5) == ozawa_s(a.matrix, b.matrix, 0.5)
+    a, b = DensityMatrix(np.diag([0.2, 0.8])), DensityMatrix(np.diag([0.6, 0.4]))
+    assert ozawa_s(a, b, 0.5) == ozawa_s(*pfs(a.matrix, b.matrix), 0.5)
 
 
 def test_non_hermitian_matrix_operand_is_not_psd():
+    # an operand is validated where it is built
     with pytest.raises(NotPSD):
-        ozawa_s(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 0.5)
+        PositiveFunctional(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_ogata_support_floor_of_small_phi2_eigenvalue():

@@ -4,8 +4,10 @@ import scipy.linalg
 
 from modkit.errors import BadBeta, OutsideStrip, SingularState
 from modkit.kms import (
+    GAP_RTOL,
     GibbsSystem,
     centralizer_basis,
+    commutant_dimension,
     gibbs_hamiltonian,
     heisenberg_evolve,
     kms_boundary_defect,
@@ -38,7 +40,7 @@ def commutant_nullity(d: np.ndarray, tol: float = 1e-8) -> int:
 
 
 def test_gibbs_flat_spectrum():
-    sys = gibbs_hamiltonian(DensityMatrix.maximally_mixed(3), beta=1.0)
+    sys = gibbs_hamiltonian(DensityMatrix(np.eye(3) / 3), beta=1.0)
     assert np.allclose(sys.hamiltonian, np.log(3) * np.eye(3))
 
 
@@ -193,7 +195,22 @@ def test_centralizer_distinct_spectrum():
 
 
 def test_centralizer_flat_spectrum():
-    assert len(centralizer_basis(DensityMatrix.maximally_mixed(3))) == 9
+    assert len(centralizer_basis(DensityMatrix(np.eye(3) / 3))) == 9
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("factor, merged", [(0.5, True), (2.0, False)])
+def test_centralizer_gap_at_its_threshold(d, factor, merged):
+    # the threshold is max(GAP_RTOL * diameter, 1e-13 * max(1, lambda_max)):
+    # its noise floor at d = 2, whose diameter is the gap itself, and its
+    # diameter term at d = 16, with 15 levels 1e-3 apart
+    base = (1.0 - 1e-3 * (d - 2) * (d + 1) / 2) / d  # trace one, gap aside
+    levels = base + 1e-3 * np.arange(d - 1)
+    threshold = max(GAP_RTOL * (levels[-1] - levels[0]), 1e-13)
+    vals = np.append(levels, levels[-1] + factor * threshold)
+    basis = centralizer_basis(DensityMatrix(np.diag(vals)))
+    # the top two levels form one 2 x 2 block or two 1 x 1 blocks
+    assert len(basis) == (d - 2) + (4 if merged else 2)
 
 
 def test_centralizer_partial_degeneracy():
@@ -225,14 +242,12 @@ def test_centralizer_matches_nullspace_oracle(rng):
 def test_kms_verify_commutant_route_matches_blocks(rng, d):
     # the route kms-verify compares: the SVD nullity of the commutator map
     # against the centralizer basis, both equal to the sum of m^2 over blocks
-    from modkit.cli import _commutant_dimension
-
     cases = [random_degenerate_density(rng, d) for _ in range(10)]
     if d == 16:
-        cases.append((DensityMatrix.maximally_mixed(16), [16]))
+        cases.append((DensityMatrix(np.eye(16) / 16), [16]))
     for density, blocks in cases:
         expected = sum(m * m for m in blocks)
-        assert _commutant_dimension(density.matrix) == expected
+        assert commutant_dimension(density.matrix) == expected
         assert len(centralizer_basis(density)) == expected
 
 
@@ -246,8 +261,6 @@ def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
     # the SVD nullity of B -> BD - DB agree. They do for eigenvalue gaps of
     # 1e-6 or more and for exact degeneracy (one level), at d = 2 and d = 16;
     # gaps between ~1e-13 and 1e-8 fall between the two cutoffs
-    from modkit.cli import _commutant_dimension
-
     d = sum(mults)
     steps = np.repeat(np.arange(len(mults)), mults)
     vals = (1.0 - gap * steps.sum()) / d + gap * steps  # trace one, exact gaps
@@ -255,7 +268,7 @@ def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
     density = DensityMatrix((u * vals) @ np.conj(u).T)
     expected = sum(m * m for m in mults)
     assert len(centralizer_basis(density)) == expected
-    assert _commutant_dimension(density.matrix) == expected
+    assert commutant_dimension(density.matrix) == expected
 
 
 def test_centralizer_elements_kill_commutators(rng):

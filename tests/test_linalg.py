@@ -178,11 +178,6 @@ def test_spectral_unitary_matches_scipy(rng):
     assert np.linalg.norm(np.conj(u).T @ u - np.eye(4)) < 1e-12
 
 
-def test_spectral_apply_clip():
-    dec = spectral_decomposition(np.diag([-1e-14, 4.0]))
-    assert np.allclose(dec.apply(np.sqrt, clip=True), np.diag([0.0, 2.0]))
-
-
 def test_psd_power_rejects_negative_exponent():
     # full support, far from any floor: inverse powers still belong to
     # SpectralDecomposition.power alone

@@ -40,7 +40,7 @@ def dense_s_oracle(phi: DensityMatrix, omega: DensityMatrix) -> np.ndarray:
 
 def test_s_matrix_tracial_state_is_pk(rng):
     d = 3
-    tracial = DensityMatrix.maximally_mixed(d)
+    tracial = DensityMatrix(np.eye(d) / d)
     s = relative_s_matrix(tracial, tracial)
     x = complex_gaussian(rng, d)
     assert np.allclose(s.apply(vec(x)).amplitudes, vec(np.conj(x).T).amplitudes)
@@ -74,7 +74,7 @@ def test_s_matrix_requires_faithful(rng):
 
 
 def test_modular_operator_tracial_identity():
-    tracial = DensityMatrix.maximally_mixed(2)
+    tracial = DensityMatrix(np.eye(2) / 2)
     delta = relative_modular_operator(tracial, tracial)
     assert np.allclose(delta.matrix, np.eye(4))
 
@@ -249,7 +249,7 @@ def test_verify_tt_matrix_units_d2(rng):
 
 
 def test_verify_tt_tracial_exact(rng):
-    omega = DensityMatrix.maximally_mixed(3)
+    omega = DensityMatrix(np.eye(3) / 3)
     report = verify_tomita_takesaki(
         omega, [complex_gaussian(rng, 3) for _ in range(3)], [0.5]
     )
@@ -279,7 +279,7 @@ def test_faithfulness_threshold_keeps_inverse_powers():
     from modkit.states import is_faithful
 
     p = np.array([1 - 1e-11, 1e-11])
-    d = DensityMatrix.diagonal(p)
+    d = DensityMatrix(np.diag(p))
     assert is_faithful(d)
 
     s = relative_s_matrix(d, d)
@@ -291,7 +291,7 @@ def test_faithfulness_threshold_keeps_inverse_powers():
     oracle = np.kron(np.diag(p**-0.5), np.diag(p**0.5))
     assert np.allclose(inv_half.matrix, oracle, rtol=1e-12, atol=0.0)
 
-    flat = DensityMatrix.diagonal([0.5, 0.5])
+    flat = DensityMatrix(np.diag([0.5, 0.5]))
     u = connes_cocycle(flat, d, 0.7)
     assert np.allclose(np.diag(u), np.exp(0.7j * (np.log(0.5) - np.log(p))))
 

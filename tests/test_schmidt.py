@@ -48,7 +48,7 @@ def test_reconstruction_and_orthonormality(rng):
 def test_coefficients_squared_match_reduced_state(rng):
     u = vec(complex_gaussian(rng, 4))
     data = schmidt_decompose(u)
-    reduced = partial_trace(u, u, "right")
+    reduced = partial_trace(u)
     eigs = np.sort(np.linalg.eigvalsh(reduced))[::-1]
     padded = np.zeros(4)
     padded[: data.rank] = data.coefficients**2
@@ -111,7 +111,7 @@ def test_cyclic_separating_shares_the_faithfulness_threshold(d, r):
         rng = np.random.default_rng(16)
         x = random_unitary(rng, d) @ x @ random_unitary(rng, d)
     u = vec(x)
-    faithful = is_faithful(PositiveFunctional(partial_trace(u, u, "right")))
+    faithful = is_faithful(PositiveFunctional(partial_trace(u)))
     assert is_cyclic_separating(u) is faithful
     if r != 1e-6:  # at the threshold itself rounding decides
         assert faithful is (r > 1e-6)

@@ -34,7 +34,7 @@ from modkit.sampling import (
     random_positive_functional,
 )
 from modkit.states import PositiveFunctional
-from modkit.vecops import BipartiteVector, SuperOperator, swap_operator, vec
+from modkit.vecops import BipartiteVector, SuperOperator, swap_operator, unvec, vec
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 RTOL = 1e-12
@@ -81,7 +81,7 @@ def test_factored_apply_is_a_tau_b_transpose(rng, transpose, antilinear):
     tau = np.conj(tau) if antilinear else tau
     op = SuperOperator.factored(d, a, b, transpose, antilinear)
     assert op.is_factored
-    assert np.allclose(op.apply_matrix(x), a @ tau @ b.T, rtol=0, atol=1e-12)
+    assert np.allclose(unvec(op.apply(vec(x))), a @ tau @ b.T, rtol=0, atol=1e-12)
     # the densified matrix acts the same way: v -> M conj^antilinear(v)
     v = vec(x).amplitudes
     dense = op.matrix @ (np.conj(v) if antilinear else v)
@@ -256,6 +256,24 @@ def test_pi_left_equals_kron(d):
     for bad in (wide[:, ::2], real, np.zeros((d, d), dtype=complex)):
         with pytest.raises(ShapeMismatch):
             pi_left(m, out=bad)
+
+
+def test_kernels_refuse_an_out_they_cannot_write():
+    # J's identity factors give no contraction to write into out, and a
+    # transposed operator's right product is a fresh copy: both refuse out
+    # rather than return an array that is not out
+    d = 3
+    j = modular_conjugation(d)
+    m = complex_gaussian(np.random.default_rng(3), d * d)
+    out = np.empty_like(m)
+    with pytest.raises(ValueError):
+        j._left_multiply(m, out=out)
+    with pytest.raises(ValueError):
+        j._right_multiply(m, conjugate=True, out=out)
+    a = complex_gaussian(np.random.default_rng(4), d)
+    transposed = SuperOperator.factored(d, a, None, transpose=True)
+    with pytest.raises(ValueError):
+        transposed._right_multiply(m, conjugate=False, out=out)
 
 
 def compose_tomita_takesaki(omega, mats, t_grid):

@@ -106,29 +106,21 @@ def test_kron_apply_shape_mismatch(rng):
 
 def test_partial_trace_identity():
     v = vec(np.eye(2))
-    assert np.allclose(partial_trace(v, v, "right"), np.eye(2))
+    assert np.allclose(partial_trace(v), np.eye(2))
 
 
 def test_partial_trace_purification():
     d = np.diag([0.75, 0.25])
     v = vec(np.sqrt(d))
-    assert np.allclose(partial_trace(v, v, "right"), d)
+    assert np.allclose(partial_trace(v), d)
 
 
 def test_partial_trace_contraction_oracle(rng):
-    va = complex_gaussian(rng, 3)
-    wb = complex_gaussian(rng, 3)
-    v, w = vec(va), vec(wb)
-    # independent index-contraction oracles
-    right_oracle = np.einsum("mn,pn->mp", va, np.conj(wb))
-    left_oracle = np.einsum("mn,mp->np", va, np.conj(wb))
-    assert np.linalg.norm(partial_trace(v, w, "right") - right_oracle) < 1e-12
-    assert np.linalg.norm(partial_trace(v, w, "left") - left_oracle) < 1e-12
-
-
-def test_partial_trace_dim_mismatch(rng):
-    with pytest.raises(ShapeMismatch):
-        partial_trace(vec(np.eye(2)), vec(np.eye(3)), "right")
+    for shape in ((3, 3), (2, 5)):
+        a = complex_gaussian(rng, *shape)
+        # independent index-contraction oracle of Tr_2 |u><u|
+        oracle = np.einsum("mn,pn->mp", a, np.conj(a))
+        assert np.linalg.norm(partial_trace(vec(a)) - oracle) < 1e-12
 
 
 def test_swap_scalar():
