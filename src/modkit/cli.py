@@ -8,7 +8,9 @@ are neither); ``-`` reads the payload from stdin.
 
 Exit codes: 0 all checks pass, 1 checks ran but failed, 2 payload parse
 error, 3 domain error (singular state, bad shapes, non-PSD input),
-4 usage error (bad flags, unknown suite, a non-finite ``--t``).
+4 usage error (bad flags, unknown suite, a non-finite ``--t``, a flag the
+command would ignore: ``modular``'s ``--t``, ``--samples`` or ``--seed``
+without ``--verify``, ``kms-verify``'s ``--dim`` with a state file).
 
 The environment variable ``MODKIT_TOL`` overrides the default residual
 tolerance; an explicit ``--tol`` beats the environment. Either must be a
@@ -22,6 +24,7 @@ infinite value prints as ``null`` (and has already failed its check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,6 +61,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
+# kms-verify evaluates its probes in stacks of at most this many, so the
+# (probes, times, d, d) intermediates stay bounded for any --samples
+KMS_BLOCK = 64
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage failures exit with the documented code 4."""
@@ -89,16 +96,18 @@ def load_matrix(source: str) -> np.ndarray:
             f"'data' must list rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    if not all(
-        isinstance(z, list) and len(z) == 2 and all(map(_is_json_number, z))
-        for z in data
+    # JSON numbers parse to exactly int or float; bool and str fall outside
+    if not (
+        all(isinstance(z, list) and len(z) == 2 for z in data)
+        and {type(x) for z in data for x in z} <= {int, float}
     ):
         raise ParseError("'data' entries must be [re, im] pairs of numbers")
     try:
-        flat = np.array([complex(re, im) for re, im in data])
+        # (re, im) float pairs viewed as complex: the same bits as complex(re, im)
+        flat = np.array(data, dtype=float).view(complex)
     except OverflowError as exc:
         raise ParseError("matrix entries must be finite") from exc
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+    if not np.all(np.isfinite(flat)):
         raise ParseError("matrix entries must be finite")
     return flat.reshape(rows, cols)
 
@@ -106,10 +115,6 @@ def load_matrix(source: str) -> np.ndarray:
 def _is_json_int(x) -> bool:
     """True for a JSON integer; bool is an int subclass and is excluded."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_json_number(x) -> bool:
-    return isinstance(x, float) or _is_json_int(x)
 
 
 def dump_matrix(m: np.ndarray) -> dict:
@@ -180,6 +185,8 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_modular(args) -> int:
+    if not args.verify and (args.t, args.samples, args.seed) != (None, None, None):
+        raise UsageError("--t, --samples and --seed only apply with --verify")
     tol = _resolve_tol(args.tol, TOL_RESIDUAL)
     if args.t and not all(map(math.isfinite, args.t)):
         raise UsageError(f"--t must be finite, got {args.t}")
@@ -204,8 +211,9 @@ def cmd_modular(args) -> int:
     ok = cross < tol and polar < tol
 
     if args.verify:
-        rng = np.random.default_rng(args.seed)
-        samples = [complex_gaussian(rng, omega.dim) for _ in range(args.samples)]
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
+        count = 8 if args.samples is None else args.samples
+        samples = [complex_gaussian(rng, omega.dim) for _ in range(count)]
         t_grid = args.t if args.t else [0.3, 1.0, 2.7]
         report = verify_tomita_takesaki(omega, samples, t_grid, tol=tol)
         out["tt_max_commutant_residual"] = report.max_commutant_residual
@@ -219,25 +227,29 @@ def cmd_modular(args) -> int:
 
 
 def cmd_kms_verify(args) -> int:
+    if args.omega is not None and args.dim is not None:
+        raise UsageError("--dim applies only without a state file")
     tol = _resolve_tol(args.tol, TOL_RESIDUAL)
     rng = np.random.default_rng(args.seed)
     if args.omega is not None:
         density = DensityMatrix(load_matrix(args.omega))
     else:
-        density = random_faithful_density(rng, args.dim)
+        density = random_faithful_density(rng, 4 if args.dim is None else args.dim)
     sys_ = gibbs_hamiltonian(density, args.beta)
 
     t_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     boundaries, invariances = [], []
-    for _ in range(args.samples):
-        a = complex_gaussian(rng, density.dim)
-        b = complex_gaussian(rng, density.dim)
+    for start in range(0, args.samples, KMS_BLOCK):
+        count = min(KMS_BLOCK, args.samples - start)
+        # drawn a_0, b_0, a_1, b_1, ... as one probe pair at a time would be
+        probes = np.array([complex_gaussian(rng, density.dim) for _ in range(2 * count)])
+        a, b = probes[0::2], probes[1::2]
         boundaries.append(kms_boundary_defect(sys_, a, b, t_grid))
         invariances.append(state_invariance_defect(sys_, a, t_grid))
     # np.max propagates NaN, which the builtin max(0.0, nan) drops; a NaN
     # or inf maximum then fails its < test below
-    boundary = float(np.max(np.hstack(boundaries)))
-    invariance = float(np.max(np.hstack(invariances)))
+    boundary = float(np.max(np.concatenate(boundaries)))
+    invariance = float(np.max(np.concatenate(invariances)))
 
     basis = centralizer_basis(density)
     commutant_dim = commutant_dimension(density.matrix)
@@ -332,10 +344,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("modular", help="relative modular data for two densities")
     p.add_argument("phi", help="density JSON file, or -")
     p.add_argument("omega", help="density JSON file (must be faithful), or -")
+    # --t, --seed and --samples feed only --verify; given without it they are
+    # usage errors, so they default to None (seed 0, 8 samples under --verify)
     p.add_argument("--t", type=float, action="append", help="flow times for --verify")
     p.add_argument("--verify", action="store_true", help="run Tomita-Takesaki checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_samples_arg, default=8)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_samples_arg, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_modular)
@@ -343,7 +357,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kms-verify", help="KMS boundary and centralizer checks")
     p.add_argument("omega", nargs="?", default=None, help="density JSON file")
     p.add_argument("--beta", type=float, default=1.0)
-    _add_common(p)
+    # --dim sizes the random state only (4 when omitted); with a file it is
+    # a usage error
+    _add_common(p, dim_default=None)
     p.set_defaults(func=cmd_kms_verify)
 
     p = sub.add_parser("cone", help="natural positive cone property campaign")
@@ -366,9 +382,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -22,6 +22,19 @@ Every time argument is a scalar or a 1-D array of times. An array is
 evaluated from one change of basis per operator and one phase matrix
 per time, and gives the results stacked along a leading axis; a scalar
 gives a complex, float or matrix, unstacked.
+
+Every operator argument is a (d, d) matrix or a stack of k of them,
+shape (k, d, d); the paired operators of :func:`kms_function` and
+:func:`kms_boundary_defect` are stacked alike. A stack puts its probe
+axis first, ahead of any time axis, and evaluates every probe with the
+same matrix products as a single operator would, so stacked results
+equal the per-probe ones bit for bit.
+
+The centralizer {B : [B, D] = 0} is counted by two independent routes,
+each with its own cutoff: :func:`centralizer_basis` groups eigenvalues of
+D (``GAP_RTOL``), and :func:`commutant_dimension` counts the null
+eigenvalues of the dense commutator map, formed without an eigenbasis of
+D (``COMMUTANT_NULL_RTOL``).
 """
 
 from __future__ import annotations
@@ -32,12 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix
+from .linalg import adjoint
 from .states import DensityMatrix, is_faithful
 
 GAP_RTOL = 1e-9
-# singular values of the commutator map at or below this (times max(1, top))
-# count toward the commutant dimension
+# eigenvalues of the commutator map at or below this in modulus (times
+# max(1, largest modulus)) count toward the commutant dimension
 COMMUTANT_NULL_RTOL = 1e-8
 
 
@@ -78,18 +91,19 @@ def heisenberg_evolve(
 ) -> np.ndarray:
     """exp(iHt) A exp(-iHt) in physical time.
 
-    ``t`` is a scalar or a 1-D array of times; an array gives the evolved
-    matrices stacked along a leading axis, from one change of basis of A.
+    ``a`` is a (d, d) matrix or a (k, d, d) stack; ``t`` is a scalar or a
+    1-D array of times. An array gives the evolved matrices stacked along
+    a time axis after the probe axis, from one change of basis of A.
     Energy is conserved ([A, H] = 0 implies a fixed point) and the Gibbs
     state is invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
-    a = as_matrix(a)
-    if a.shape != (sys.dim, sys.dim):
-        raise ShapeMismatch(f"operator shape {a.shape} != ({sys.dim}, {sys.dim})")
+    a = _operands(sys, a)
     v = sys.density.spectrum.eigenvectors
     t = np.asarray(t, dtype=float)
     phases = np.exp(np.multiply.outer(1j * t, sys.energies()))
     a_eig = adjoint(v) @ a @ v
+    if t.ndim:
+        a_eig = a_eig[..., None, :, :]
     outer = phases[..., :, None] * np.conj(phases)[..., None, :]
     return v @ (outer * a_eig) @ adjoint(v)
 
@@ -103,8 +117,10 @@ def kms_function(
 
         F(z) = sum_jk lambda_j A_jk B_kj exp(i z (E_k - E_j)).
 
-    ``z`` is a complex scalar, giving a complex, or a 1-D array, giving
-    an array; the weights lambda_j A_jk B_kj are formed once for all z.
+    ``z`` is a complex scalar or a 1-D array; ``a`` and ``b`` are (d, d)
+    matrices, giving a complex or an array over z, or (k, d, d) stacks,
+    giving an array over the probes (then z). The weights
+    lambda_j A_jk B_kj are formed once for all z.
     Raises :class:`OutsideStrip` unless 0 <= Im z <= beta for every z.
     """
     z = np.asarray(z, dtype=complex)
@@ -114,21 +130,22 @@ def kms_function(
             f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
             f"with beta = {sys.beta:g}"
         )
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != (sys.dim, sys.dim) or b.shape != (sys.dim, sys.dim):
-        raise ShapeMismatch(
-            f"operators {a.shape}, {b.shape} != ({sys.dim}, {sys.dim})"
-        )
+    a = _operands(sys, a)
+    b = _operands(sys, b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
     v = sys.density.spectrum.eigenvectors
     lam = sys.density.spectrum.eigenvalues
     energy = sys.energies()
     a_eig = adjoint(v) @ a @ v
     b_eig = adjoint(v) @ b @ v
-    weights = lam[:, None] * a_eig * b_eig.T
+    weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
+    if z.ndim:
+        weights = weights[..., None, :, :]
     phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
-    values = (weights * phase).reshape(*z.shape, -1).sum(axis=-1)
-    return complex(values) if z.ndim == 0 else values
+    terms = weights * phase
+    values = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
 def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
@@ -175,16 +192,29 @@ def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
 def commutant_dimension(d: np.ndarray) -> int:
     """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
 
-    The brute-force route to the size of :func:`centralizer_basis`. Cutoff
-    is absolute at density-matrix scale, so a numerically zero map (flat
-    spectrum) counts as fully null.
+    The brute-force route to the size of :func:`centralizer_basis`. The
+    map is Hermitian for Hermitian D, so its singular values are the
+    moduli of its eigenvalues. Cutoff is absolute at density-matrix
+    scale, so a numerically zero map (flat spectrum) counts as fully null.
+    """
+    size = np.abs(np.linalg.eigvalsh(_commutator_map(d)))
+    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))
+    return int(np.count_nonzero(size <= cutoff))
+
+
+def _commutator_map(d: np.ndarray) -> np.ndarray:
+    """K = 1 (x) D^T - D (x) 1, the row-major matrix of B -> BD - DB.
+
+    Entry ((i, j), (k, l)) is delta_ik D[l, j] - D[i, k] delta_jl: D^T and
+    -D are assigned to a zeroed (d, d, d, d) array, the same entries as
+    the two Kronecker products without their d^4 multiplications.
     """
     n = d.shape[0]
-    eye = np.eye(n)
-    k = np.kron(eye, d.T) - np.kron(d, eye)
-    sigma = np.linalg.svd(k, compute_uv=False)
-    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma[0]))
-    return int(np.count_nonzero(sigma <= cutoff))
+    k = np.zeros((n, n, n, n), dtype=complex)
+    diag = np.arange(n)
+    k[diag, :, diag, :] = d.T
+    k[:, diag, :, diag] -= d
+    return k.reshape(n * n, n * n)
 
 
 def state_invariance_defect(
@@ -192,11 +222,17 @@ def state_invariance_defect(
 ) -> float | np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
-    A scalar ``t`` gives a float, a 1-D array of times an array.
+    A (d, d) ``a`` and a scalar ``t`` give a float; a (k, d, d) stack or
+    a 1-D array of times give an array over the probes, then the times.
     """
     d = sys.density.matrix
+    a = _operands(sys, a)
+    t = np.asarray(t, dtype=float)
     evolved = heisenberg_evolve(sys, a, t)
-    defect = np.abs(_trace(d @ evolved) - np.trace(d @ as_matrix(a)))
+    initial = _trace(d @ a)
+    if t.ndim:
+        initial = initial[..., None]
+    defect = np.abs(_trace(d @ evolved) - initial)
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -207,13 +243,28 @@ def kms_boundary_defect(
 
     The left side is the eigenbasis sum of :func:`kms_function`; the right
     side forms sigma_t(B) as a matrix and takes the trace in the standard
-    basis. A scalar ``t`` gives a float, a 1-D array of times an array.
+    basis. (d, d) operators and a scalar ``t`` give a float; (k, d, d)
+    stacks or a 1-D array of times give an array over the probes, then
+    the times.
     """
+    a = _operands(sys, a)
     t = np.asarray(t, dtype=float)
     lhs = kms_function(sys, a, b, t + 1j * sys.beta)
-    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ as_matrix(a))
+    right = a[..., None, :, :] if t.ndim else a
+    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ right)
     defect = np.abs(lhs - rhs)
     return float(defect) if defect.ndim == 0 else defect
+
+
+def _operands(sys: GibbsSystem, a) -> np.ndarray:
+    """``a`` as a complex (d, d) matrix or (k, d, d) stack, else ShapeMismatch."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (sys.dim, sys.dim):
+        raise ShapeMismatch(
+            f"operator shape {a.shape} is neither ({sys.dim}, {sys.dim}) "
+            f"nor (k, {sys.dim}, {sys.dim})"
+        )
+    return a
 
 
 def _trace(m: np.ndarray) -> complex | np.ndarray:

@@ -70,6 +70,19 @@ def test_load_matrix_parse_errors(tmp_path, payload):
         load_matrix(str(p))
 
 
+def test_load_matrix_keeps_every_bit(tmp_path):
+    # the [re, im] pairs become complex entries bit for bit, signed zeros and
+    # integers included, as complex(re, im) makes them
+    pairs = [[-0.0, 0.0], [1, -0.0], [0.1, -2.5e-300], [-3, 7], [1e308, -1e-320], [0.0, -0.0]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 3, "data": pairs}))
+    got = load_matrix(str(path))
+    want = np.array([complex(re, im) for re, im in pairs]).reshape(2, 3)
+    assert got.dtype == complex and got.shape == (2, 3)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_schmidt_command_maximally_entangled(tmp_path):
     path = write_matrix(tmp_path / "bell.json", np.eye(2) / np.sqrt(2))
     r = run_cli("schmidt", path, "--json")
@@ -140,6 +153,64 @@ def test_modular_verify_needs_a_sample(samples, tmp_path, capsys):
         main(["modular", phi, omega, "--verify", "--samples", samples, "--json"])
     assert exc.value.code == 4
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags", [["--t", "0.3"], ["--samples", "3"], ["--seed", "1"], ["--seed", "0"]]
+)
+def test_modular_verify_flags_without_verify_are_usage_errors(flags, tmp_path, capsys):
+    # --t, --samples and --seed feed only the Tomita-Takesaki check
+    phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
+    assert main(["modular", phi, omega, *flags, "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "only apply with --verify" in captured.err
+    assert main(["modular", phi, omega, *flags, "--verify", "--json"]) == 0
+
+
+def test_kms_verify_dim_with_a_state_file_is_usage_error(tmp_path, capsys):
+    path = write_matrix(tmp_path / "omega.json", np.diag([0.75, 0.25]))
+    assert main(["kms-verify", path, "--dim", "16", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim applies only without a state file" in captured.err
+    assert main(["kms-verify", "--samples", "2", "--json"]) == 0
+    assert _strict_json(capsys.readouterr().out)["dimension"] == 4
+
+
+def test_main_reuses_one_parser_without_carrying_flags_over(tmp_path, capsys, monkeypatch):
+    import modkit.cli as cli
+
+    rng = np.random.default_rng(11)
+    paths = []
+    for name in ("phi", "omega"):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        w = g @ np.conj(g).T + 0.1 * np.eye(3)
+        paths.append(write_matrix(tmp_path / f"{name}.json", w / np.trace(w).real))
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(None)
+        return real_build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    first = ["modular", *paths, "--verify", "--t", "0.01", "--json"]
+    second = ["modular", *paths, "--verify", "--json"]
+    assert main(first) == 0
+    with_t = capsys.readouterr().out
+    assert main(second) == 0
+    reused = capsys.readouterr().out
+    assert len(builds) == 1
+
+    args = real_build().parse_args(second)
+    assert args.t is None
+    assert args.func(args) == 0
+    assert reused == capsys.readouterr().out
+    assert reused != with_t  # the flow residual at t = 0.01 alone differs
+    cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -353,12 +424,15 @@ def test_kms_verify_fails_closed_on_non_finite_defect(
 
     def poisoned(*args):
         calls.append(None)
+        defects = real(*args)
         # one bad value among finite ones: max(0.0, nan) would drop it
-        return bad if len(calls) == 2 else real(*args)
+        defects[1, 2] = bad
+        return defects
 
     monkeypatch.setattr(cli, target, poisoned)
     code = main(["kms-verify", "--dim", "3", "--samples", "2", "--json"])
     out = _strict_json(capsys.readouterr().out)
+    assert len(calls) == 1  # both probes in one stacked call
     assert code == 1
     assert out["passed"] is False
     assert out[field] is None  # strict JSON: NaN and inf print as null

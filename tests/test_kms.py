@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modkit.errors import BadBeta, OutsideStrip, SingularState
+from modkit.errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
 from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
+    _commutator_map,
     centralizer_basis,
     commutant_dimension,
     gibbs_hamiltonian,
@@ -158,6 +159,55 @@ def test_time_arrays_match_scalar_times(d, beta):
         assert abs(values[k] - value) <= 1e-15
 
 
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_stacked_probes_match_the_per_probe_loop(d):
+    # kms-verify evaluates its probes as (k, d, d) stacks; every defect must
+    # equal, bit for bit, the one-probe-at-a-time loop it replaced
+    rng = np.random.default_rng(70 + d)
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), 1.3)
+    t_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    probes = np.array([complex_gaussian(rng, d) for _ in range(2 * 7)])
+    a, b = probes[0::2], probes[1::2]  # a_0, b_0, a_1, ... as the CLI draws
+
+    boundary = kms_boundary_defect(sys, a, b, t_grid)
+    invariance = state_invariance_defect(sys, a, t_grid)
+    assert boundary.shape == invariance.shape == (7, 5)
+    assert np.array_equal(
+        boundary, [kms_boundary_defect(sys, x, y, t_grid) for x, y in zip(a, b)]
+    )
+    assert np.array_equal(
+        invariance, [state_invariance_defect(sys, x, t_grid) for x in a]
+    )
+
+    boundary = kms_boundary_defect(sys, a, b, 0.7)
+    invariance = state_invariance_defect(sys, a, 0.7)
+    assert boundary.shape == invariance.shape == (7,)
+    assert np.array_equal(
+        boundary, [kms_boundary_defect(sys, x, y, 0.7) for x, y in zip(a, b)]
+    )
+    assert np.array_equal(invariance, [state_invariance_defect(sys, x, 0.7) for x in a])
+
+    z = t_grid + 0.5j * sys.beta
+    assert np.array_equal(
+        kms_function(sys, a, b, z), [kms_function(sys, x, y, z) for x, y in zip(a, b)]
+    )
+    evolved = heisenberg_evolve(sys, a, t_grid)
+    assert evolved.shape == (7, 5, d, d)
+    assert np.array_equal(evolved, [heisenberg_evolve(sys, x, t_grid) for x in a])
+
+
+def test_stacked_operands_are_validated(rng):
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
+    a = np.stack([complex_gaussian(rng, 3) for _ in range(4)])
+    for bad in (a[0, 0], a[:, :2], a[None]):
+        with pytest.raises(ShapeMismatch):
+            heisenberg_evolve(sys, bad, 0.5)
+    with pytest.raises(ShapeMismatch):
+        kms_boundary_defect(sys, a, a[:3], 0.5)
+    with pytest.raises(ShapeMismatch):
+        kms_function(sys, a, a[0], 0.5)
+
+
 def test_kms_function_strip_contract_for_time_arrays(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
     a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
@@ -240,7 +290,7 @@ def test_centralizer_matches_nullspace_oracle(rng):
 
 @pytest.mark.parametrize("d", [2, 16])
 def test_kms_verify_commutant_route_matches_blocks(rng, d):
-    # the route kms-verify compares: the SVD nullity of the commutator map
+    # the route kms-verify compares: the eigvalsh nullity of the commutator map
     # against the centralizer basis, both equal to the sum of m^2 over blocks
     cases = [random_degenerate_density(rng, d) for _ in range(10)]
     if d == 16:
@@ -251,6 +301,15 @@ def test_kms_verify_commutant_route_matches_blocks(rng, d):
         assert len(centralizer_basis(density)) == expected
 
 
+def _gapped_density(mults, gap):
+    """Rotated density with eigenvalue blocks of sizes ``mults``, ``gap`` apart."""
+    d = sum(mults)
+    steps = np.repeat(np.arange(len(mults)), mults)
+    vals = (1.0 - gap * steps.sum()) / d + gap * steps  # trace one, exact gaps
+    u = random_unitary(np.random.default_rng(d), d)
+    return DensityMatrix((u * vals) @ np.conj(u).T)
+
+
 @pytest.mark.parametrize(
     "mults,gap",
     [(m, g) for m in ((1, 1), (3, 1, 5, 7)) for g in (1e-6, 1e-4, 1e-2)]
@@ -258,17 +317,32 @@ def test_kms_verify_commutant_route_matches_blocks(rng, d):
 )
 def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
     # kms-verify passes only if the eigenblock count of centralizer_basis and
-    # the SVD nullity of B -> BD - DB agree. They do for eigenvalue gaps of
+    # the nullity of B -> BD - DB agree. They do for eigenvalue gaps of
     # 1e-6 or more and for exact degeneracy (one level), at d = 2 and d = 16;
     # gaps between ~1e-13 and 1e-8 fall between the two cutoffs
-    d = sum(mults)
-    steps = np.repeat(np.arange(len(mults)), mults)
-    vals = (1.0 - gap * steps.sum()) / d + gap * steps  # trace one, exact gaps
-    u = random_unitary(np.random.default_rng(d), d)
-    density = DensityMatrix((u * vals) @ np.conj(u).T)
+    density = _gapped_density(mults, gap)
     expected = sum(m * m for m in mults)
     assert len(centralizer_basis(density)) == expected
     assert commutant_dimension(density.matrix) == expected
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_commutant_dimension_matches_the_svd_oracle(rng, d):
+    # commutant_dimension counts |eigvalsh| of the Hermitian map at the
+    # cutoff the SVD oracle applies to its singular values
+    mults = (1, 1) if d == 2 else (3, 1, 5, 7)
+    cases = [random_degenerate_density(rng, d)[0] for _ in range(10)]
+    cases.append(DensityMatrix(np.eye(d) / d))
+    cases += [_gapped_density(mults, gap) for gap in (1e-6, 1e-4, 1e-2)]
+    for density in cases:
+        assert commutant_dimension(density.matrix) == commutant_nullity(density.matrix)
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_commutator_map_matches_the_kronecker_form(rng, d):
+    m = random_faithful_density(rng, d).matrix
+    eye = np.eye(d)
+    assert np.array_equal(_commutator_map(m), np.kron(eye, m.T) - np.kron(m, eye))
 
 
 def test_centralizer_elements_kill_commutators(rng):
