@@ -30,26 +30,14 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import campaigns
-from .campaigns import TOL_RESIDUAL, TOL_STRICT
+from .campaigns import TOL_RESIDUAL
 from .errors import ModkitError, ParseError, UsageError
-from .kms import (
-    centralizer_basis,
-    commutant_dimension,
-    gibbs_hamiltonian,
-    kms_boundary_defect,
-    state_invariance_defect,
-)
-from .modular import (
-    modular_conjugation,
-    relative_modular_operator,
-    relative_modular_power,
-    relative_s_matrix,
-    verify_tomita_takesaki,
-)
+from .kms import centralizer_basis, centralizer_window, commutant_dimension, gibbs_hamiltonian
 from .sampling import complex_gaussian, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import DensityMatrix
@@ -77,7 +65,11 @@ class _Parser(argparse.ArgumentParser):
 def load_matrix(source: str) -> np.ndarray:
     """Read a {rows, cols, data} JSON payload from a path or stdin ('-')."""
     try:
-        text = sys.stdin.read() if source == "-" else open(source).read()
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as f:
+                text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     try:
@@ -192,38 +184,31 @@ def cmd_modular(args) -> int:
         raise UsageError(f"--t must be finite, got {args.t}")
     phi = DensityMatrix(load_matrix(args.phi))
     omega = DensityMatrix(load_matrix(args.omega))
-    delta = relative_modular_operator(phi, omega)
-    spectrum = np.linalg.eigvalsh(delta.matrix)
-
-    s_op = relative_s_matrix(phi, omega)
-    cross = s_op.adjoint().compose(s_op).distance(delta)
-    polar = modular_conjugation(omega.dim).compose(
-        relative_modular_power(phi, omega, 0.5)
-    ).distance(s_op)
-
-    out = {
-        "dimension": omega.dim,
-        "delta_spectrum": [round(float(v), 12) for v in spectrum],
-        "cross_route_residual": float(cross),
-        "polar_residual": float(polar),
-        "tolerance": tol,
-    }
-    ok = cross < tol and polar < tol
-
+    probes, times = [], []
     if args.verify:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         count = 8 if args.samples is None else args.samples
-        samples = [complex_gaussian(rng, omega.dim) for _ in range(count)]
-        t_grid = args.t if args.t else [0.3, 1.0, 2.7]
-        report = verify_tomita_takesaki(omega, samples, t_grid, tol=tol)
-        out["tt_max_commutant_residual"] = report.max_commutant_residual
-        out["tt_max_flow_residual"] = report.max_flow_residual
-        out["tt_passed"] = report.passed
-        ok = ok and report.passed
-
-    out["passed"] = bool(ok)
+        probes = [complex_gaussian(rng, omega.dim) for _ in range(count)]
+        times = args.t if args.t else [0.3, 1.0, 2.7]
+    pair = campaigns.modular_instance(phi, omega, probes, times)
+    spectrum = np.linalg.eigvalsh(pair.delta.matrix)
+    checks = campaigns.evaluate(campaigns.MODULAR_CROSS_ROUTE, pair, tol)
+    out = {
+        "dimension": omega.dim,
+        "delta_spectrum": [round(float(v), 12) for v in spectrum],
+        "cross_route_residual": float(checks[0].value),
+        "polar_residual": float(checks[1].value),
+        "tolerance": tol,
+    }
+    if args.verify:
+        tt = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, pair, tol)
+        out["tt_max_commutant_residual"] = tt[0].value
+        out["tt_max_flow_residual"] = tt[1].value
+        out["tt_passed"] = all(c.passed for c in tt)
+        checks += tt
+    out["passed"] = all(c.passed for c in checks)
     _emit(out, args.json)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if out["passed"] else EXIT_FAIL
 
 
 def cmd_kms_verify(args) -> int:
@@ -237,37 +222,39 @@ def cmd_kms_verify(args) -> int:
         density = random_faithful_density(rng, 4 if args.dim is None else args.dim)
     sys_ = gibbs_hamiltonian(density, args.beta)
 
-    t_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    t_grid = np.array(campaigns.KMS_TIMES)
     boundaries, invariances = [], []
     for start in range(0, args.samples, KMS_BLOCK):
         count = min(KMS_BLOCK, args.samples - start)
         # drawn a_0, b_0, a_1, b_1, ... as one probe pair at a time would be
         probes = np.array([complex_gaussian(rng, density.dim) for _ in range(2 * count)])
-        a, b = probes[0::2], probes[1::2]
-        boundaries.append(kms_boundary_defect(sys_, a, b, t_grid))
-        invariances.append(state_invariance_defect(sys_, a, t_grid))
-    # np.max propagates NaN, which the builtin max(0.0, nan) drops; a NaN
-    # or inf maximum then fails its < test below
-    boundary = float(np.max(np.concatenate(boundaries)))
-    invariance = float(np.max(np.concatenate(invariances)))
+        block = SimpleNamespace(sys=sys_, a=probes[0::2], b=probes[1::2], t=t_grid)
+        boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
+        # the invariance bound is fixed: --tol does not loosen it
+        invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block)
 
     basis = centralizer_basis(density)
     commutant_dim = commutant_dimension(density.matrix)
-    # the invariance bound is fixed: --tol does not loosen it
-    ok = boundary < tol and invariance < TOL_STRICT and len(basis) == commutant_dim
+    if len(basis) != commutant_dim:
+        gap, threshold, cutoff = centralizer_window(density)
+        print(f"modkit: centralizer dimension {len(basis)} != commutant dimension "
+              f"{commutant_dim}: smallest eigenvalue gap of D {gap:.3g}, grouping "
+              f"threshold {threshold:.3g}, null cutoff {cutoff:.3g}", file=sys.stderr)
+    _, centralizer_ok = campaigns.judge("boolean", len(basis) == commutant_dim, tol)
     out = {
         "dimension": density.dim,
         "beta": args.beta,
         "samples": args.samples,
-        "max_boundary_defect": float(boundary),
-        "max_invariance_defect": float(invariance),
+        # np.max propagates NaN, which the builtin max(0.0, nan) drops
+        "max_boundary_defect": float(np.max([c.value for c in boundaries])),
+        "max_invariance_defect": float(np.max([c.value for c in invariances])),
         "centralizer_dimension": len(basis),
         "commutant_dimension": commutant_dim,
         "tolerance": tol,
-        "passed": bool(ok),
+        "passed": centralizer_ok and all(c.passed for c in boundaries + invariances),
     }
     _emit(out, args.json)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if out["passed"] else EXIT_FAIL
 
 
 def cmd_campaign(args) -> int:
@@ -315,16 +302,10 @@ def _add_common(p, dim_default=4, samples_default=50):
         "--dim", type=_dim_arg, default=dim_default, help="matrix dimension (2..16)"
     )
     p.add_argument(
-        "--samples",
-        type=_samples_arg,
-        default=samples_default,
-        help="instances to draw",
+        "--samples", type=_samples_arg, default=samples_default, help="instances to draw"
     )
     p.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="residual tolerance override (beats MODKIT_TOL)",
+        "--tol", type=float, default=None, help="residual tolerance override (beats MODKIT_TOL)"
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -371,11 +352,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_campaign, suite="inequalities")
 
     p = sub.add_parser("campaign", help="named verification campaign")
-    p.add_argument(
-        "--suite",
-        default="all",
-        help=f"one of {', '.join(campaigns.SUITE_NAMES)}",
-    )
+    p.add_argument("--suite", default="all", help=f"one of {', '.join(campaigns.SUITE_NAMES)}")
     _add_common(p, samples_default=100)
     p.set_defaults(func=cmd_campaign)
 

@@ -31,10 +31,8 @@ same matrix products as a single operator would, so stacked results
 equal the per-probe ones bit for bit.
 
 The centralizer {B : [B, D] = 0} is counted by two independent routes,
-each with its own cutoff: :func:`centralizer_basis` groups eigenvalues of
-D (``GAP_RTOL``), and :func:`commutant_dimension` counts the null
-eigenvalues of the dense commutator map, formed without an eigenbasis of
-D (``COMMUTANT_NULL_RTOL``).
+:func:`centralizer_basis` and :func:`commutant_dimension`, each with its
+own cutoff (see :func:`centralizer_window`).
 """
 
 from __future__ import annotations
@@ -156,24 +154,12 @@ def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
     within each block, so its size is the sum of the squared multiplicities.
     A flat spectrum yields the full matrix algebra: the threshold never
     drops below the eigensolver noise floor, so rounding scatter in a
-    degenerate spectrum cannot split a block.
-
-    :func:`commutant_dimension` counts the same centralizer by a second,
-    independent route, with its own cutoff. A gap g between adjacent
-    eigenvalues joins them here when g <= max(1e-9 * diameter,
-    1e-13 * max(1, lambda_max)); there, the commutator map's singular
-    values are the differences lambda_i - lambda_j, and g counts as null
-    when g <= 1e-8 * max(1, diameter). For a density (diameter < 1) the
-    routes agree outside roughly 1e-13 < g <= 1e-8 and may count
-    differently inside that window.
+    degenerate spectrum cannot split a block. See :func:`centralizer_window`
+    for where this count and :func:`commutant_dimension` can differ.
     """
-    spec = density.spectrum
-    vals = spec.eigenvalues
-    v = spec.eigenvectors
-    diameter = float(vals[-1] - vals[0])
-    noise_floor = 1e-13 * max(1.0, abs(float(vals[-1])))
-    threshold = max(GAP_RTOL * diameter, noise_floor)
-
+    vals = density.spectrum.eigenvalues
+    v = density.spectrum.eigenvectors
+    threshold = centralizer_window(density)[1]
     blocks: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[blocks[-1][-1]] <= threshold:
@@ -187,6 +173,24 @@ def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
             for j in block:
                 basis.append(np.outer(v[:, i], np.conj(v[:, j])))
     return basis
+
+
+def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
+    """(smallest adjacent eigenvalue gap g of D, the grouping threshold of
+    :func:`centralizer_basis`, the null cutoff of :func:`commutant_dimension`).
+
+    Here adjacent eigenvalues join when g <= max(1e-9 * diameter,
+    1e-13 * max(1, lambda_max)); there, the commutator map's eigenvalues
+    are the differences lambda_i - lambda_j, and g is null when g <= 1e-8 *
+    max(1, diameter). For a density the two counts agree unless some g
+    lies in the window between threshold and cutoff, roughly (1e-13, 1e-8].
+    """
+    vals = density.spectrum.eigenvalues
+    diameter = float(vals[-1] - vals[0])
+    noise_floor = 1e-13 * max(1.0, abs(float(vals[-1])))
+    gap = float(np.min(np.diff(vals))) if len(vals) > 1 else math.inf
+    threshold = max(GAP_RTOL * diameter, noise_floor)
+    return gap, threshold, COMMUTANT_NULL_RTOL * max(1.0, diameter)
 
 
 def commutant_dimension(d: np.ndarray) -> int:

@@ -143,7 +143,7 @@ def test_criterion_05_tomita_takesaki():
             for i in range(d)
             for j in range(d)
         ]
-        report = verify_tomita_takesaki(omega, units, [0.3, 1.0, 2.7], tol=1e-10)
+        report = verify_tomita_takesaki(omega, units, [0.3, 1.0, 2.7])
         worst_comm = max(worst_comm, report.max_commutant_residual)
         worst_flow = max(worst_flow, report.max_flow_residual)
     ok = worst_comm < 1e-10 and worst_flow < 1e-10

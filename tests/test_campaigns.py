@@ -1,9 +1,22 @@
+import dataclasses
+import json
 import math
+import runpy
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modkit.campaigns import CampaignResult, run_suite
+from modkit.campaigns import SUITES, CampaignResult, judge, run_suite
+from modkit.cli import main
 from modkit.errors import UnknownSuite
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.parametrize("suite", ["vec", "modular", "kms", "cone", "inequalities"])
@@ -53,38 +66,82 @@ def test_result_dict_field_order():
     ]
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_tally_fails_closed_on_non_finite(bad):
-    from modkit.campaigns import _Tally
+BAD = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_judge_fails_closed_on_non_finite(bad):
     from modkit.inequalities import InequalityReport
 
-    feeds = {
-        "residual": lambda t: t.residual(bad, 1e-10),
-        "bound_below": lambda t: t.bound_below(bad, 1e-12),
-        "report": lambda t: t.report(InequalityReport("x", bad, 0.0, bad, True)),
-        "boolean": lambda t: t.boolean(bad),
+    values = {
+        "residual": bad,
+        "bound_below": bad,
+        "report": InequalityReport("x", bad, 0.0, bad, True),
+        "boolean": bad,
     }
-    for name, feed in feeds.items():
-        tally = _Tally()
-        tally.residual(0.0, 1e-10)  # a finite pass ahead of the bad value
-        feed(tally)
-        result = tally.result("x", 0, 2, 1)
-        assert (result.checks, result.failures) == (2, 1), name
+    for kind, value in values.items():
+        margin, passed = judge(kind, value, 1e-10)
+        assert not passed and math.isnan(margin), kind
+    assert judge("residual", 0.0, 1e-10) == (1e-10, True)
 
 
-# checks per suite for n samples (kms adds a centralizer check every 5th)
-SUITE_CHECKS = {
-    "vec": lambda n: 7 * n,
-    "modular": lambda n: 9 * n,
-    "kms": lambda n: 4 * n + math.ceil(n / 5),
-    "cone": lambda n: 7 * n,
-    "inequalities": lambda n: 16 * n,
-}
+def _positions():
+    for suite, (_, families) in SUITES.items():
+        for i, family in enumerate(families):
+            for j, name in enumerate(family.names):
+                yield pytest.param(suite, i, j, id=name)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("suite, index, position", _positions())
+def test_every_check_fails_closed(suite, index, position, bad, monkeypatch, capsys):
+    """A NaN or inf in any one check value fails the run and nulls its worst slack."""
+    draw, families = SUITES[suite]
+    family = families[index]
+
+    def poisoned(instance, tol):
+        values = list(family.fn(instance, tol))
+        value = values[position]
+        values[position] = (
+            dataclasses.replace(value, slack=bad, passed=True)
+            if family.kind == "report"
+            else bad
+        )
+        return tuple(values)
+
+    tables = list(families)
+    tables[index] = dataclasses.replace(family, fn=poisoned)
+    monkeypatch.setitem(SUITES, suite, (draw, tuple(tables)))
+    code = main(["campaign", "--suite", suite, "--dim", "2", "--samples", "1", "--json"])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["failures"] >= 1
+    assert out["worst_slack"] is None
+
+
+def _bench_suite_checks():
+    """``SUITE_CHECKS`` of the benchmark workload, loaded without running it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
+    return runpy.run_path(str(path))["SUITE_CHECKS"]
 
 
 @pytest.mark.parametrize("n", [1, 5, 6])
 def test_check_counts_per_suite(n):
-    results = run_suite("all", seed=3, dimension=2, samples=n)
-    assert {r.suite: r.checks for r in results} == {
-        suite: count(n) for suite, count in SUITE_CHECKS.items()
-    }
+    """Counts from the tables match both the run and the benchmark's."""
+    expected = _bench_suite_checks()
+    results = {r.suite: r.checks for r in run_suite("all", seed=3, dimension=2, samples=n)}
+    for suite, (draw, families) in SUITES.items():
+        rng = np.random.default_rng(3)
+        instances = [draw(rng, 2, k) for k in range(n)]
+        from_table = sum(
+            len(f.names)
+            for inst in instances
+            for f in families
+            if f.applies is None or f.applies(inst)
+        )
+        assert from_table == results[suite] == expected[suite](n), suite
+
+
+def test_check_names_are_unique():
+    names = [n for _, families in SUITES.values() for f in families for n in f.names]
+    assert len(names) == len(set(names)) == 44

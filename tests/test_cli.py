@@ -417,10 +417,10 @@ def _strict_json(text):
 def test_kms_verify_fails_closed_on_non_finite_defect(
     target, field, bad, monkeypatch, capsys
 ):
-    import modkit.cli as cli
+    import modkit.kms as kms
 
     calls = []
-    real = getattr(cli, target)
+    real = getattr(kms, target)
 
     def poisoned(*args):
         calls.append(None)
@@ -429,7 +429,7 @@ def test_kms_verify_fails_closed_on_non_finite_defect(
         defects[1, 2] = bad
         return defects
 
-    monkeypatch.setattr(cli, target, poisoned)
+    monkeypatch.setattr(kms, target, poisoned)
     code = main(["kms-verify", "--dim", "3", "--samples", "2", "--json"])
     out = _strict_json(capsys.readouterr().out)
     assert len(calls) == 1  # both probes in one stacked call
@@ -476,15 +476,16 @@ def test_modular_fails_closed_on_non_finite_residual(
 
 
 def test_campaign_json_is_strict_with_nan_margins(monkeypatch, capsys):
+    import dataclasses
+
     from modkit import campaigns
 
-    def nan_suite(seed, dimension, samples, tol=None):
-        tally = campaigns._Tally()
-        tally.residual(0.0, 1e-10)
-        tally.residual(float("nan"), 1e-10)
-        return tally.result("vec", seed, dimension, samples)
-
-    monkeypatch.setitem(campaigns._SUITES, "vec", nan_suite)
+    # the first vec check passes; the second yields NaN
+    draw, (first, *rest) = campaigns.SUITES["vec"]
+    nan_family = dataclasses.replace(
+        first, names=first.names[:2], fn=lambda inst, tol: (0.0, float("nan"))
+    )
+    monkeypatch.setitem(campaigns.SUITES, "vec", (draw, (nan_family,)))
     for suite in ("vec", "all"):
         code = main(
             ["campaign", "--suite", suite, "--dim", "2", "--samples", "1", "--json"]
@@ -508,13 +509,15 @@ def test_boolean_checks_report_the_tolerance_in_use(monkeypatch, capsys):
     from modkit import campaigns
 
     margins = []
-    real = campaigns._Tally.boolean
+    real = campaigns.judge
 
-    def spy(self, ok, *args, **kwargs):
-        real(self, ok, *args, **kwargs)
-        margins.append(self.margins[-1])
+    def spy(kind, value, tol):
+        margin, passed = real(kind, value, tol)
+        if kind == "boolean":
+            margins.append(margin)
+        return margin, passed
 
-    monkeypatch.setattr(campaigns._Tally, "boolean", spy)
+    monkeypatch.setattr(campaigns, "judge", spy)
     code = main(
         [
             "campaign", "--suite", "all", "--dim", "3", "--samples", "5",
@@ -525,6 +528,26 @@ def test_boolean_checks_report_the_tolerance_in_use(monkeypatch, capsys):
     assert _strict_json(capsys.readouterr().out)["failures"] == 0
     # vec: 1 per sample, kms: 1 per 5 samples, cone: 2 per sample
     assert margins == [1e-6] * (5 + 1 + 10)
+
+
+def test_kms_verify_names_the_centralizer_window(tmp_path, capsys):
+    # a gap of 1e-10: resolved by centralizer_basis (2), null for the
+    # commutator map (4); the verdict stays a failure, with its reason
+    path = write_matrix(tmp_path / "omega.json", np.diag([0.5 + 5e-11, 0.5 - 5e-11]))
+    assert main(["kms-verify", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    out = _strict_json(captured.out)
+    assert (out["centralizer_dimension"], out["commutant_dimension"]) == (2, 4)
+    assert out["passed"] is False
+    (line,) = captured.err.splitlines()
+    assert "centralizer dimension 2 != commutant dimension 4" in line
+    assert "smallest eigenvalue gap of D 1e-10" in line
+    assert "grouping threshold 1e-13" in line
+    assert "null cutoff 1e-08" in line
+    # outside the window the counts agree and stderr stays empty
+    path = write_matrix(tmp_path / "wide.json", np.diag([0.6, 0.4]))
+    assert main(["kms-verify", path, "--json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])

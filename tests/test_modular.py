@@ -242,8 +242,7 @@ def test_cocycle_intertwines_flows(rng):
 def test_verify_tt_matrix_units_d2(rng):
     omega = random_faithful_density(rng, 2)
     units = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
-    report = verify_tomita_takesaki(omega, units, [0.3, 1.0], tol=1e-12)
-    assert report.passed
+    report = verify_tomita_takesaki(omega, units, [0.3, 1.0])
     assert report.max_commutant_residual < 1e-12
     assert report.max_flow_residual < 1e-12
 
@@ -253,8 +252,8 @@ def test_verify_tt_tracial_exact(rng):
     report = verify_tomita_takesaki(
         omega, [complex_gaussian(rng, 3) for _ in range(3)], [0.5]
     )
-    assert report.passed
     assert report.max_commutant_residual < 1e-14
+    assert report.max_flow_residual < 1e-10
 
 
 def test_verify_tt_random_faithful_d4(rng):
@@ -262,7 +261,7 @@ def test_verify_tt_random_faithful_d4(rng):
     report = verify_tomita_takesaki(
         omega, [complex_gaussian(rng, 4) for _ in range(4)], [0.3, 1.0, 2.7]
     )
-    assert report.passed
+    assert max(report.max_commutant_residual, report.max_flow_residual) < 1e-10
 
 
 def test_dimension_mismatch(rng):

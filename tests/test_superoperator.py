@@ -236,7 +236,7 @@ def test_tomita_takesaki_residuals_match_dense_formula(d):
     comm, flow = dense_tomita_takesaki(omega, mats, t_grid)
     assert np.max(np.abs(rep.commutant_residuals - comm)) <= 1e-13
     assert np.max(np.abs(rep.flow_residuals - flow)) <= 1e-13
-    assert rep.passed
+    assert max(rep.max_commutant_residual, rep.max_flow_residual) < 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 16])
