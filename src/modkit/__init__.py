@@ -46,7 +46,7 @@ from .inequalities import (
 )
 from .kms import (
     GibbsSystem,
-    centralizer_basis,
+    centralizer_dimension,
     gibbs_hamiltonian,
     heisenberg_evolve,
     kms_function,
@@ -59,7 +59,6 @@ from .linalg import (
     trace_norm,
 )
 from .modular import (
-    TomitaTakesakiReport,
     connes_cocycle,
     modular_conjugation,
     modular_flow,

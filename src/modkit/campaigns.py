@@ -21,8 +21,10 @@ inequalities):
 ``modkit modular`` evaluates the same modular.sstar_s and polar checks
 (with ``--verify`` also tt_commutant and tt_flow) on the pair its files
 define, ``modkit kms-verify`` kms.boundary and invariance, all judged by
-:func:`judge`. ``worst_slack`` is the least margin, so it can be slightly
-negative with no failures, from an inequality within its relative floor.
+:func:`judge` against :meth:`Family.bound`: a family's own tolerance, or the
+one override a command is given, for every family it evaluates.
+``worst_slack`` is the least margin, so it can be slightly negative with no
+failures, from an inequality within its relative floor.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ class Family:
     fn: Callable
     applies: Callable | None = None
 
+    def bound(self, tol: float | None = None) -> float:
+        """The bound its checks are judged against: ``tol`` if given, else its own."""
+        return self.tol if tol is None else tol
+
 
 Check = collections.namedtuple("Check", "name value margin passed")
 
@@ -100,7 +106,7 @@ def judge(kind: str, value, tol: float) -> tuple[float, bool]:
 
 def evaluate(family: Family, instance, tol: float | None = None) -> list[Check]:
     """The judged checks of ``family`` on ``instance``; ``tol`` beats its own."""
-    tol = family.tol if tol is None else tol
+    tol = family.bound(tol)
     values = zip(family.names, family.fn(instance, tol), strict=True)
     return [Check(name, value, *judge(family.kind, value, tol)) for name, value in values]
 
@@ -190,11 +196,6 @@ def _modular_relations(m, tol):
     )
 
 
-def _tomita_takesaki(m, tol):
-    rep = modular.verify_tomita_takesaki(m.omega, m.probes, m.flow_times)
-    return rep.max_commutant_residual, rep.max_flow_residual
-
-
 # S*S = Delta (basis assembly vs closed form) and S = J Delta^(1/2)
 MODULAR_CROSS_ROUTE = Family(
     ("modular.sstar_s", "modular.polar"), "residual", TOL_RESIDUAL,
@@ -203,8 +204,12 @@ MODULAR_CROSS_ROUTE = Family(
         modular.modular_conjugation(m.omega.dim).compose(m.half).distance(m.s_op),
     ),
 )
-TOMITA_TAKESAKI = Family(("modular.tt_commutant", "modular.tt_flow"),
-                         "residual", TOL_RESIDUAL, _tomita_takesaki)
+# the largest residual of each kind (np.max propagates NaN)
+TOMITA_TAKESAKI = Family(
+    ("modular.tt_commutant", "modular.tt_flow"), "residual", TOL_RESIDUAL,
+    lambda m, tol: tuple(float(np.max(residuals)) for residuals in
+                         modular.verify_tomita_takesaki(m.omega, m.probes, m.flow_times)),
+)
 MODULAR = (
     MODULAR_CROSS_ROUTE,
     Family(("modular.fs", "modular.half_vector", "modular.half_expectation",
@@ -250,7 +255,7 @@ KMS = (
     KMS_INVARIANCE,
     Family(("kms.fixed_point", "kms.time_bridge"), "residual", TOL_RESIDUAL, _kms_dynamics),
     Family(("kms.centralizer",), "boolean", TOL_RESIDUAL, lambda i, tol: (
-        len(kms_mod.centralizer_basis(i.degenerate)) == sum(m * m for m in i.blocks),),
+        kms_mod.centralizer_dimension(i.degenerate) == sum(m * m for m in i.blocks),),
         applies=lambda i: i.degenerate is not None),
 )
 

@@ -7,14 +7,17 @@ data is a row-major list of ``[re, im]`` pairs of JSON numbers (booleans
 are neither); ``-`` reads the payload from stdin.
 
 Exit codes: 0 all checks pass, 1 checks ran but failed, 2 payload parse
-error, 3 domain error (singular state, bad shapes, non-PSD input),
-4 usage error (bad flags, unknown suite, a non-finite ``--t``, a flag the
-command would ignore: ``modular``'s ``--t``, ``--samples`` or ``--seed``
-without ``--verify``, ``kms-verify``'s ``--dim`` with a state file).
+error, 3 domain error (singular state, bad shapes, non-PSD input, a state
+file beyond 16 x 16), 4 usage error (bad flags, unknown suite, a negative
+``--seed``, a non-finite ``--t``, a flag the command would ignore:
+``modular``'s ``--t``, ``--samples`` or ``--seed`` without ``--verify``,
+``kms-verify``'s ``--dim`` with a state file).
 
-The environment variable ``MODKIT_TOL`` overrides the default residual
-tolerance; an explicit ``--tol`` beats the environment. Either must be a
-finite number > 0, else the run is a usage error.
+Every command judges each check family against its own bound, unless
+``--tol`` or the environment variable ``MODKIT_TOL`` is given (the flag
+beats the environment): that value then replaces the bound of every
+family the command evaluates. It must be a finite number > 0, else the
+run is a usage error.
 
 Reports with ``--json`` are deterministic for a fixed (seed, dimension,
 samples) apart from the ``wall_time`` field, and are strict JSON: a NaN or
@@ -35,9 +38,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import campaigns
-from .campaigns import TOL_RESIDUAL
-from .errors import ModkitError, ParseError, UsageError
-from .kms import centralizer_basis, centralizer_window, commutant_dimension, gibbs_hamiltonian
+from .errors import ModkitError, ParseError, ShapeMismatch, UsageError
+from .kms import centralizer_dimension, centralizer_window, commutant_dimension, gibbs_hamiltonian
 from .sampling import complex_gaussian, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import DensityMatrix
@@ -52,6 +54,9 @@ EXIT_USAGE = 4
 # kms-verify evaluates its probes in stacks of at most this many, so the
 # (probes, times, d, d) intermediates stay bounded for any --samples
 KMS_BLOCK = 64
+# the largest --dim, and the largest state file modular and kms-verify
+# accept: their d^2 x d^2 complex operators take 16 d^4 bytes each
+MAX_DIM = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,14 +142,14 @@ def _emit(obj: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _resolve_tol(flag_value: float | None, default: float | None) -> float | None:
-    """Flag beats MODKIT_TOL beats ``default`` (None: each check's own)."""
+def _resolve_tol(flag_value: float | None) -> float | None:
+    """Flag beats MODKIT_TOL; None without either (each family's own bound)."""
     if flag_value is not None:
         source, value = "--tol", flag_value
     elif "MODKIT_TOL" in os.environ:
         source, value = "MODKIT_TOL", os.environ["MODKIT_TOL"]
     else:
-        return default
+        return None
     try:
         tol = float(value)
     except ValueError:
@@ -152,6 +157,16 @@ def _resolve_tol(flag_value: float | None, default: float | None) -> float | Non
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{source} must be a finite number > 0, got {value!r}")
     return tol
+
+
+def _load_density(source: str) -> DensityMatrix:
+    """The density of a state file; beyond MAX_DIM x MAX_DIM a ShapeMismatch."""
+    m = load_matrix(source)
+    if max(m.shape) > MAX_DIM:
+        raise ShapeMismatch(
+            f"state files are limited to {MAX_DIM} x {MAX_DIM}, got {m.shape[0]} x {m.shape[1]}"
+        )
+    return DensityMatrix(m)
 
 
 def cmd_schmidt(args) -> int:
@@ -179,11 +194,11 @@ def cmd_schmidt(args) -> int:
 def cmd_modular(args) -> int:
     if not args.verify and (args.t, args.samples, args.seed) != (None, None, None):
         raise UsageError("--t, --samples and --seed only apply with --verify")
-    tol = _resolve_tol(args.tol, TOL_RESIDUAL)
+    tol = _resolve_tol(args.tol)
     if args.t and not all(map(math.isfinite, args.t)):
         raise UsageError(f"--t must be finite, got {args.t}")
-    phi = DensityMatrix(load_matrix(args.phi))
-    omega = DensityMatrix(load_matrix(args.omega))
+    phi = _load_density(args.phi)
+    omega = _load_density(args.omega)
     probes, times = [], []
     if args.verify:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
@@ -198,7 +213,7 @@ def cmd_modular(args) -> int:
         "delta_spectrum": [round(float(v), 12) for v in spectrum],
         "cross_route_residual": float(checks[0].value),
         "polar_residual": float(checks[1].value),
-        "tolerance": tol,
+        "tolerance": campaigns.MODULAR_CROSS_ROUTE.bound(tol),
     }
     if args.verify:
         tt = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, pair, tol)
@@ -214,10 +229,10 @@ def cmd_modular(args) -> int:
 def cmd_kms_verify(args) -> int:
     if args.omega is not None and args.dim is not None:
         raise UsageError("--dim applies only without a state file")
-    tol = _resolve_tol(args.tol, TOL_RESIDUAL)
+    tol = _resolve_tol(args.tol)
     rng = np.random.default_rng(args.seed)
     if args.omega is not None:
-        density = DensityMatrix(load_matrix(args.omega))
+        density = _load_density(args.omega)
     else:
         density = random_faithful_density(rng, 4 if args.dim is None else args.dim)
     sys_ = gibbs_hamiltonian(density, args.beta)
@@ -230,17 +245,17 @@ def cmd_kms_verify(args) -> int:
         probes = np.array([complex_gaussian(rng, density.dim) for _ in range(2 * count)])
         block = SimpleNamespace(sys=sys_, a=probes[0::2], b=probes[1::2], t=t_grid)
         boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
-        # the invariance bound is fixed: --tol does not loosen it
-        invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block)
+        invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block, tol)
 
-    basis = centralizer_basis(density)
+    centralizer_dim = centralizer_dimension(density)
     commutant_dim = commutant_dimension(density.matrix)
-    if len(basis) != commutant_dim:
+    if centralizer_dim != commutant_dim:
         gap, threshold, cutoff = centralizer_window(density)
-        print(f"modkit: centralizer dimension {len(basis)} != commutant dimension "
+        print(f"modkit: centralizer dimension {centralizer_dim} != commutant dimension "
               f"{commutant_dim}: smallest eigenvalue gap of D {gap:.3g}, grouping "
               f"threshold {threshold:.3g}, null cutoff {cutoff:.3g}", file=sys.stderr)
-    _, centralizer_ok = campaigns.judge("boolean", len(basis) == commutant_dim, tol)
+    bound = campaigns.KMS_BOUNDARY.bound(tol)
+    _, centralizer_ok = campaigns.judge("boolean", centralizer_dim == commutant_dim, bound)
     out = {
         "dimension": density.dim,
         "beta": args.beta,
@@ -248,9 +263,9 @@ def cmd_kms_verify(args) -> int:
         # np.max propagates NaN, which the builtin max(0.0, nan) drops
         "max_boundary_defect": float(np.max([c.value for c in boundaries])),
         "max_invariance_defect": float(np.max([c.value for c in invariances])),
-        "centralizer_dimension": len(basis),
+        "centralizer_dimension": centralizer_dim,
         "commutant_dimension": commutant_dim,
-        "tolerance": tol,
+        "tolerance": bound,
         "passed": centralizer_ok and all(c.passed for c in boundaries + invariances),
     }
     _emit(out, args.json)
@@ -261,7 +276,7 @@ def cmd_campaign(args) -> int:
     """``cone``, ``ineq`` and ``campaign``; the suite comes from the parser."""
     started = time.perf_counter()
     results = campaigns.run_suite(
-        args.suite, args.seed, args.dim, args.samples, _resolve_tol(args.tol, None)
+        args.suite, args.seed, args.dim, args.samples, _resolve_tol(args.tol)
     )
     failures = sum(r.failures for r in results)
     if len(results) == 1:
@@ -284,8 +299,15 @@ def cmd_campaign(args) -> int:
 
 def _dim_arg(text: str) -> int:
     value = int(text)
-    if not 2 <= value <= 16:
-        raise argparse.ArgumentTypeError("dimension must lie in [2, 16]")
+    if not 2 <= value <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimension must lie in [2, {MAX_DIM}]")
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0")
     return value
 
 
@@ -297,7 +319,7 @@ def _samples_arg(text: str) -> int:
 
 
 def _add_common(p, dim_default=4, samples_default=50):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed (>= 0)")
     p.add_argument(
         "--dim", type=_dim_arg, default=dim_default, help="matrix dimension (2..16)"
     )
@@ -329,7 +351,7 @@ def build_parser() -> _Parser:
     # usage errors, so they default to None (seed 0, 8 samples under --verify)
     p.add_argument("--t", type=float, action="append", help="flow times for --verify")
     p.add_argument("--verify", action="store_true", help="run Tomita-Takesaki checks")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--samples", type=_samples_arg, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")

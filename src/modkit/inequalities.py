@@ -14,12 +14,12 @@ relating PSD matrices and positive functionals:
 * the Schatten form  ||A^(1/t) - B^(1/t)||_t^t <= ||A-B||_1 for A >= B >= 0,
   t >= 1.
 
-Every check returns an :class:`InequalityReport`; pass/fail uses a relative
-slack floor so trace-scale growth with dimension does not produce spurious
-violations. The endpoint convention X^0 = support projection keeps the
-s-family meaningful on singular inputs. Every right-hand side
-Tr(A + B - |A - B|) is A(1) + B(1) - ||A - B||_1, through
-:func:`states.functional_distance`.
+Every check returns an unnamed :class:`InequalityReport`; the check table of
+:mod:`modkit.campaigns` names it. Pass/fail uses a relative slack floor so
+trace-scale growth with dimension does not produce spurious violations.
+The endpoint convention X^0 = support projection keeps the s-family
+meaningful on singular inputs. Every right-hand side Tr(A + B - |A - B|)
+is A(1) + B(1) - ||A - B||_1, through :func:`states.functional_distance`.
 
 Every operand is a :class:`PositiveFunctional`, validated and decomposed
 once, on construction: every power a check takes comes from the cached
@@ -61,7 +61,6 @@ class InequalityReport:
     left-hand side (None elsewhere).
     """
 
-    name: str
     lhs: float
     rhs: float
     slack: float
@@ -73,17 +72,11 @@ def _slack_floor(lhs: float, rhs: float) -> float:
     return SLACK_RTOL * max(1.0, abs(lhs), abs(rhs))
 
 
-def _report(
-    name: str,
-    lhs: float,
-    rhs: float,
-    relation: str,
-    route_residual: float | None = None,
-    extra_ok: bool = True,
-) -> InequalityReport:
+def _report(lhs: float, rhs: float, relation: str, route_residual: float | None = None,
+            extra_ok: bool = True) -> InequalityReport:
     slack = (lhs - rhs) if relation == "ge" else (rhs - lhs)
     passed = bool(slack >= -_slack_floor(lhs, rhs)) and extra_ok
-    return InequalityReport(name, lhs, rhs, slack, passed, route_residual)
+    return InequalityReport(lhs, rhs, slack, passed, route_residual)
 
 
 def _overlap(a: PositiveFunctional, b: PositiveFunctional) -> float:
@@ -99,17 +92,14 @@ def norm_sandwich(
     diff_sq = hs_norm(x - y) ** 2
     middle = trace_norm(x @ x - y @ y)
     upper = hs_norm(x - y) * hs_norm(x + y)
-    return (
-        _report("norm_sandwich_lower", diff_sq, middle, "le"),
-        _report("norm_sandwich_upper", middle, upper, "le"),
-    )
+    return _report(diff_sq, middle, "le"), _report(middle, upper, "le")
 
 
 def powers_stormer(a: PositiveFunctional, b: PositiveFunctional) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
     lhs = hs_norm(a.sqrt() - b.sqrt()) ** 2
     rhs = trace_norm(a.matrix - b.matrix)
-    return _report("powers_stormer", lhs, rhs, "le")
+    return _report(lhs, rhs, "le")
 
 
 def ozawa_s(a: PositiveFunctional, b: PositiveFunctional, s: float) -> InequalityReport:
@@ -120,7 +110,7 @@ def ozawa_s(a: PositiveFunctional, b: PositiveFunctional, s: float) -> Inequalit
     if not 0.0 <= s <= 1.0:
         raise BadExponent(f"s must lie in [0, 1], got {s}")
     lhs = 2.0 * float(np.real(np.trace(b.power(s) @ a.power(1.0 - s))))
-    return _report(f"ozawa_s[{s:g}]", lhs, _overlap(a, b), "ge")
+    return _report(lhs, _overlap(a, b), "ge")
 
 
 def ogata_modular(
@@ -162,14 +152,7 @@ def ogata_modular(
     routes_agree = residual <= ROUTE_AGREEMENT_RTOL * max(
         1.0, abs(lhs_superop), abs(lhs_trace)
     )
-    return _report(
-        f"ogata_modular[{s:g}]",
-        lhs_superop,
-        rhs,
-        "ge",
-        route_residual=residual,
-        extra_ok=routes_agree,
-    )
+    return _report(lhs_superop, rhs, "ge", route_residual=residual, extra_ok=routes_agree)
 
 
 @dataclass(frozen=True)
@@ -213,7 +196,7 @@ def hoa_generalized(
     """2 Tr(sqrt(f(A)) g(B) sqrt(f(A))) >= Tr(A + B - |A - B|)."""
     root = mf.apply_sqrt_f(a.spectrum)
     lhs = 2.0 * float(np.real(np.trace(root @ mf.apply_g(b.spectrum) @ root)))
-    return _report(f"hoa[{mf.name}]", lhs, _overlap(a, b), "ge")
+    return _report(lhs, _overlap(a, b), "ge")
 
 
 def phillips(
@@ -226,4 +209,4 @@ def phillips(
         raise OrderViolation("Phillips inequality requires A >= B")
     lhs = schatten_norm(a.power(1.0 / t) - b.power(1.0 / t), t) ** t
     rhs = trace_norm(a.matrix - b.matrix)
-    return _report(f"phillips[{t:g}]", lhs, rhs, "le")
+    return _report(lhs, rhs, "le")

@@ -30,9 +30,10 @@ axis first, ahead of any time axis, and evaluates every probe with the
 same matrix products as a single operator would, so stacked results
 equal the per-probe ones bit for bit.
 
-The centralizer {B : [B, D] = 0} is counted by two independent routes,
-:func:`centralizer_basis` and :func:`commutant_dimension`, each with its
-own cutoff (see :func:`centralizer_window`).
+The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
+by two independent routes, :func:`centralizer_dimension` and
+:func:`commutant_dimension`, each with its own cutoff (see
+:func:`centralizer_window`).
 """
 
 from __future__ import annotations
@@ -146,38 +147,26 @@ def kms_function(
     return complex(values) if values.ndim == 0 else values
 
 
-def centralizer_basis(density: DensityMatrix) -> list[np.ndarray]:
-    """Hilbert-Schmidt orthonormal basis of {B : [B, D] = 0}.
+def centralizer_dimension(density: DensityMatrix) -> int:
+    """Dimension of {B : [B, D] = 0}: the sum of the squared eigenblock sizes.
 
-    Eigenvalues of D closer than ``GAP_RTOL`` times the spectral diameter are
-    grouped into one eigenblock; the basis consists of the matrix units
-    within each block, so its size is the sum of the squared multiplicities.
-    A flat spectrum yields the full matrix algebra: the threshold never
-    drops below the eigensolver noise floor, so rounding scatter in a
-    degenerate spectrum cannot split a block. See :func:`centralizer_window`
-    for where this count and :func:`commutant_dimension` can differ.
+    Adjacent eigenvalues of D closer than ``GAP_RTOL`` times the spectral
+    diameter join one eigenblock. A flat spectrum yields the full matrix
+    algebra: the threshold never drops below the eigensolver noise floor,
+    so rounding scatter in a degenerate spectrum cannot split a block. See
+    :func:`centralizer_window` for where this count and
+    :func:`commutant_dimension` can differ.
     """
     vals = density.spectrum.eigenvalues
-    v = density.spectrum.eigenvectors
-    threshold = centralizer_window(density)[1]
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[blocks[-1][-1]] <= threshold:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-
-    basis = []
-    for block in blocks:
-        for i in block:
-            for j in block:
-                basis.append(np.outer(v[:, i], np.conj(v[:, j])))
-    return basis
+    # a block ends at each adjacent gap that is not within the threshold
+    ends = np.flatnonzero(~(np.diff(vals) <= centralizer_window(density)[1])) + 1
+    sizes = np.diff(np.concatenate(([0], ends, [len(vals)])))
+    return int(np.sum(sizes * sizes))
 
 
 def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
     """(smallest adjacent eigenvalue gap g of D, the grouping threshold of
-    :func:`centralizer_basis`, the null cutoff of :func:`commutant_dimension`).
+    :func:`centralizer_dimension`, the null cutoff of :func:`commutant_dimension`).
 
     Here adjacent eigenvalues join when g <= max(1e-9 * diameter,
     1e-13 * max(1, lambda_max)); there, the commutator map's eigenvalues
@@ -196,7 +185,7 @@ def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
 def commutant_dimension(d: np.ndarray) -> int:
     """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
 
-    The brute-force route to the size of :func:`centralizer_basis`. The
+    The brute-force route to :func:`centralizer_dimension`. The
     map is Hermitian for Hermitian D, so its singular values are the
     moduli of its eigenvalues. Cutoff is absolute at density-matrix
     scale, so a numerically zero map (flat spectrum) counts as fully null.

@@ -23,7 +23,6 @@ relates to it by sigma_s^modular = sigma_(-beta s)^physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -177,24 +176,15 @@ def pi_factored(m: np.ndarray) -> SuperOperator:
     return SuperOperator.factored(m.shape[0], m, None)
 
 
-@dataclass(frozen=True)
-class TomitaTakesakiReport:
-    """Residuals from checking J M J = M' and flow invariance of the algebra;
-    they carry no verdict: the caller judges them against its tolerance."""
-
-    d: int
-    commutant_residuals: np.ndarray = field(repr=False)
-    flow_residuals: np.ndarray = field(repr=False)
-    max_commutant_residual: float = 0.0
-    max_flow_residual: float = 0.0
-
-
 def verify_tomita_takesaki(
     omega: DensityMatrix,
     samples: Sequence[np.ndarray],
     t_grid: Sequence[float],
-) -> TomitaTakesakiReport:
-    """Check the two Tomita-Takesaki conclusions on concrete samples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two Tomita-Takesaki conclusions on concrete samples.
+
+    Returns (commutant_residuals, flow_residuals), per pair of samples
+    and per (t, sample), unjudged: :mod:`modkit.campaigns` reduces them.
 
     For every pair (M, N) of samples the commutator norm
     ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is J's definition
@@ -238,8 +228,4 @@ def verify_tomita_takesaki(
             closed = pi_left(modular_flow(omega, m, t), out=a)
             flow.append(hs_norm(np.subtract(b, closed, out=b)))
 
-    comm_arr = np.array(comm)
-    flow_arr = np.array(flow) if flow else np.zeros(0)
-    max_comm = float(comm_arr.max()) if comm_arr.size else 0.0
-    max_flow = float(flow_arr.max()) if flow_arr.size else 0.0
-    return TomitaTakesakiReport(d, comm_arr, flow_arr, max_comm, max_flow)
+    return np.array(comm), np.array(flow)

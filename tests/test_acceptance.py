@@ -24,7 +24,7 @@ from modkit.inequalities import (
     powers_stormer,
 )
 from modkit.kms import gibbs_hamiltonian, kms_boundary_defect, state_invariance_defect
-from modkit.kms import centralizer_basis
+from modkit.kms import centralizer_dimension
 from modkit.modular import (
     connes_cocycle,
     modular_conjugation,
@@ -143,9 +143,9 @@ def test_criterion_05_tomita_takesaki():
             for i in range(d)
             for j in range(d)
         ]
-        report = verify_tomita_takesaki(omega, units, [0.3, 1.0, 2.7])
-        worst_comm = max(worst_comm, report.max_commutant_residual)
-        worst_flow = max(worst_flow, report.max_flow_residual)
+        comm, flow = verify_tomita_takesaki(omega, units, [0.3, 1.0, 2.7])
+        worst_comm = max(worst_comm, float(np.max(comm)))
+        worst_flow = max(worst_flow, float(np.max(flow)))
     ok = worst_comm < 1e-10 and worst_flow < 1e-10
     _report(5, "||[J pi(M) J, pi(N)]|| over matrix-unit bases", worst_comm, 1e-10, ok)
     _report(5, "flow membership residual, t in {0.3, 1, 2.7}", worst_flow, 1e-10, ok)
@@ -312,7 +312,7 @@ def test_criterion_10_centralizer_dimension():
     for k in range(30):
         d = 2 + k % 7  # dimensions 2..8, degeneracies included by construction
         density, blocks = random_degenerate_density(rng, d)
-        got = len(centralizer_basis(density))
+        got = centralizer_dimension(density)
         want = _nullity(density.matrix)
         ok = ok and got == want and got == sum(m * m for m in blocks)
     _report(10, "centralizer dim = commutator nullity, 30 spectra", 0.0, 1.0, ok)

@@ -76,7 +76,7 @@ def test_judge_fails_closed_on_non_finite(bad):
     values = {
         "residual": bad,
         "bound_below": bad,
-        "report": InequalityReport("x", bad, 0.0, bad, True),
+        "report": InequalityReport(bad, 0.0, bad, True),
         "boolean": bad,
     }
     for kind, value in values.items():

@@ -531,7 +531,7 @@ def test_boolean_checks_report_the_tolerance_in_use(monkeypatch, capsys):
 
 
 def test_kms_verify_names_the_centralizer_window(tmp_path, capsys):
-    # a gap of 1e-10: resolved by centralizer_basis (2), null for the
+    # a gap of 1e-10: resolved by centralizer_dimension (2), null for the
     # commutator map (4); the verdict stays a failure, with its reason
     path = write_matrix(tmp_path / "omega.json", np.diag([0.5 + 5e-11, 0.5 - 5e-11]))
     assert main(["kms-verify", path, "--json"]) == 1
@@ -580,3 +580,82 @@ def test_schmidt_bad_rank_tol_is_usage_error(bad, tmp_path, capsys):
     assert captured.out == ""
     assert "--rank-tol must be a finite number in (0, 1)" in captured.err
 
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # default_rng refuses a negative seed; the parser refuses it first
+    phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
+    omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
+    for argv in (
+        ["campaign", "--dim", "2", "--samples", "1"],
+        ["cone", "--dim", "2", "--samples", "1"],
+        ["ineq", "--dim", "2", "--samples", "1"],
+        ["kms-verify", "--dim", "2", "--samples", "1"],
+        ["modular", phi, omega, "--verify", "--samples", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1", "--json"])
+        assert exc.value.code == 4, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", argv[0]
+        assert "seed must be >= 0" in captured.err, argv[0]
+
+
+def test_state_files_beyond_16_are_refused(tmp_path, capsys, monkeypatch):
+    # a 17 x 17 state is refused before any d^2 x d^2 operator is built
+    import modkit.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the modular data of an oversized state")
+
+    monkeypatch.setattr(cli.campaigns, "modular_instance", unreachable)
+    monkeypatch.setattr(cli, "gibbs_hamiltonian", unreachable)
+    big = write_matrix(tmp_path / "big.json", np.eye(17) / 17)
+    small = write_matrix(tmp_path / "small.json", np.eye(2) / 2)
+    for argv in (
+        ["modular", big, small, "--json"],
+        ["modular", small, big, "--verify", "--samples", "1", "--json"],
+        ["kms-verify", big, "--samples", "1", "--json"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ShapeMismatch: state files are limited to 16 x 16, got 17 x 17" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, env", [([], {}), (["--tol", "1e-6"], {}), ([], {"MODKIT_TOL": "1e-6"})]
+)
+def test_kms_invariance_is_judged_alike_by_both_drivers(flag, env, monkeypatch, capsys):
+    # one rule: each family keeps its own bound unless --tol or MODKIT_TOL
+    # is given, which then replaces the bound of every family evaluated
+    from modkit import campaigns
+
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    real_evaluate, real_judge = campaigns.evaluate, campaigns.judge
+    family, bounds = [], []
+
+    def evaluate(fam, instance, tol=None):
+        family.append(fam.names)
+        try:
+            return real_evaluate(fam, instance, tol)
+        finally:
+            family.pop()
+
+    def judge(kind, value, tol):
+        if family and family[-1] == ("kms.invariance",):
+            bounds.append(tol)
+        return real_judge(kind, value, tol)
+
+    monkeypatch.setattr(campaigns, "evaluate", evaluate)
+    monkeypatch.setattr(campaigns, "judge", judge)
+    want = 1e-6 if flag or env else 1e-12
+    campaign = ["campaign", "--suite", "kms", "--dim", "3", "--samples", "2"]
+    assert main([*campaign, *flag, "--json"]) == 0
+    capsys.readouterr()
+    assert bounds and set(bounds) == {want}
+    bounds.clear()
+    assert main(["kms-verify", "--dim", "3", "--samples", "2", *flag, "--json"]) == 0
+    assert bounds and set(bounds) == {want}
+    assert _strict_json(capsys.readouterr().out)["tolerance"] == (1e-6 if flag or env else 1e-10)

@@ -1,0 +1,34 @@
+import os
+import runpy
+from pathlib import Path
+
+GATE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "gate.py"))
+
+
+def test_gate_command_list_is_fixed(tmp_path):
+    listed = list(GATE["commands"](tmp_path))
+    # 20 seeds x 3 dimensions x 3 tolerance settings, 6 README lines,
+    # 2 commands for each of 260 statepair ops at 3 bench seeds
+    assert len(listed) == 180 + 6 + 1560
+    assert sum(env == {"MODKIT_TOL": "1e-6"} for env, _ in listed) == 60
+    assert sum("--tol" in argv for _, argv in listed) == 60
+    assert [argv[0] for _, argv in listed[180:186]] == [
+        "schmidt", "modular", "kms-verify", "cone", "ineq", "campaign"
+    ]
+    statepair = [argv for _, argv in listed[186:]]
+    assert [argv[0] for argv in statepair[:2]] == ["modular", "kms-verify"]
+    assert all(str(tmp_path) in argv[1] for argv in statepair)
+
+
+def test_gate_fingerprint_ignores_wall_time_and_the_scratch_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("MODKIT_TOL", raising=False)
+    env = {"MODKIT_TOL": "1e-6"}
+    argv = ["campaign", "--suite", "vec", "--dim", "2", "--samples", "1", "--json"]
+    lines = set()
+    for tmp in (tmp_path / "a", tmp_path / "b"):
+        code, out, err = GATE["run"](env, argv)
+        assert '"wall_time"' in out and "MODKIT_TOL" not in os.environ
+        lines.add(GATE["fingerprint"](env, [*argv, f"{tmp}/x"], code, out, err, tmp))
+    (line,) = lines
+    assert line.startswith("0 ")
+    assert line.endswith(" MODKIT_TOL=1e-6 " + " ".join(argv) + " $TMP/x")

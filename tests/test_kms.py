@@ -7,7 +7,7 @@ from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
     _commutator_map,
-    centralizer_basis,
+    centralizer_dimension,
     commutant_dimension,
     gibbs_hamiltonian,
     heisenberg_evolve,
@@ -237,15 +237,12 @@ def test_time_convention_bridge(rng):
 
 
 def test_centralizer_distinct_spectrum():
-    basis = centralizer_basis(DensityMatrix(np.diag([0.7, 0.3])))
-    assert len(basis) == 2
-    # spanned by the spectral projectors E_00 and E_11
-    got = sorted(np.argmax(np.abs(b)) for b in basis)
-    assert got == [0, 3]
+    # spanned by the two spectral projectors
+    assert centralizer_dimension(DensityMatrix(np.diag([0.7, 0.3]))) == 2
 
 
 def test_centralizer_flat_spectrum():
-    assert len(centralizer_basis(DensityMatrix(np.eye(3) / 3))) == 9
+    assert centralizer_dimension(DensityMatrix(np.eye(3) / 3)) == 9
 
 
 @pytest.mark.parametrize("d", [2, 16])
@@ -258,47 +255,39 @@ def test_centralizer_gap_at_its_threshold(d, factor, merged):
     levels = base + 1e-3 * np.arange(d - 1)
     threshold = max(GAP_RTOL * (levels[-1] - levels[0]), 1e-13)
     vals = np.append(levels, levels[-1] + factor * threshold)
-    basis = centralizer_basis(DensityMatrix(np.diag(vals)))
     # the top two levels form one 2 x 2 block or two 1 x 1 blocks
-    assert len(basis) == (d - 2) + (4 if merged else 2)
+    assert centralizer_dimension(DensityMatrix(np.diag(vals))) == (d - 2) + (4 if merged else 2)
 
 
 def test_centralizer_partial_degeneracy():
     d = DensityMatrix(np.diag([0.4, 0.4, 0.2]))
-    assert len(centralizer_basis(d)) == 5  # 2^2 + 1^2
+    assert centralizer_dimension(d) == 5  # 2^2 + 1^2
 
 
-def test_centralizer_orthonormal_and_commuting(rng):
+def test_centralizer_dimension_matches_drawn_blocks(rng):
     density, blocks = random_degenerate_density(rng, 5)
-    basis = centralizer_basis(density)
-    assert len(basis) == sum(m * m for m in blocks)
-    for b in basis:
-        assert np.linalg.norm(b @ density.matrix - density.matrix @ b) < 1e-12
-    gram = np.array(
-        [[np.trace(np.conj(x).T @ y) for y in basis] for x in basis]
-    )
-    assert np.linalg.norm(gram - np.eye(len(basis))) < 1e-10
+    assert centralizer_dimension(density) == sum(m * m for m in blocks)
 
 
 def test_centralizer_matches_nullspace_oracle(rng):
     for _ in range(10):
         density, _ = random_degenerate_density(rng, 4)
-        assert len(centralizer_basis(density)) == commutant_nullity(density.matrix)
+        assert centralizer_dimension(density) == commutant_nullity(density.matrix)
     rotated = random_faithful_density(rng, 4)
-    assert len(centralizer_basis(rotated)) == commutant_nullity(rotated.matrix)
+    assert centralizer_dimension(rotated) == commutant_nullity(rotated.matrix)
 
 
 @pytest.mark.parametrize("d", [2, 16])
 def test_kms_verify_commutant_route_matches_blocks(rng, d):
-    # the route kms-verify compares: the eigvalsh nullity of the commutator map
-    # against the centralizer basis, both equal to the sum of m^2 over blocks
+    # the routes kms-verify compares: the eigvalsh nullity of the commutator
+    # map and the centralizer dimension, both the sum of m^2 over blocks
     cases = [random_degenerate_density(rng, d) for _ in range(10)]
     if d == 16:
         cases.append((DensityMatrix(np.eye(16) / 16), [16]))
     for density, blocks in cases:
         expected = sum(m * m for m in blocks)
         assert commutant_dimension(density.matrix) == expected
-        assert len(centralizer_basis(density)) == expected
+        assert centralizer_dimension(density) == expected
 
 
 def _gapped_density(mults, gap):
@@ -316,13 +305,13 @@ def _gapped_density(mults, gap):
     + [((2,), 0.0), ((16,), 0.0)],
 )
 def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
-    # kms-verify passes only if the eigenblock count of centralizer_basis and
+    # kms-verify passes only if the eigenblock count of centralizer_dimension and
     # the nullity of B -> BD - DB agree. They do for eigenvalue gaps of
     # 1e-6 or more and for exact degeneracy (one level), at d = 2 and d = 16;
     # gaps between ~1e-13 and 1e-8 fall between the two cutoffs
     density = _gapped_density(mults, gap)
     expected = sum(m * m for m in mults)
-    assert len(centralizer_basis(density)) == expected
+    assert centralizer_dimension(density) == expected
     assert commutant_dimension(density.matrix) == expected
 
 
@@ -343,16 +332,6 @@ def test_commutator_map_matches_the_kronecker_form(rng, d):
     m = random_faithful_density(rng, d).matrix
     eye = np.eye(d)
     assert np.array_equal(_commutator_map(m), np.kron(eye, m.T) - np.kron(m, eye))
-
-
-def test_centralizer_elements_kill_commutators(rng):
-    density, _ = random_degenerate_density(rng, 4)
-    basis = centralizer_basis(density)
-    for _ in range(20):
-        a = complex_gaussian(rng, 4)
-        for b in basis[:3]:
-            value = np.trace(density.matrix @ (b @ a - a @ b))
-            assert abs(value) < 1e-12
 
 
 def test_gibbs_system_invariants_hold(rng):

@@ -67,6 +67,39 @@ def test_is_faithful():
     assert not is_faithful(DensityMatrix(np.diag([1 - 1e-14, 1e-14])))
 
 
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("ratio, faithful", [(5e-13, False), (2e-12, True)])
+def test_drawn_densities_at_the_faithfulness_threshold(d, ratio, faithful):
+    # U diag(p) U* with U random and min/max eigenvalue ratio on either side
+    # of 1e-12: every route that needs a faithful state draws the same line
+    from modkit.errors import SingularState
+    from modkit.kms import gibbs_hamiltonian
+    from modkit.modular import relative_s_matrix
+    from modkit.sampling import random_unitary
+    from modkit.schmidt import is_cyclic_separating
+
+    rng = np.random.default_rng(d + int(faithful))
+    p = np.ones(d)
+    p[0] = ratio
+    p /= p.sum()
+    trace_state = DensityMatrix(np.eye(d) / d)
+    for _ in range(10):
+        u = random_unitary(rng, d)
+        m = (u * p) @ np.conj(u).T
+        density = DensityMatrix(0.5 * (m + np.conj(m).T))
+        routes = [is_faithful(density), is_cyclic_separating(purify(density))]
+        for build in (
+            lambda: relative_s_matrix(trace_state, density),
+            lambda: gibbs_hamiltonian(density, 1.0),
+        ):
+            try:
+                build()
+                routes.append(True)
+            except SingularState:
+                routes.append(False)
+        assert routes == [faithful] * 4
+
+
 def test_functional_distance_zero(rng):
     phi = PositiveFunctional(random_psd(rng, 3, trace_one=False))
     assert functional_distance(phi, phi) == pytest.approx(0.0, abs=1e-14)

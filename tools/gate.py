@@ -1,0 +1,117 @@
+"""Byte-identity gate: one fingerprint line per command of a fixed list.
+
+Runs every command through ``modkit.cli.main`` in this process, with
+whatever ``modkit`` is first on ``PYTHONPATH``, and prints for each
+
+    <exit code> <sha256 of stdout> <sha256 of stderr> <argv>
+
+where stdout is hashed with its ``wall_time`` line removed and the argv
+shows the scratch directory of the run as ``$TMP``. Two trees agree when
+their outputs are identical, at the same BLAS thread count:
+
+    PYTHONPATH=src python3 tools/gate.py > new.txt
+    PYTHONPATH=../parent/src python3 tools/gate.py > old.txt
+    cmp old.txt new.txt
+
+The commands are fixed:
+
+* ``campaign --suite all --samples 3 --json`` for seeds 0-19 at d = 4, 8
+  and 16, each also with ``--tol 1e-6`` and with ``MODKIT_TOL=1e-6``;
+* the six CLI lines of the README, on the diag(0.75, 0.25) and
+  diag(0.5, 0.5) payloads;
+* the two commands of statepair-d16 ops 0-259 at bench seeds 0, 61 and
+  62, taken from ``bench/workload.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from modkit.cli import dump_matrix, main as modkit_main
+
+ROOT = Path(__file__).resolve().parents[1]
+WALL_TIME = re.compile(r'^\s*"?wall_time"?: .*\n?', re.MULTILINE)
+
+
+def _write_diag(path: Path, values) -> str:
+    path.write_text(json.dumps(dump_matrix(np.diag(values))))
+    return str(path)
+
+
+def commands(tmp: Path):
+    """(extra environment, argv) pairs, in order; payload files are written
+    into ``tmp`` just before the commands that read them."""
+    for d in (4, 8, 16):
+        for seed in range(20):
+            argv = ["campaign", "--suite", "all", "--seed", str(seed), "--dim", str(d),
+                    "--samples", "3", "--json"]
+            yield {}, argv
+            yield {}, argv + ["--tol", "1e-6"]
+            yield {"MODKIT_TOL": "1e-6"}, argv
+
+    phi = _write_diag(tmp / "phi.json", [0.75, 0.25])
+    omega = _write_diag(tmp / "omega.json", [0.5, 0.5])
+    for argv in (
+        ["schmidt", phi, "--json"],
+        ["modular", phi, omega, "--verify", "--json"],
+        ["kms-verify", "--dim", "4", "--beta", "2.0", "--samples", "20", "--seed", "7", "--json"],
+        ["cone", "--dim", "4", "--samples", "50", "--seed", "7", "--json"],
+        ["ineq", "--dim", "4", "--samples", "100", "--seed", "7", "--json"],
+        ["campaign", "--suite", "all", "--seed", "42", "--dim", "4", "--samples", "100", "--json"],
+    ):
+        yield {}, argv
+
+    workload = runpy.run_path(str(ROOT / "bench" / "workload.py"))["WORKLOADS"]["statepair-d16"]
+    pairs = tmp / "statepair"
+    pairs.mkdir()
+    for seed in (0, 61, 62):
+        for i in range(260):
+            for argv in workload.op(seed, i, pairs).argvs:
+                yield {}, argv
+
+
+def run(env: dict, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command, with ``env`` set for it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = modkit_main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(env: dict, argv: list[str], code: int, out: str, err: str, tmp: Path) -> str:
+    words = [f"{key}={value}" for key, value in env.items()] + argv
+    shown = " ".join(words).replace(str(tmp), "$TMP")
+    return f"{code} {_sha(WALL_TIME.sub('', out))} {_sha(err)} {shown}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for env, argv in commands(tmp):
+            code, out, err = run(env, argv)
+            print(fingerprint(env, argv, code, out, err, tmp), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
