@@ -8,8 +8,8 @@ Powers-Stormer family of trace inequalities.
 """
 
 from .cone import (
-    ConeElement,
     cone_contains,
+    cone_element,
     cone_pairing,
     decompose_general,
     decompose_j_fixed,

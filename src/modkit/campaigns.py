@@ -20,11 +20,13 @@ inequalities):
 
 ``modkit modular`` evaluates the same modular.sstar_s and polar checks
 (with ``--verify`` also tt_commutant and tt_flow) on the pair its files
-define, ``modkit kms-verify`` kms.boundary and invariance, all judged by
-:func:`judge` against :meth:`Family.bound`: a family's own tolerance, or the
-one override a command is given, for every family it evaluates.
-``worst_slack`` is the least margin, so it can be slightly negative with no
-failures, from an inequality within its relative floor.
+define, ``modkit kms-verify`` kms.boundary and invariance plus its own
+kms.centralizer_routes, all judged by :func:`judge` against
+:meth:`Family.bound`: a family's own tolerance, or the one override a
+command is given, for every family it evaluates. A report family judges
+each inequality against its own relative floor, so an override leaves it
+unchanged. ``worst_slack`` is the least margin, so it can be slightly
+negative with no failures, from an inequality within its relative floor.
 """
 
 from __future__ import annotations
@@ -223,15 +225,16 @@ KMS_TIMES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def _draw_kms(rng, d, k):
-    """A Gibbs system, probes a, b, a time t and a modular time s; on every
-    5th instance also a degenerate density and its block multiplicities."""
+    """A Gibbs system, probes a, b, one time t (an array of length one) and a
+    modular time s; on every 5th instance also a degenerate density and its
+    block multiplicities."""
     density = sampling.random_faithful_density(rng, d)
     sys = kms_mod.gibbs_hamiltonian(density, (0.5, 1.0, 2.0)[k % 3])
     a = sampling.complex_gaussian(rng, d)
     b = sampling.complex_gaussian(rng, d)
     s = float(rng.uniform(-1.5, 1.5))
     deg, blocks = sampling.random_degenerate_density(rng, d) if k % 5 == 0 else (None, ())
-    t = KMS_TIMES[k % 5]
+    t = np.array([KMS_TIMES[k % 5]])
     return SimpleNamespace(sys=sys, a=a, b=b, t=t, s=s, degenerate=deg, blocks=blocks)
 
 
@@ -239,8 +242,8 @@ def _kms_dynamics(inst, tol):
     """D is a fixed point of the flow (it commutes with H), and the time
     bridge: the modular flow at s is the physical flow at -beta s."""
     sys, density, a, s = inst.sys, inst.sys.density, inst.a, inst.s
-    evolved = kms_mod.heisenberg_evolve(sys, density.matrix, inst.t)
-    physical = kms_mod.heisenberg_evolve(sys, a, -sys.beta * s)
+    evolved = kms_mod.heisenberg_evolve(sys, density.matrix, inst.t)[0]
+    physical = kms_mod.heisenberg_evolve(sys, a, np.array([-sys.beta * s]))[0]
     bridge = modular.modular_flow(density, a, s) - physical
     return hs_norm(density.matrix - evolved), hs_norm(bridge)
 
@@ -250,6 +253,10 @@ KMS_BOUNDARY = Family(("kms.boundary",), "residual", TOL_RESIDUAL, lambda i, tol
     float(np.max(kms_mod.kms_boundary_defect(i.sys, i.a, i.b, i.t))),))
 KMS_INVARIANCE = Family(("kms.invariance",), "residual", TOL_STRICT, lambda i, tol: (
     float(np.max(kms_mod.state_invariance_defect(i.sys, i.a, i.t))),))
+# kms-verify's cross-check: the eigenblock count and the commutator-map
+# nullity of one density, both computed by the driver
+KMS_CENTRALIZER_ROUTES = Family(("kms.centralizer_routes",), "boolean", TOL_RESIDUAL,
+                                lambda i, tol: (i.centralizer == i.commutant,))
 KMS = (
     KMS_BOUNDARY,
     KMS_INVARIANCE,
@@ -261,7 +268,7 @@ KMS = (
 
 
 def _draw_cone(rng, d, k):
-    xi, eta = (cone_mod.ConeElement.from_witness(sampling.random_psd(rng, d)) for _ in range(2))
+    xi, eta = (cone_mod.cone_element(sampling.random_psd(rng, d)) for _ in range(2))
     herm = sampling.random_hermitian(rng, d)
     w = vec(sampling.complex_gaussian(rng, d))
     return SimpleNamespace(xi=xi, eta=eta, herm=herm, w=w, m=sampling.complex_gaussian(rng, d))
@@ -270,26 +277,25 @@ def _draw_cone(rng, d, k):
 def _cone_decompositions(c, tol):
     """J xi = xi; the Jordan split of a J-fixed vector into orthogonal cone
     elements, and the four-part split of a general one, sum back to it."""
-    xi = c.xi.vector
     v = vec(c.herm)
     plus, minus = cone_mod.decompose_j_fixed(v)
-    c1, c2, c3, c4 = (e.vector.amplitudes for e in cone_mod.decompose_general(c.w))
-    j_xi = modular.modular_conjugation(xi.dim_left).apply(xi)
+    c1, c2, c3, c4 = (e.amplitudes for e in cone_mod.decompose_general(c.w))
+    j_xi = modular.modular_conjugation(c.xi.dim_left).apply(c.xi)
     return (
-        float(np.linalg.norm(j_xi.amplitudes - xi.amplitudes)),
-        abs(plus.vector.inner(minus.vector)),
-        float(np.linalg.norm((plus.vector - minus.vector).amplitudes - v.amplitudes)),
+        float(np.linalg.norm(j_xi.amplitudes - c.xi.amplitudes)),
+        abs(plus.inner(minus)),
+        float(np.linalg.norm((plus - minus).amplitudes - v.amplitudes)),
         float(np.linalg.norm(c1 - c2 + 1j * c3 - 1j * c4 - c.w.amplitudes)),
     )
 
 
 def _cone_membership(c, tol):
     """-xi is outside the cone (pointedness); pi(M) j(pi(M)) xi is inside."""
-    j = modular.modular_conjugation(c.xi.vector.dim_left)
+    j = modular.modular_conjugation(c.xi.dim_left)
     pim = modular.pi_factored(c.m)
     invariance = pim.compose(j).compose(pim).compose(j)
-    inside = cone_mod.cone_contains(invariance.apply(c.xi.vector), tol)
-    return not cone_mod.cone_contains(-c.xi.vector), inside
+    inside = cone_mod.cone_contains(invariance.apply(c.xi), tol)
+    return not cone_mod.cone_contains(-c.xi), inside
 
 
 CONE = (

@@ -7,17 +7,21 @@ data is a row-major list of ``[re, im]`` pairs of JSON numbers (booleans
 are neither); ``-`` reads the payload from stdin.
 
 Exit codes: 0 all checks pass, 1 checks ran but failed, 2 payload parse
-error, 3 domain error (singular state, bad shapes, non-PSD input, a state
-file beyond 16 x 16), 4 usage error (bad flags, unknown suite, a negative
-``--seed``, a non-finite ``--t``, a flag the command would ignore:
-``modular``'s ``--t``, ``--samples`` or ``--seed`` without ``--verify``,
-``kms-verify``'s ``--dim`` with a state file).
+error (unreadable, undecodable, too deeply nested or malformed), 3 domain
+error (singular state, bad shapes, non-PSD input, a state file beyond
+16 x 16, a ``--beta`` whose energies overflow), 4 usage error (bad flags,
+unknown suite, a negative ``--seed``, a non-finite ``--t``, a flag the
+command would ignore: ``modular``'s ``--t``, ``--samples`` or ``--seed``
+without ``--verify``, ``kms-verify``'s ``--dim`` with a state file,
+``ineq``'s ``--tol``).
 
 Every command judges each check family against its own bound, unless
 ``--tol`` or the environment variable ``MODKIT_TOL`` is given (the flag
 beats the environment): that value then replaces the bound of every
-family the command evaluates. It must be a finite number > 0, else the
-run is a usage error.
+residual and yes/no family the command evaluates. An inequality report
+keeps its own relative floor, which is why ``ineq`` takes no ``--tol``.
+The override must be a finite number > 0, else the run is a usage
+error.
 
 Reports with ``--json`` are deterministic for a fixed (seed, dimension,
 samples) apart from the ``wall_time`` field, and are strict JSON: a NaN or
@@ -75,11 +79,11 @@ def load_matrix(source: str) -> np.ndarray:
         else:
             with open(source, encoding="utf-8") as f:
                 text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {source}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("matrix payload must be a JSON object")
@@ -247,15 +251,15 @@ def cmd_kms_verify(args) -> int:
         boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
         invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block, tol)
 
-    centralizer_dim = centralizer_dimension(density)
-    commutant_dim = commutant_dimension(density.matrix)
-    if centralizer_dim != commutant_dim:
+    counts = SimpleNamespace(
+        centralizer=centralizer_dimension(density), commutant=commutant_dimension(density)
+    )
+    routes = campaigns.evaluate(campaigns.KMS_CENTRALIZER_ROUTES, counts, tol)
+    if counts.centralizer != counts.commutant:
         gap, threshold, cutoff = centralizer_window(density)
-        print(f"modkit: centralizer dimension {centralizer_dim} != commutant dimension "
-              f"{commutant_dim}: smallest eigenvalue gap of D {gap:.3g}, grouping "
+        print(f"modkit: centralizer dimension {counts.centralizer} != commutant dimension "
+              f"{counts.commutant}: smallest eigenvalue gap of D {gap:.3g}, grouping "
               f"threshold {threshold:.3g}, null cutoff {cutoff:.3g}", file=sys.stderr)
-    bound = campaigns.KMS_BOUNDARY.bound(tol)
-    _, centralizer_ok = campaigns.judge("boolean", centralizer_dim == commutant_dim, bound)
     out = {
         "dimension": density.dim,
         "beta": args.beta,
@@ -263,10 +267,10 @@ def cmd_kms_verify(args) -> int:
         # np.max propagates NaN, which the builtin max(0.0, nan) drops
         "max_boundary_defect": float(np.max([c.value for c in boundaries])),
         "max_invariance_defect": float(np.max([c.value for c in invariances])),
-        "centralizer_dimension": centralizer_dim,
-        "commutant_dimension": commutant_dim,
-        "tolerance": bound,
-        "passed": centralizer_ok and all(c.passed for c in boundaries + invariances),
+        "centralizer_dimension": counts.centralizer,
+        "commutant_dimension": counts.commutant,
+        "tolerance": campaigns.KMS_BOUNDARY.bound(tol),
+        "passed": all(c.passed for c in boundaries + invariances + routes),
     }
     _emit(out, args.json)
     return EXIT_OK if out["passed"] else EXIT_FAIL
@@ -318,7 +322,7 @@ def _samples_arg(text: str) -> int:
     return value
 
 
-def _add_common(p, dim_default=4, samples_default=50):
+def _add_common(p, dim_default=4, samples_default=50, tol=True):
     p.add_argument("--seed", type=_seed_arg, default=0, help="RNG seed (>= 0)")
     p.add_argument(
         "--dim", type=_dim_arg, default=dim_default, help="matrix dimension (2..16)"
@@ -326,9 +330,10 @@ def _add_common(p, dim_default=4, samples_default=50):
     p.add_argument(
         "--samples", type=_samples_arg, default=samples_default, help="instances to draw"
     )
-    p.add_argument(
-        "--tol", type=float, default=None, help="residual tolerance override (beats MODKIT_TOL)"
-    )
+    if tol:
+        p.add_argument(
+            "--tol", type=float, default=None, help="residual tolerance override (beats MODKIT_TOL)"
+        )
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -369,9 +374,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_campaign, suite="cone")
 
+    # each inequality is judged against its own relative floor, so ineq
+    # takes no --tol: it would never move a verdict
     p = sub.add_parser("ineq", help="trace inequality campaign")
-    _add_common(p, samples_default=100)
-    p.set_defaults(func=cmd_campaign, suite="inequalities")
+    _add_common(p, samples_default=100, tol=False)
+    p.set_defaults(func=cmd_campaign, suite="inequalities", tol=None)
 
     p = sub.add_parser("campaign", help="named verification campaign")
     p.add_argument("--suite", default="all", help=f"one of {', '.join(campaigns.SUITE_NAMES)}")

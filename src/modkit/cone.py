@@ -2,15 +2,14 @@
 
 For the standard form of the matrix algebra the cone is exactly
 ``{vec(X) : X PSD}`` (closure is a no-op in finite dimensions), so
-membership is a PSD test on the witness ``unvec(v)``. The cone is
-self-dual and pointed, every J-fixed vector splits into two orthogonal
-cone elements through the Jordan decomposition of its witness, and every
-vector splits into four.
+membership is a PSD test on the witness ``unvec(v)``. Cone elements are
+plain :class:`BipartiteVector` values, each the vec of its own witness.
+The cone is self-dual and pointed, every J-fixed vector splits into two
+orthogonal cone elements through the Jordan decomposition of its witness,
+and every vector splits into four.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +25,12 @@ from .linalg import (
 from .vecops import BipartiteVector, unvec, vec
 
 
-@dataclass(frozen=True)
-class ConeElement:
-    """A cone vector together with its PSD witness (vector = vec(witness))."""
-
-    vector: BipartiteVector
-    witness: np.ndarray
-
-    @classmethod
-    def from_witness(cls, x: np.ndarray) -> "ConeElement":
-        x = np.asarray(x, dtype=complex)
-        if not check_psd(x):
-            raise NotPSD("witness is not PSD within tolerance")
-        return cls(vec(x), x)
-
-    def norm(self) -> float:
-        return self.vector.norm()
+def cone_element(x: np.ndarray) -> BipartiteVector:
+    """vec(X) for a PSD witness X; raises :class:`NotPSD` otherwise."""
+    x = np.asarray(x, dtype=complex)
+    if not check_psd(x):
+        raise NotPSD("witness is not PSD within tolerance")
+    return vec(x)
 
 
 def cone_contains(v: BipartiteVector, tol: float = PSD_TOL) -> bool:
@@ -51,7 +40,7 @@ def cone_contains(v: BipartiteVector, tol: float = PSD_TOL) -> bool:
     return check_psd(unvec(v), tol)
 
 
-def decompose_j_fixed(v: BipartiteVector) -> tuple[ConeElement, ConeElement]:
+def decompose_j_fixed(v: BipartiteVector) -> tuple[BipartiteVector, BipartiteVector]:
     """Split a J-fixed vector into orthogonal cone elements.
 
     J v = v means the witness T = unvec(v) is Hermitian; the Jordan parts
@@ -67,12 +56,10 @@ def decompose_j_fixed(v: BipartiteVector) -> tuple[ConeElement, ConeElement]:
             f"(witness Hermiticity defect {hermiticity_defect(t):.3e})"
         )
     plus, minus = spectral_decomposition(t).jordan()
-    return ConeElement(vec(plus), plus), ConeElement(vec(minus), minus)
+    return vec(plus), vec(minus)
 
 
-def decompose_general(
-    v: BipartiteVector,
-) -> tuple[ConeElement, ConeElement, ConeElement, ConeElement]:
+def decompose_general(v: BipartiteVector) -> tuple[BipartiteVector, ...]:
     """Four-cone-element split v = c1 - c2 + i c3 - i c4.
 
     The witness splits into Hermitian and anti-Hermitian parts, each of
@@ -85,14 +72,9 @@ def decompose_general(
     skew = (y - adjoint(y)) / 2j
     h_plus, h_minus = spectral_decomposition(herm).jordan()
     k_plus, k_minus = spectral_decomposition(skew).jordan()
-    return (
-        ConeElement(vec(h_plus), h_plus),
-        ConeElement(vec(h_minus), h_minus),
-        ConeElement(vec(k_plus), k_plus),
-        ConeElement(vec(k_minus), k_minus),
-    )
+    return tuple(vec(x) for x in (h_plus, h_minus, k_plus, k_minus))
 
 
-def cone_pairing(lhs: ConeElement, rhs: ConeElement) -> float:
+def cone_pairing(lhs: BipartiteVector, rhs: BipartiteVector) -> float:
     """<xi, eta> = Tr(X Y) >= 0 for cone elements; returned as a real number."""
-    return float(np.real(lhs.vector.inner(rhs.vector)))
+    return float(np.real(lhs.inner(rhs)))

@@ -18,15 +18,15 @@ eigenbasis sum, which is entire in z; the strip constraint
 and is enforced as a contract, not a numerical necessity. On the upper
 boundary, F(t + i beta) = omega(sigma_t(B) A).
 
-Every time argument is a scalar or a 1-D array of times. An array is
+Every time argument is a 1-D array of times, one time being an array of
+length one; any other shape raises :class:`ShapeMismatch`. It is
 evaluated from one change of basis per operator and one phase matrix
-per time, and gives the results stacked along a leading axis; a scalar
-gives a complex, float or matrix, unstacked.
+per time, and gives the results stacked along a trailing time axis.
 
 Every operator argument is a (d, d) matrix or a stack of k of them,
 shape (k, d, d); the paired operators of :func:`kms_function` and
 :func:`kms_boundary_defect` are stacked alike. A stack puts its probe
-axis first, ahead of any time axis, and evaluates every probe with the
+axis first, ahead of the time axis, and evaluates every probe with the
 same matrix products as a single operator would, so stacked results
 equal the per-probe ones bit for bit.
 
@@ -75,54 +75,52 @@ class GibbsSystem:
 
 
 def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
-    """H = -(1/beta) log D; requires a finite beta > 0 and faithful D."""
+    """H = -(1/beta) log D; requires a finite beta > 0, a faithful D and
+    finite energies."""
     # written so that NaN fails too: nan <= 0 is False
     if not (math.isfinite(beta) and beta > 0):
         raise BadBeta(f"inverse temperature must be finite and positive, got {beta}")
     if not is_faithful(density):
         raise SingularState("Gibbs Hamiltonian needs a faithful density")
+    # a tiny beta overflows the energies -log(lambda) / beta
+    with np.errstate(over="ignore"):
+        energies = -np.log(density.spectrum.eigenvalues) / beta
+    if not np.all(np.isfinite(energies)):
+        raise BadBeta(f"energies -log(lambda) / beta overflow at beta = {beta}")
     h = density.spectrum.apply(lambda lam: -np.log(lam) / beta)
     return GibbsSystem(float(beta), density, h)
 
 
-def heisenberg_evolve(
-    sys: GibbsSystem, a: np.ndarray, t: float | np.ndarray
-) -> np.ndarray:
-    """exp(iHt) A exp(-iHt) in physical time.
+def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(iHt) A exp(-iHt) in physical time, at each time of ``t``.
 
-    ``a`` is a (d, d) matrix or a (k, d, d) stack; ``t`` is a scalar or a
-    1-D array of times. An array gives the evolved matrices stacked along
-    a time axis after the probe axis, from one change of basis of A.
-    Energy is conserved ([A, H] = 0 implies a fixed point) and the Gibbs
-    state is invariant: Tr(D sigma_t(A)) = Tr(D A).
+    ``a`` is a (d, d) matrix or a (k, d, d) stack; the evolved matrices
+    come stacked along a time axis after the probe axis, from one change
+    of basis of A. Energy is conserved ([A, H] = 0 implies a fixed point)
+    and the Gibbs state is invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
     a = _operands(sys, a)
+    t = _times(t, float)
     v = sys.density.spectrum.eigenvectors
-    t = np.asarray(t, dtype=float)
     phases = np.exp(np.multiply.outer(1j * t, sys.energies()))
     a_eig = adjoint(v) @ a @ v
-    if t.ndim:
-        a_eig = a_eig[..., None, :, :]
-    outer = phases[..., :, None] * np.conj(phases)[..., None, :]
-    return v @ (outer * a_eig) @ adjoint(v)
+    outer = phases[:, :, None] * np.conj(phases)[:, None, :]
+    return v @ (outer * a_eig[..., None, :, :]) @ adjoint(v)
 
 
-def kms_function(
-    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: complex | np.ndarray
-) -> complex | np.ndarray:
-    """Two-point function F(z) = omega(A sigma_z(B)) on the strip.
+def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Two-point function F(z) = omega(A sigma_z(B)) on the strip, at each z.
 
     In the eigenbasis of H (eigenvalues E_j, weights lambda_j of D):
 
         F(z) = sum_jk lambda_j A_jk B_kj exp(i z (E_k - E_j)).
 
-    ``z`` is a complex scalar or a 1-D array; ``a`` and ``b`` are (d, d)
-    matrices, giving a complex or an array over z, or (k, d, d) stacks,
-    giving an array over the probes (then z). The weights
+    ``a`` and ``b`` are (d, d) matrices, giving an array over z, or
+    (k, d, d) stacks, giving an array over the probes, then z. The weights
     lambda_j A_jk B_kj are formed once for all z.
     Raises :class:`OutsideStrip` unless 0 <= Im z <= beta for every z.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _times(z, complex)
     outside = (z.imag < 0) | (z.imag > sys.beta)
     if np.any(outside):
         raise OutsideStrip(
@@ -139,12 +137,9 @@ def kms_function(
     a_eig = adjoint(v) @ a @ v
     b_eig = adjoint(v) @ b @ v
     weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
-    if z.ndim:
-        weights = weights[..., None, :, :]
     phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
-    terms = weights * phase
-    values = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
-    return complex(values) if values.ndim == 0 else values
+    terms = weights[..., None, :, :] * phase
+    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
 
 
 def centralizer_dimension(density: DensityMatrix) -> int:
@@ -182,15 +177,16 @@ def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
     return gap, threshold, COMMUTANT_NULL_RTOL * max(1.0, diameter)
 
 
-def commutant_dimension(d: np.ndarray) -> int:
+def commutant_dimension(density: DensityMatrix) -> int:
     """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
 
-    The brute-force route to :func:`centralizer_dimension`. The
-    map is Hermitian for Hermitian D, so its singular values are the
-    moduli of its eigenvalues. Cutoff is absolute at density-matrix
-    scale, so a numerically zero map (flat spectrum) counts as fully null.
+    The brute-force route to :func:`centralizer_dimension`, from the
+    density's matrix rather than its spectrum. The map is Hermitian for
+    Hermitian D, so its singular values are the moduli of its eigenvalues.
+    Cutoff is absolute at density-matrix scale, so a numerically zero map
+    (flat spectrum) counts as fully null.
     """
-    size = np.abs(np.linalg.eigvalsh(_commutator_map(d)))
+    size = np.abs(np.linalg.eigvalsh(_commutator_map(density.matrix)))
     cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))
     return int(np.count_nonzero(size <= cutoff))
 
@@ -210,43 +206,33 @@ def _commutator_map(d: np.ndarray) -> np.ndarray:
     return k.reshape(n * n, n * n)
 
 
-def state_invariance_defect(
-    sys: GibbsSystem, a: np.ndarray, t: float | np.ndarray
-) -> float | np.ndarray:
+def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
-    A (d, d) ``a`` and a scalar ``t`` give a float; a (k, d, d) stack or
-    a 1-D array of times give an array over the probes, then the times.
+    An array over the times, or for a (k, d, d) stack over the probes,
+    then the times.
     """
     d = sys.density.matrix
     a = _operands(sys, a)
-    t = np.asarray(t, dtype=float)
-    evolved = heisenberg_evolve(sys, a, t)
-    initial = _trace(d @ a)
-    if t.ndim:
-        initial = initial[..., None]
-    defect = np.abs(_trace(d @ evolved) - initial)
-    return float(defect) if defect.ndim == 0 else defect
+    initial = _trace(d @ a)[..., None]
+    return np.abs(_trace(d @ heisenberg_evolve(sys, a, t)) - initial)
 
 
 def kms_boundary_defect(
-    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: float | np.ndarray
-) -> float | np.ndarray:
+    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: np.ndarray
+) -> np.ndarray:
     """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
 
     The left side is the eigenbasis sum of :func:`kms_function`; the right
     side forms sigma_t(B) as a matrix and takes the trace in the standard
-    basis. (d, d) operators and a scalar ``t`` give a float; (k, d, d)
-    stacks or a 1-D array of times give an array over the probes, then
-    the times.
+    basis. An array over the times, or for (k, d, d) stacks over the
+    probes, then the times.
     """
     a = _operands(sys, a)
-    t = np.asarray(t, dtype=float)
+    t = _times(t, float)
     lhs = kms_function(sys, a, b, t + 1j * sys.beta)
-    right = a[..., None, :, :] if t.ndim else a
-    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ right)
-    defect = np.abs(lhs - rhs)
-    return float(defect) if defect.ndim == 0 else defect
+    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ a[..., None, :, :])
+    return np.abs(lhs - rhs)
 
 
 def _operands(sys: GibbsSystem, a) -> np.ndarray:
@@ -258,6 +244,14 @@ def _operands(sys: GibbsSystem, a) -> np.ndarray:
             f"nor (k, {sys.dim}, {sys.dim})"
         )
     return a
+
+
+def _times(t, dtype) -> np.ndarray:
+    """``t`` as a 1-D array of ``dtype``, else ShapeMismatch."""
+    t = np.asarray(t, dtype=dtype)
+    if t.ndim != 1:
+        raise ShapeMismatch(f"times must form a 1-D array, got shape {t.shape}")
+    return t
 
 
 def _trace(m: np.ndarray) -> complex | np.ndarray:

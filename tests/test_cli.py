@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -61,13 +62,21 @@ def test_dump_matrix_field_order():
             '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
             id="entry-beyond-double-range",
         ),
+        # nesting beyond the decoder's recursion limit, and bytes that are not UTF-8
+        pytest.param("[" * 200_000, id="deeply-nested"),
+        pytest.param(b'\xff\xfe{"rows": 1}', id="not-utf-8"),
     ],
 )
-def test_load_matrix_parse_errors(tmp_path, payload):
+def test_load_matrix_parse_errors(tmp_path, payload, monkeypatch):
+    raw = payload if isinstance(payload, bytes) else payload.encode()
     p = tmp_path / "bad.json"
-    p.write_text(payload)
+    p.write_bytes(raw)
     with pytest.raises(ParseError):
         load_matrix(str(p))
+    # the same payload on stdin, decoded strictly as UTF-8
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    with pytest.raises(ParseError):
+        load_matrix("-")
 
 
 def test_load_matrix_keeps_every_bit(tmp_path):
@@ -284,6 +293,15 @@ def test_kms_verify_with_state_file(tmp_path):
 def test_kms_verify_bad_beta_exits_3():
     r = run_cli("kms-verify", "--dim", "2", "--beta", "-1.0")
     assert r.returncode == 3
+
+
+def test_kms_verify_beta_whose_energies_overflow_exits_3():
+    # -log(lambda) / beta overflows: refused before any defect is formed
+    r = run_cli("kms-verify", "--dim", "3", "--samples", "2", "--beta", "1e-310", "--json")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("modkit: BadBeta:")
+    assert "RuntimeWarning" not in r.stderr
 
 
 def test_schmidt_rectangular_input(tmp_path):
@@ -659,3 +677,64 @@ def test_kms_invariance_is_judged_alike_by_both_drivers(flag, env, monkeypatch, 
     assert main(["kms-verify", "--dim", "3", "--samples", "2", *flag, "--json"]) == 0
     assert bounds and set(bounds) == {want}
     assert _strict_json(capsys.readouterr().out)["tolerance"] == (1e-6 if flag or env else 1e-10)
+
+
+def test_ineq_takes_no_tolerance_flag(capsys):
+    argv = ["ineq", "--dim", "3", "--samples", "2", "--json"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-6"])
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-6" in captured.err
+
+
+def test_inequality_reports_keep_their_floor_under_an_override(monkeypatch, capsys):
+    # report families judge their own relative floor: neither --tol nor
+    # MODKIT_TOL moves an inequality verdict or margin
+    def report(argv):
+        assert main([*argv, "--dim", "4", "--samples", "20", "--seed", "3", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("wall_time")
+        return out
+
+    campaign = ["campaign", "--suite", "inequalities"]
+    plain = report(["ineq"])
+    assert report(campaign) == plain
+    assert report([*campaign, "--tol", "1e-2"]) == plain
+    monkeypatch.setenv("MODKIT_TOL", "0.5")
+    assert report(["ineq"]) == plain
+    assert report(campaign) == plain
+
+
+def test_kms_verify_judges_the_centralizer_routes_as_a_family(tmp_path, monkeypatch, capsys):
+    # one commutant count per run, judged through campaigns.evaluate as the
+    # kms.centralizer_routes family
+    import modkit.cli as cli
+    from modkit import campaigns
+
+    commutant_calls, judged = [], []
+    real_commutant, real_evaluate = cli.commutant_dimension, campaigns.evaluate
+
+    def commutant(density):
+        commutant_calls.append(density)
+        return real_commutant(density)
+
+    def evaluate(family, instance, tol=None):
+        checks = real_evaluate(family, instance, tol)
+        if family is campaigns.KMS_CENTRALIZER_ROUTES:
+            judged.append(checks)
+        return checks
+
+    monkeypatch.setattr(cli, "commutant_dimension", commutant)
+    monkeypatch.setattr(campaigns, "evaluate", evaluate)
+    assert main(["kms-verify", "--dim", "3", "--samples", "70", "--json"]) == 0
+    assert len(commutant_calls) == 1
+    ((check,),) = judged
+    assert (check.name, check.value, check.passed) == ("kms.centralizer_routes", True, True)
+
+    path = write_matrix(tmp_path / "omega.json", np.diag([0.5 + 5e-11, 0.5 - 5e-11]))
+    assert main(["kms-verify", path, "--json"]) == 1
+    capsys.readouterr()
+    assert len(commutant_calls) == 2
+    assert [checks[0].passed for checks in judged] == [True, False]

@@ -66,6 +66,14 @@ def test_gibbs_rejects_bad_beta(rng):
         gibbs_hamiltonian(random_faithful_density(rng, 2), 0.0)
 
 
+def test_gibbs_rejects_a_beta_whose_energies_overflow(rng):
+    # -log(lambda) / beta overflows to inf for beta = 1e-310
+    density = random_faithful_density(rng, 3)
+    with pytest.raises(BadBeta, match="overflow"):
+        gibbs_hamiltonian(density, 1e-310)
+    assert np.all(np.isfinite(gibbs_hamiltonian(density, 1e-6).energies()))
+
+
 def test_gibbs_rejects_singular():
     with pytest.raises(SingularState):
         gibbs_hamiltonian(DensityMatrix(np.diag([1.0, 0.0])), 1.0)
@@ -74,13 +82,13 @@ def test_gibbs_rejects_singular():
 def test_evolve_time_zero(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
     a = complex_gaussian(rng, 3)
-    assert np.allclose(heisenberg_evolve(sys, a, 0.0), a)
+    assert np.allclose(heisenberg_evolve(sys, a, [0.0])[0], a)
 
 
 def test_evolve_conserves_energy(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.3)
     assert np.linalg.norm(
-        heisenberg_evolve(sys, sys.hamiltonian, 2.1) - sys.hamiltonian
+        heisenberg_evolve(sys, sys.hamiltonian, [2.1])[0] - sys.hamiltonian
     ) < 1e-12
 
 
@@ -94,13 +102,13 @@ def test_evolve_dense_exponential_oracle(rng):
     gen = np.kron(h, eye) - np.kron(eye, h.T)
     propagator = scipy.linalg.expm(1j * t * gen)
     dense = unvec(BipartiteVector(3, 3, propagator @ vec(a).amplitudes))
-    assert np.linalg.norm(dense - heisenberg_evolve(sys, a, t)) < 1e-11
+    assert np.linalg.norm(dense - heisenberg_evolve(sys, a, [t])[0]) < 1e-11
 
 
 def test_kms_function_at_zero(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
     a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
-    assert kms_function(sys, a, b, 0.0) == pytest.approx(
+    assert kms_function(sys, a, b, [0.0])[0] == pytest.approx(
         complex(np.trace(sys.density.matrix @ a @ b)), abs=1e-12
     )
 
@@ -113,7 +121,7 @@ def test_kms_function_real_time(rng):
     oracle = complex(
         np.trace(sys.density.matrix @ a @ u @ b @ np.conj(u).T)
     )
-    assert kms_function(sys, a, b, t) == pytest.approx(oracle, abs=1e-11)
+    assert kms_function(sys, a, b, [t])[0] == pytest.approx(oracle, abs=1e-11)
 
 
 def test_kms_boundary_condition(rng):
@@ -121,23 +129,24 @@ def test_kms_boundary_condition(rng):
         sys = gibbs_hamiltonian(random_faithful_density(rng, 4), beta)
         for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
             a, b = complex_gaussian(rng, 4), complex_gaussian(rng, 4)
-            assert kms_boundary_defect(sys, a, b, t) < 1e-10
+            assert kms_boundary_defect(sys, a, b, [t])[0] < 1e-10
 
 
 def test_kms_function_strip_contract(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 2), 1.0)
     a, b = complex_gaussian(rng, 2), complex_gaussian(rng, 2)
-    kms_function(sys, a, b, 0.3 + 0.5j)  # inside
-    kms_function(sys, a, b, 0.3 + 1.0j)  # upper boundary
+    kms_function(sys, a, b, [0.3 + 0.5j])  # inside
+    kms_function(sys, a, b, [0.3 + 1.0j])  # upper boundary
     with pytest.raises(OutsideStrip):
-        kms_function(sys, a, b, 0.3 - 0.1j)
+        kms_function(sys, a, b, [0.3 - 0.1j])
     with pytest.raises(OutsideStrip):
-        kms_function(sys, a, b, 0.3 + 1.1j)
+        kms_function(sys, a, b, [0.3 + 1.1j])
 
 
 @pytest.mark.parametrize("d", [2, 16])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_time_arrays_match_scalar_times(d, beta):
+    # a grid of times against each of its times alone, a one-element array
     rng = np.random.default_rng(int(100 * beta) + d)
     sys = gibbs_hamiltonian(random_faithful_density(rng, d), beta)
     a, b = complex_gaussian(rng, d), complex_gaussian(rng, d)
@@ -148,15 +157,16 @@ def test_time_arrays_match_scalar_times(d, beta):
     values = kms_function(sys, a, b, t_grid + 0.5j * beta)
     assert boundary.shape == invariance.shape == values.shape == (5,)
     assert evolved.shape == (5, d, d)
-    for k, t in enumerate(t_grid):
-        scalar = kms_boundary_defect(sys, a, b, float(t))
-        assert isinstance(scalar, float)
-        assert abs(boundary[k] - scalar) <= 1e-15
-        assert abs(invariance[k] - state_invariance_defect(sys, a, float(t))) <= 1e-15
-        assert np.max(np.abs(evolved[k] - heisenberg_evolve(sys, a, float(t)))) <= 1e-15
-        value = kms_function(sys, a, b, complex(t + 0.5j * beta))
-        assert isinstance(value, complex)
-        assert abs(values[k] - value) <= 1e-15
+    for k in range(len(t_grid)):
+        t = t_grid[k : k + 1]
+        single = kms_boundary_defect(sys, a, b, t)
+        assert single.shape == (1,)
+        assert abs(boundary[k] - single[0]) <= 1e-15
+        assert abs(invariance[k] - state_invariance_defect(sys, a, t)[0]) <= 1e-15
+        assert np.max(np.abs(evolved[k] - heisenberg_evolve(sys, a, t)[0])) <= 1e-15
+        value = kms_function(sys, a, b, t + 0.5j * beta)
+        assert value.shape == (1,)
+        assert abs(values[k] - value[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])
@@ -179,13 +189,14 @@ def test_stacked_probes_match_the_per_probe_loop(d):
         invariance, [state_invariance_defect(sys, x, t_grid) for x in a]
     )
 
-    boundary = kms_boundary_defect(sys, a, b, 0.7)
-    invariance = state_invariance_defect(sys, a, 0.7)
-    assert boundary.shape == invariance.shape == (7,)
+    t = np.array([0.7])
+    boundary = kms_boundary_defect(sys, a, b, t)
+    invariance = state_invariance_defect(sys, a, t)
+    assert boundary.shape == invariance.shape == (7, 1)
     assert np.array_equal(
-        boundary, [kms_boundary_defect(sys, x, y, 0.7) for x, y in zip(a, b)]
+        boundary, [kms_boundary_defect(sys, x, y, t) for x, y in zip(a, b)]
     )
-    assert np.array_equal(invariance, [state_invariance_defect(sys, x, 0.7) for x in a])
+    assert np.array_equal(invariance, [state_invariance_defect(sys, x, t) for x in a])
 
     z = t_grid + 0.5j * sys.beta
     assert np.array_equal(
@@ -201,11 +212,28 @@ def test_stacked_operands_are_validated(rng):
     a = np.stack([complex_gaussian(rng, 3) for _ in range(4)])
     for bad in (a[0, 0], a[:, :2], a[None]):
         with pytest.raises(ShapeMismatch):
-            heisenberg_evolve(sys, bad, 0.5)
+            heisenberg_evolve(sys, bad, [0.5])
     with pytest.raises(ShapeMismatch):
-        kms_boundary_defect(sys, a, a[:3], 0.5)
+        kms_boundary_defect(sys, a, a[:3], [0.5])
     with pytest.raises(ShapeMismatch):
-        kms_function(sys, a, a[0], 0.5)
+        kms_function(sys, a, a[0], [0.5])
+
+
+@pytest.mark.parametrize(
+    "t", [0.5, np.array(0.5), [[0.5]], np.zeros((2, 3))], ids=["float", "0-d", "1x1", "2x3"]
+)
+def test_times_must_form_a_1d_array(rng, t):
+    # one time is an array of length one; a 0-d or 2-d time is refused
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
+    a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
+    for call in (
+        lambda: heisenberg_evolve(sys, a, t),
+        lambda: kms_function(sys, a, b, t),
+        lambda: kms_boundary_defect(sys, a, b, t),
+        lambda: state_invariance_defect(sys, a, t),
+    ):
+        with pytest.raises(ShapeMismatch, match="times must form a 1-D array"):
+            call()
 
 
 def test_kms_function_strip_contract_for_time_arrays(rng):
@@ -221,7 +249,7 @@ def test_state_invariance(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 4), 1.7)
     for t in (-1.0, 0.3, 2.5):
         a = complex_gaussian(rng, 4)
-        assert state_invariance_defect(sys, a, t) < 1e-12
+        assert state_invariance_defect(sys, a, [t])[0] < 1e-12
 
 
 def test_time_convention_bridge(rng):
@@ -232,7 +260,7 @@ def test_time_convention_bridge(rng):
         a = complex_gaussian(rng, 3)
         for s in (-1.0, 0.7):
             lhs = modular_flow(density, a, s)
-            rhs = heisenberg_evolve(sys, a, -beta * s)
+            rhs = heisenberg_evolve(sys, a, [-beta * s])[0]
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -286,7 +314,7 @@ def test_kms_verify_commutant_route_matches_blocks(rng, d):
         cases.append((DensityMatrix(np.eye(16) / 16), [16]))
     for density, blocks in cases:
         expected = sum(m * m for m in blocks)
-        assert commutant_dimension(density.matrix) == expected
+        assert commutant_dimension(density) == expected
         assert centralizer_dimension(density) == expected
 
 
@@ -312,7 +340,7 @@ def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
     density = _gapped_density(mults, gap)
     expected = sum(m * m for m in mults)
     assert centralizer_dimension(density) == expected
-    assert commutant_dimension(density.matrix) == expected
+    assert commutant_dimension(density) == expected
 
 
 @pytest.mark.parametrize("d", [2, 16])
@@ -324,7 +352,7 @@ def test_commutant_dimension_matches_the_svd_oracle(rng, d):
     cases.append(DensityMatrix(np.eye(d) / d))
     cases += [_gapped_density(mults, gap) for gap in (1e-6, 1e-4, 1e-2)]
     for density in cases:
-        assert commutant_dimension(density.matrix) == commutant_nullity(density.matrix)
+        assert commutant_dimension(density) == commutant_nullity(density.matrix)
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])
@@ -339,7 +367,7 @@ def test_gibbs_system_invariants_hold(rng):
     sys = gibbs_hamiltonian(density, 1.1)
     assert isinstance(sys, GibbsSystem)
     u = random_unitary(rng, 3)
-    evolved = heisenberg_evolve(sys, u, 1.0)
+    evolved = heisenberg_evolve(sys, u, [1.0])[0]
     # unitarity is preserved by a *-automorphism
     assert np.linalg.norm(evolved @ np.conj(evolved).T - np.eye(3)) < 1e-12
 
