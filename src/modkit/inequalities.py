@@ -18,8 +18,9 @@ Every check returns an unnamed :class:`InequalityReport`; the check table of
 :mod:`modkit.campaigns` names it. Pass/fail uses a relative slack floor so
 trace-scale growth with dimension does not produce spurious violations.
 The endpoint convention X^0 = support projection keeps the s-family
-meaningful on singular inputs. Every right-hand side Tr(A + B - |A - B|)
-is A(1) + B(1) - ||A - B||_1, through :func:`states.functional_distance`.
+meaningful on singular inputs. Every ||A - B||_1, alone on the right of
+Powers-Stormer and Phillips or inside Tr(A + B - |A - B|) = A(1) + B(1) -
+||A - B||_1, is :func:`states.functional_distance`.
 
 Every operand is a :class:`PositiveFunctional`, validated and decomposed
 once, on construction: every power a check takes comes from the cached
@@ -98,7 +99,7 @@ def norm_sandwich(
 def powers_stormer(a: PositiveFunctional, b: PositiveFunctional) -> InequalityReport:
     """||sqrt(A) - sqrt(B)||_2^2 <= ||A - B||_1."""
     lhs = hs_norm(a.sqrt() - b.sqrt()) ** 2
-    rhs = trace_norm(a.matrix - b.matrix)
+    rhs = functional_distance(a, b)
     return _report(lhs, rhs, "le")
 
 
@@ -208,5 +209,5 @@ def phillips(
     if not check_psd(a.matrix - b.matrix):
         raise OrderViolation("Phillips inequality requires A >= B")
     lhs = schatten_norm(a.power(1.0 / t) - b.power(1.0 / t), t) ** t
-    rhs = trace_norm(a.matrix - b.matrix)
+    rhs = functional_distance(a, b)
     return _report(lhs, rhs, "le")

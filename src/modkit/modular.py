@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularState
 from .linalg import adjoint, as_matrix, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
-from .vecops import SuperOperator
+from .vecops import SuperOperator, _contract
 
 
 def _require_faithful(omega: PositiveFunctional, role: str) -> None:
@@ -185,6 +185,7 @@ def verify_tomita_takesaki(
 
     Returns (commutant_residuals, flow_residuals), per pair of samples
     and per (t, sample), unjudged: :mod:`modkit.campaigns` reduces them.
+    Every sample must be d x d (``ShapeMismatch`` before any product).
 
     For every pair (M, N) of samples the commutator norm
     ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is J's definition
@@ -194,14 +195,20 @@ def verify_tomita_takesaki(
     ||Delta^(it) pi(M) Delta^(-it) - (D^(it) M D^(-it)) (x) 1||_HS is
     recorded: the factors of Delta^(+-it) act on the dense pi(M) by
     reshape, and the result is compared with the closed form pi(sigma_t(M)).
-    Every product and difference is written into the same two d^2 x d^2
-    buffers, and J pi(M) J into a third; pi(M) is rebuilt per use, not
-    kept for every sample.
+    Every product is one :func:`vecops._contract` of a factor along one
+    axis of a d^2 x d^2 buffer viewed as a 3-tensor, written into the
+    other buffer of the pair (a, b), so no contraction reads what it
+    writes; differences are taken in place, and J pi(M) J sits in a third
+    buffer. pi(M) is rebuilt per use, not kept for every sample.
     """
     _require_faithful(omega, "reference")
     d = omega.dim
     mats = [as_matrix(m) for m in samples]
-    a, b, jmj = (np.empty((d * d, d * d), dtype=complex) for _ in range(3))
+    for m in mats:
+        if m.shape != (d, d):
+            raise ShapeMismatch(f"sample shape {m.shape} != ({d}, {d})")
+    n = d * d
+    a, b, jmj = (np.empty((n, n), dtype=complex) for _ in range(3))
 
     comm = []
     for m in mats:
@@ -212,19 +219,21 @@ def verify_tomita_takesaki(
         pim = pi_left(m, out=a).reshape(d, d, d, d)
         np.copyto(jmj.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2))
         np.conjugate(jmj, out=jmj)
-        for n in mats:
-            pin = pi_factored(n)
-            pin._left_multiply(jmj, out=a)  # pi(N) J pi(M) J
-            pin._right_multiply(jmj, conjugate=False, out=b)  # J pi(M) J pi(N)
+        for probe in mats:
+            _contract(probe, jmj.reshape(d, d, n), 0, out=a)  # pi(N) J pi(M) J
+            _contract(probe.T, jmj.reshape(n, d, d), 1, out=b)  # J pi(M) J pi(N)
             comm.append(hs_norm(np.subtract(b, a, out=b)))
 
     flow = []
     for t in t_grid:
-        u = relative_modular_unitary(omega, omega, t)
-        u_inv = relative_modular_unitary(omega, omega, -t)
+        left, right = relative_modular_unitary(omega, omega, t).factors
+        left_inv, right_inv = relative_modular_unitary(omega, omega, -t).factors
         for m in mats:
-            u._left_multiply(pi_left(m, out=b), out=b, work=a)
-            u_inv._right_multiply(b, conjugate=False, out=b, work=a)
+            # Delta^(it) pi(M), then (...) Delta^(-it), alternating a and b
+            _contract(left, pi_left(m, out=b).reshape(d, d, n), 0, out=a)
+            _contract(right, a.reshape(d, d, n), 1, out=b)
+            _contract(left_inv.T, b.reshape(n, d, d), 1, out=a)
+            _contract(right_inv.T, a.reshape(n, d, d), 2, out=b)
             closed = pi_left(modular_flow(omega, m, t), out=a)
             flow.append(hs_norm(np.subtract(b, closed, out=b)))
 

@@ -130,7 +130,9 @@ class SuperOperator:
     Factored operators apply and compose by reshape at O(d^3) per factor
     product; a factored operator composed with a dense one moves its
     factors onto the dense matrix at O(d^5). Only dense o dense pays the
-    O(d^6) matmul.
+    O(d^6) matmul. Every product allocates its result; a caller that
+    reuses d^2 x d^2 buffers contracts the factors itself with
+    :func:`_contract`, as the Tomita-Takesaki verifier does.
     """
 
     def __init__(
@@ -233,48 +235,34 @@ class SuperOperator:
             m = self._left_multiply(rhs) if self.is_factored else self.matrix @ rhs
         return SuperOperator(self.d, m, antilinear)
 
-    def _left_multiply(
-        self,
-        m: np.ndarray,
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _left_multiply(self, m: np.ndarray) -> np.ndarray:
         """(A (x) B) P^transpose @ m, each column of m taken as vec(X).
 
-        Without ``out`` every contraction allocates its result. With
-        ``out`` (C-contiguous, shaped like m) the product is written there
-        and returned; when both factors are set the first contraction
-        writes ``work``, so ``out`` may then be ``m`` itself.
+        One allocating :func:`_contract` per non-identity factor; the mixed
+        dense/factored branches of :meth:`compose` are the only callers.
         """
         d, n = self.d, m.shape[1]
         t = m.reshape(d, d, n)
         if self.transpose:
             t = t.transpose(1, 0, 2)
         left, right = self.factors
-        t = _contract_each(t, ((left, 0), (right, 1)), out, work)
+        if left is not None:
+            t = _contract(left, t, 0)
+        if right is not None:
+            t = _contract(right, t, 1)
         return t.reshape(d * d, n)
 
-    def _right_multiply(
-        self,
-        m: np.ndarray,
-        conjugate: bool,
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X).
-
-        ``out`` and ``work`` as in :meth:`_left_multiply`, for operators
-        without a transposition: a transposition comes last, as a copy.
-        """
+    def _right_multiply(self, m: np.ndarray, conjugate: bool) -> np.ndarray:
+        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X)."""
         d, n = self.d, m.shape[0]
         t = m.reshape(n, d, d)
         left, right = (_conj(f) if conjugate else f for f in self.factors)
-        steps = ((_transpose(left), 1), (_transpose(right), 2))
-        if not self.transpose:
-            return _contract_each(t, steps, out, work).reshape(n, d * d)
-        if out is not None:
-            raise ValueError("a transposed operator's product is a new array")
-        t = _contract_each(t, steps, None, None).transpose(0, 2, 1)
+        if left is not None:
+            t = _contract(left.T, t, 1)
+        if right is not None:
+            t = _contract(right.T, t, 2)
+        if self.transpose:
+            t = t.transpose(0, 2, 1)
         return t.reshape(n, d * d)
 
     def adjoint(self) -> "SuperOperator":
@@ -310,10 +298,6 @@ def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a @ b
 
 
-def _transpose(f: np.ndarray | None) -> np.ndarray | None:
-    return None if f is None else f.T
-
-
 def _contract(
     f: np.ndarray, t: np.ndarray, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -333,27 +317,6 @@ def _contract(
         dest = None if out is None else out.reshape(flat.shape)
         return np.matmul(flat, f.T, out=dest).reshape(t.shape)
     return np.matmul(f, t, out=None if out is None else out.reshape(t.shape))
-
-
-def _contract_each(
-    t: np.ndarray,
-    steps: tuple[tuple[np.ndarray | None, int], ...],
-    out: np.ndarray | None,
-    work: np.ndarray | None,
-) -> np.ndarray:
-    """Apply the (factor, axis) contractions in order, skipping None factors.
-
-    With ``out`` the last contraction writes it and the one before writes
-    ``work``, so no contraction reads the buffer it writes; identity
-    factors alone leave nothing to write there.
-    """
-    steps = [(f, axis) for f, axis in steps if f is not None]
-    if out is not None and not steps:
-        raise ValueError("identity factors give no product to write into out")
-    targets = [None] * len(steps) if out is None else [work, out][-len(steps):]
-    for (f, axis), dest in zip(steps, targets):
-        t = _contract(f, t, axis, dest)
-    return t
 
 
 def swap_operator(d: int) -> SuperOperator:

@@ -265,6 +265,17 @@ def test_verify_tt_random_faithful_d4(rng):
     assert max(np.max(comm), np.max(flow)) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_verify_tt_rejects_a_probe_of_another_shape(rng, bad, bad_first):
+    omega = random_faithful_density(rng, 4)
+    probes = [complex_gaussian(rng, 4), rng.standard_normal(bad)]
+    if bad_first:
+        probes.reverse()
+    with pytest.raises(ShapeMismatch):
+        verify_tomita_takesaki(omega, probes, [0.5])
+
+
 def test_dimension_mismatch(rng):
     with pytest.raises(ShapeMismatch):
         relative_modular_operator(

@@ -258,24 +258,6 @@ def test_pi_left_equals_kron(d):
             pi_left(m, out=bad)
 
 
-def test_kernels_refuse_an_out_they_cannot_write():
-    # J's identity factors give no contraction to write into out, and a
-    # transposed operator's right product is a fresh copy: both refuse out
-    # rather than return an array that is not out
-    d = 3
-    j = modular_conjugation(d)
-    m = complex_gaussian(np.random.default_rng(3), d * d)
-    out = np.empty_like(m)
-    with pytest.raises(ValueError):
-        j._left_multiply(m, out=out)
-    with pytest.raises(ValueError):
-        j._right_multiply(m, conjugate=True, out=out)
-    a = complex_gaussian(np.random.default_rng(4), d)
-    transposed = SuperOperator.factored(d, a, None, transpose=True)
-    with pytest.raises(ValueError):
-        transposed._right_multiply(m, conjugate=False, out=out)
-
-
 def compose_tomita_takesaki(omega, mats, t_grid):
     """Reference: the verifier's products through SuperOperator.compose.
 
@@ -301,29 +283,33 @@ def compose_tomita_takesaki(omega, mats, t_grid):
     return np.array(comm), np.array(flow)
 
 
-def test_tomita_takesaki_buffers_are_bit_equal_to_compose():
-    rng = np.random.default_rng(80)
-    omega = random_faithful_density(rng, 16)
-    mats = [complex_gaussian(rng, 16) for _ in range(4)]
-    t_grid = [0.3, 1.0, 2.7]
+def tomita_takesaki_input(d, seed):
+    rng = np.random.default_rng(seed)
+    omega = random_faithful_density(rng, d)
+    return omega, [complex_gaussian(rng, d) for _ in range(4)], [0.3, 1.0, 2.7]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_tomita_takesaki_buffers_are_bit_equal_to_compose(d):
+    # at d = 2, 3 and 5 the commutant residuals carry rounding, so only
+    # those dimensions pin the commutant bits (at d = 16 they are all 0.0)
+    omega, mats, t_grid = tomita_takesaki_input(d, 80 if d == 16 else 80 + d)
     got_comm, got_flow = verify_tomita_takesaki(omega, mats, t_grid)
     comm, flow = compose_tomita_takesaki(omega, mats, t_grid)
     assert got_comm.tobytes() == comm.tobytes()
     assert got_flow.tobytes() == flow.tobytes()
+    assert np.any(comm != 0.0) == (d != 16)
 
 
-# tracemalloc peak of one verify_tomita_takesaki call on the input below
-# when every product allocated its own array (compose_tomita_takesaki's
-# scheme inside the verifier); numpy 2.4, x86_64
-COMPOSE_PEAK_BYTES = 6_314_616
+# three d^2 x d^2 complex buffers at d = 16, plus 128 KiB for the small
+# arrays (factors, residual lists); one more d^2 x d^2 temporary per
+# product, as composing through SuperOperator allocates, exceeds it
+TRACED_PEAK_BYTES = 3 * 256 * 256 * 16 + 128 * 1024
 
 
 def test_tomita_takesaki_traced_peak_within_compose_scheme():
-    """Guards the reused buffers: holding every dense pi(M) would exceed it."""
-    rng = np.random.default_rng(80)
-    omega = random_faithful_density(rng, 16)
-    mats = [complex_gaussian(rng, 16) for _ in range(4)]
-    t_grid = [0.3, 1.0, 2.7]
+    """Guards the reused buffers, well inside the compose scheme's own peak."""
+    omega, mats, t_grid = tomita_takesaki_input(16, 80)
     verify_tomita_takesaki(omega, mats, t_grid)
     tracemalloc.start()
     try:
@@ -331,4 +317,4 @@ def test_tomita_takesaki_traced_peak_within_compose_scheme():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= COMPOSE_PEAK_BYTES
+    assert peak <= TRACED_PEAK_BYTES

@@ -20,7 +20,10 @@ The commands are fixed:
 * the six CLI lines of the README, on the diag(0.75, 0.25) and
   diag(0.5, 0.5) payloads;
 * the two commands of statepair-d16 ops 0-259 at bench seeds 0, 61 and
-  62, taken from ``bench/workload.py``.
+  62, taken from ``bench/workload.py``;
+* ``modular phi omega --verify --json`` on 10 seeded random faithful pairs
+  at each of d = 2, 3 and 5, whose Tomita-Takesaki commutant residuals
+  carry rounding (at d = 16 they are exactly zero).
 """
 
 from __future__ import annotations
@@ -45,9 +48,17 @@ ROOT = Path(__file__).resolve().parents[1]
 WALL_TIME = re.compile(r'^\s*"?wall_time"?: .*\n?', re.MULTILINE)
 
 
-def _write_diag(path: Path, values) -> str:
-    path.write_text(json.dumps(dump_matrix(np.diag(values))))
+def _write_matrix(path: Path, m: np.ndarray) -> str:
+    path.write_text(json.dumps(dump_matrix(m)))
     return str(path)
+
+
+def _faithful_density(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A full-rank density drawn with plain numpy, independent of modkit.sampling."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w = g @ g.conj().T + 1e-3 * np.eye(d)
+    w = 0.5 * (w + w.conj().T)
+    return w / np.real(np.trace(w))
 
 
 def commands(tmp: Path):
@@ -61,8 +72,8 @@ def commands(tmp: Path):
             yield {}, argv + ["--tol", "1e-6"]
             yield {"MODKIT_TOL": "1e-6"}, argv
 
-    phi = _write_diag(tmp / "phi.json", [0.75, 0.25])
-    omega = _write_diag(tmp / "omega.json", [0.5, 0.5])
+    phi = _write_matrix(tmp / "phi.json", np.diag([0.75, 0.25]))
+    omega = _write_matrix(tmp / "omega.json", np.diag([0.5, 0.5]))
     for argv in (
         ["schmidt", phi, "--json"],
         ["modular", phi, omega, "--verify", "--json"],
@@ -80,6 +91,13 @@ def commands(tmp: Path):
         for i in range(260):
             for argv in workload.op(seed, i, pairs).argvs:
                 yield {}, argv
+
+    for d in (2, 3, 5):
+        for seed in range(10):
+            rng = np.random.default_rng([d, seed])
+            phi = _write_matrix(tmp / f"phi-{d}-{seed}.json", _faithful_density(rng, d))
+            omega = _write_matrix(tmp / f"omega-{d}-{seed}.json", _faithful_density(rng, d))
+            yield {}, ["modular", phi, omega, "--verify", "--json"]
 
 
 def run(env: dict, argv: list[str]) -> tuple[int, str, str]:
