@@ -64,14 +64,11 @@ class GibbsSystem:
     beta: float
     density: DensityMatrix
     hamiltonian: np.ndarray
+    energies: np.ndarray  # -log(lambda) / beta, in the density's eigenbasis
 
     @property
     def dim(self) -> int:
         return self.density.dim
-
-    def energies(self) -> np.ndarray:
-        """Eigenvalues of H aligned with the density's cached eigenbasis."""
-        return -np.log(self.density.spectrum.eigenvalues) / self.beta
 
 
 def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
@@ -88,7 +85,7 @@ def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
     if not np.all(np.isfinite(energies)):
         raise BadBeta(f"energies -log(lambda) / beta overflow at beta = {beta}")
     h = density.spectrum.apply(lambda lam: -np.log(lam) / beta)
-    return GibbsSystem(float(beta), density, h)
+    return GibbsSystem(float(beta), density, h, energies)
 
 
 def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     a = _operands(sys, a)
     t = _times(t, float)
     v = sys.density.spectrum.eigenvectors
-    phases = np.exp(np.multiply.outer(1j * t, sys.energies()))
+    phases = np.exp(np.multiply.outer(1j * t, sys.energies))
     a_eig = adjoint(v) @ a @ v
     outer = phases[:, :, None] * np.conj(phases)[:, None, :]
     return v @ (outer * a_eig[..., None, :, :]) @ adjoint(v)
@@ -133,7 +130,7 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
         raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
     v = sys.density.spectrum.eigenvectors
     lam = sys.density.spectrum.eigenvalues
-    energy = sys.energies()
+    energy = sys.energies
     a_eig = adjoint(v) @ a @ v
     b_eig = adjoint(v) @ b @ v
     weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)

@@ -143,37 +143,20 @@ def connes_cocycle(phi: DensityMatrix, omega: DensityMatrix, t: float) -> np.nda
     return phi.spectrum.unitary(t) @ omega.spectrum.unitary(-t)
 
 
-def pi_left(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense pi(M) = M (x) 1, written into ``out`` (d^2 x d^2) if given.
-
-    Entry ((a, i), (c, j)) is M[a, c] delta_ij: M is assigned to the
-    i = j positions of a zeroed (d, d, d, d) array, the same entries as
-    ``np.kron(M, 1)`` without the d^4 multiplications.
-    """
+def pi_factored(m: np.ndarray) -> SuperOperator:
+    """pi(M) = M (x) 1 in factored form, vec(X) -> vec(M X); M is d x d."""
     m = as_matrix(m)
+    return SuperOperator.factored(m.shape[0], m, None)
+
+
+def _write_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Dense pi(M) into the verifier's own d^2 x d^2 buffer, unvalidated:
+    M at the i = j slots of the zeroed (d, d, d, d) view, no d^4 products."""
     d = m.shape[0]
-    if out is None:
-        out = np.zeros((d * d, d * d), dtype=complex)
-    elif (
-        out.shape != (d * d, d * d)
-        or out.dtype != complex
-        or not out.flags.c_contiguous
-    ):
-        # a reshaped copy would take the assignment and leave out unchanged
-        raise ShapeMismatch(
-            f"out must be a C-contiguous complex ({d * d}, {d * d}) array"
-        )
-    else:
-        out.fill(0)
+    out.fill(0)
     diag = np.arange(d)
     out.reshape(d, d, d, d)[:, diag, :, diag] = m
     return out
-
-
-def pi_factored(m: np.ndarray) -> SuperOperator:
-    """pi(M) = M (x) 1 in factored form, vec(X) -> vec(M X)."""
-    m = as_matrix(m)
-    return SuperOperator.factored(m.shape[0], m, None)
 
 
 def verify_tomita_takesaki(
@@ -199,7 +182,8 @@ def verify_tomita_takesaki(
     axis of a d^2 x d^2 buffer viewed as a 3-tensor, written into the
     other buffer of the pair (a, b), so no contraction reads what it
     writes; differences are taken in place, and J pi(M) J sits in a third
-    buffer. pi(M) is rebuilt per use, not kept for every sample.
+    buffer. pi(M), the entries of ``pi_factored(M).matrix``, is rewritten
+    per use by :func:`_write_pi`, not kept for every sample.
     """
     _require_faithful(omega, "reference")
     d = omega.dim
@@ -216,7 +200,7 @@ def verify_tomita_takesaki(
         # conj(pi(M)[(a, i), (c, j)]), one conjugating index permutation
         # (copied, then conjugated in place: a ufunc reading the strided
         # view would allocate an iteration buffer)
-        pim = pi_left(m, out=a).reshape(d, d, d, d)
+        pim = _write_pi(m, a).reshape(d, d, d, d)
         np.copyto(jmj.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2))
         np.conjugate(jmj, out=jmj)
         for probe in mats:
@@ -230,11 +214,11 @@ def verify_tomita_takesaki(
         left_inv, right_inv = relative_modular_unitary(omega, omega, -t).factors
         for m in mats:
             # Delta^(it) pi(M), then (...) Delta^(-it), alternating a and b
-            _contract(left, pi_left(m, out=b).reshape(d, d, n), 0, out=a)
+            _contract(left, _write_pi(m, b).reshape(d, d, n), 0, out=a)
             _contract(right, a.reshape(d, d, n), 1, out=b)
             _contract(left_inv.T, b.reshape(n, d, d), 1, out=a)
             _contract(right_inv.T, a.reshape(n, d, d), 2, out=b)
-            closed = pi_left(modular_flow(omega, m, t), out=a)
+            closed = _write_pi(modular_flow(omega, m, t), a)
             flow.append(hs_norm(np.subtract(b, closed, out=b)))
 
     return np.array(comm), np.array(flow)

@@ -22,7 +22,7 @@ with tau one of X, conj(X), X^T, X*, applies and composes by reshape and
 forms the d^2 x d^2 matrix only on demand; its dense form holds operators
 assembled entry by entry. By the first identity above, the factored form
 with tau(X) = X is the Kronecker product A (x) B, and P vec(X) = vec(X^T)
-for the swap P gives the transposed forms.
+for the swap P gives the transposed forms; :func:`swap_operator` is P.
 """
 
 from __future__ import annotations
@@ -320,13 +320,8 @@ def _contract(
 
 
 def swap_operator(d: int) -> SuperOperator:
-    """P with P(x (x) y) = y (x) x; P vec(X) = vec(X^T) and P^2 = 1."""
-    n = d * d
-    rows = np.arange(n)
-    i, j = np.divmod(rows, d)
-    p = np.zeros((n, n), dtype=complex)
-    p[rows, j * d + i] = 1.0
-    return SuperOperator(d, p)
+    """P(x (x) y) = y (x) x, P vec(X) = vec(X^T): identity factors, tau(X) = X^T."""
+    return SuperOperator.factored(d, None, None, transpose=True)
 
 
 def conjugate_vec(v: BipartiteVector) -> BipartiteVector:

@@ -29,7 +29,7 @@ from modkit.modular import (
     connes_cocycle,
     modular_conjugation,
     modular_flow,
-    pi_left,
+    pi_factored,
     relative_modular_operator,
     relative_modular_power,
     relative_s_matrix,
@@ -215,7 +215,7 @@ def test_criterion_08_cone_properties():
     invariance_ok = True
     for _ in range(100):
         m = complex_gaussian(rng, d)
-        pim = SuperOperator(d, pi_left(m))
+        pim = SuperOperator(d, pi_factored(m).matrix)
         image = pim.compose(j).compose(pim).compose(j).apply(
             elements[int(rng.integers(0, len(elements)))]
         )

@@ -9,7 +9,7 @@ from modkit.cone import (
     decompose_j_fixed,
 )
 from modkit.errors import DimensionMismatch, NotJFixed, NotPSD
-from modkit.modular import modular_conjugation, pi_left
+from modkit.modular import modular_conjugation, pi_factored
 from modkit.sampling import (
     complex_gaussian,
     random_density,
@@ -168,7 +168,7 @@ def test_invariance_under_m_jm(rng):
     for _ in range(20):
         elem = cone_element(random_psd(rng, d))
         m = complex_gaussian(rng, d)
-        pim = SuperOperator(d, pi_left(m))
+        pim = SuperOperator(d, pi_factored(m).matrix)
         image = pim.compose(j).compose(pim).compose(j).apply(elem)
         assert cone_contains(image)
         # the witness transforms as M X M*

@@ -71,7 +71,7 @@ def test_gibbs_rejects_a_beta_whose_energies_overflow(rng):
     density = random_faithful_density(rng, 3)
     with pytest.raises(BadBeta, match="overflow"):
         gibbs_hamiltonian(density, 1e-310)
-    assert np.all(np.isfinite(gibbs_hamiltonian(density, 1e-6).energies()))
+    assert np.all(np.isfinite(gibbs_hamiltonian(density, 1e-6).energies))
 
 
 def test_gibbs_rejects_singular():

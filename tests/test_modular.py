@@ -7,7 +7,7 @@ from modkit.modular import (
     connes_cocycle,
     modular_conjugation,
     modular_flow,
-    pi_left,
+    pi_factored,
     relative_f_matrix,
     relative_modular_operator,
     relative_modular_power,
@@ -65,6 +65,21 @@ def test_s_matrix_closed_form_oracle(rng):
     s = relative_s_matrix(phi, omega)
     assert s.antilinear
     assert np.linalg.norm(s.matrix - dense_s_oracle(phi, omega)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+def test_f_matrix_is_the_adjoint_of_s(d):
+    # in finite dimensions F_(phi,omega) = S*_(phi,omega); the two
+    # assemblies multiply the same entries in the other order, so they
+    # agree to rounding of a complex product
+    rng = np.random.default_rng(90 + d)
+    for _ in range(5):
+        phi, omega = (random_faithful_density(rng, d) for _ in range(2))
+        s = relative_s_matrix(phi, omega)
+        f = relative_f_matrix(phi, omega)
+        assert f.antilinear
+        bound = 2 * np.finfo(float).eps * np.max(np.abs(s.matrix))
+        assert np.max(np.abs(f.matrix - s.adjoint().matrix)) <= bound
 
 
 def test_s_matrix_requires_faithful(rng):
@@ -214,7 +229,7 @@ def test_cocycle_unitary_and_dense_product(rng):
         relative_modular_unitary(phi, omega, t).matrix
         @ relative_modular_unitary(omega, omega, -t).matrix
     )
-    assert np.linalg.norm(pi_left(u) - dense) < 1e-10
+    assert np.linalg.norm(pi_factored(u).matrix - dense) < 1e-10
 
 
 def test_cocycle_chain_rule(rng):
@@ -274,6 +289,12 @@ def test_verify_tt_rejects_a_probe_of_another_shape(rng, bad, bad_first):
         probes.reverse()
     with pytest.raises(ShapeMismatch):
         verify_tomita_takesaki(omega, probes, [0.5])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+def test_pi_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ShapeMismatch):
+        pi_factored(np.ones(shape))
 
 
 def test_dimension_mismatch(rng):

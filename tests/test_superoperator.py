@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkit.errors import ShapeMismatch
 from modkit.inequalities import ogata_modular
 from modkit.linalg import hs_norm, spectral_decomposition
 from modkit.modular import (
@@ -23,7 +22,6 @@ from modkit.modular import (
     modular_conjugation,
     modular_flow,
     pi_factored,
-    pi_left,
     relative_modular_operator,
     relative_modular_unitary,
     verify_tomita_takesaki,
@@ -139,7 +137,9 @@ def test_swap_operator_equals_loop(d):
     for i in range(d):
         for j in range(d):
             loop[i * d + j, j * d + i] = 1.0
-    assert np.array_equal(swap_operator(d).matrix, loop)
+    p = swap_operator(d)
+    assert p.is_factored and not p.antilinear
+    assert np.array_equal(p.matrix, loop)
 
 
 @pytest.mark.parametrize("d", [2, 3, 16])
@@ -212,17 +212,17 @@ def dense_tomita_takesaki(omega, mats, t_grid):
     swap = swap_operator(d).matrix
     comm = []
     for m in mats:
-        jmj = swap @ np.conj(pi_left(m)) @ swap
+        jmj = swap @ np.conj(pi_factored(m).matrix) @ swap
         for n in mats:
-            pin = pi_left(n)
+            pin = pi_factored(n).matrix
             comm.append(hs_norm(jmj @ pin - pin @ jmj))
     flow = []
     for t in t_grid:
         u = relative_modular_unitary(omega, omega, t).matrix
         u_inv = relative_modular_unitary(omega, omega, -t).matrix
         for m in mats:
-            evolved = u @ pi_left(m) @ u_inv
-            flow.append(hs_norm(evolved - pi_left(modular_flow(omega, m, t))))
+            evolved = u @ pi_factored(m).matrix @ u_inv
+            flow.append(hs_norm(evolved - pi_factored(modular_flow(omega, m, t)).matrix))
     return np.array(comm), np.array(flow)
 
 
@@ -237,25 +237,6 @@ def test_tomita_takesaki_residuals_match_dense_formula(d):
     assert np.max(np.abs(got_comm - comm)) <= 1e-13
     assert np.max(np.abs(got_flow - flow)) <= 1e-13
     assert max(np.max(got_comm), np.max(got_flow)) < 1e-10
-
-
-@pytest.mark.parametrize("d", [2, 3, 16])
-def test_pi_left_equals_kron(d):
-    rng = np.random.default_rng(70 + d)
-    m = complex_gaussian(rng, d)
-    kron = np.kron(m, np.eye(d))
-    assert np.array_equal(pi_left(m), kron)
-    # bit-equal but for the sign of zero: kron's off-block entries are
-    # M[a, c] * 0.0, -0.0 where M[a, c] is negative; + 0.0 maps -0.0 to 0.0
-    assert pi_left(m).tobytes() == (kron + 0.0).tobytes()
-    out = np.full((d * d, d * d), np.nan, dtype=complex)
-    assert pi_left(m, out=out) is out
-    assert np.array_equal(out, kron)
-    wide = np.zeros((d * d, 2 * d * d), dtype=complex)
-    real = np.zeros((d * d, d * d))
-    for bad in (wide[:, ::2], real, np.zeros((d, d), dtype=complex)):
-        with pytest.raises(ShapeMismatch):
-            pi_left(m, out=bad)
 
 
 def compose_tomita_takesaki(omega, mats, t_grid):

@@ -15,8 +15,9 @@ their outputs are identical, at the same BLAS thread count:
 
 The commands are fixed:
 
-* ``campaign --suite all --samples 3 --json`` for seeds 0-19 at d = 4, 8
-  and 16, each also with ``--tol 1e-6`` and with ``MODKIT_TOL=1e-6``;
+* ``campaign --suite all --samples 3 --json`` for seeds 0-19 at d = 2, 3,
+  4, 5, 8 and 16, each also with ``--tol 1e-6`` and with
+  ``MODKIT_TOL=1e-6`` (rounding differs most at small and odd d);
 * the six CLI lines of the README, on the diag(0.75, 0.25) and
   diag(0.5, 0.5) payloads;
 * the two commands of statepair-d16 ops 0-259 at bench seeds 0, 61 and
@@ -64,7 +65,7 @@ def _faithful_density(rng: np.random.Generator, d: int) -> np.ndarray:
 def commands(tmp: Path):
     """(extra environment, argv) pairs, in order; payload files are written
     into ``tmp`` just before the commands that read them."""
-    for d in (4, 8, 16):
+    for d in (2, 3, 4, 5, 8, 16):
         for seed in range(20):
             argv = ["campaign", "--suite", "all", "--seed", str(seed), "--dim", str(d),
                     "--samples", "3", "--json"]
