@@ -226,7 +226,7 @@ def dense_tomita_takesaki(omega, mats, t_grid):
     return np.array(comm), np.array(flow)
 
 
-@pytest.mark.parametrize("d", [2, 3, 16])
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
 def test_tomita_takesaki_residuals_match_dense_formula(d):
     rng = np.random.default_rng(60 + d)
     omega = random_faithful_density(rng, d)
@@ -239,29 +239,20 @@ def test_tomita_takesaki_residuals_match_dense_formula(d):
     assert max(np.max(got_comm), np.max(got_flow)) < 1e-10
 
 
-def compose_tomita_takesaki(omega, mats, t_grid):
-    """Reference: the verifier's products through SuperOperator.compose.
+def compose_tomita_takesaki(omega, mats):
+    """Reference commutant residuals through SuperOperator.compose.
 
     Every product allocates its own d^2 x d^2 array; pi(M) is np.kron.
     """
     d = omega.dim
-    eye = np.eye(d)
     j = modular_conjugation(d)
     comm = []
     for m in mats:
-        jmj = j.compose(SuperOperator(d, np.kron(m, eye))).compose(j)
+        jmj = j.compose(SuperOperator(d, np.kron(m, np.eye(d)))).compose(j)
         for n in mats:
             pin = pi_factored(n)
             comm.append(hs_norm(jmj.compose(pin).matrix - pin.compose(jmj).matrix))
-    flow = []
-    for t in t_grid:
-        u = relative_modular_unitary(omega, omega, t)
-        u_inv = relative_modular_unitary(omega, omega, -t)
-        for m in mats:
-            pim = SuperOperator(d, np.kron(m, eye))
-            evolved = u.compose(pim).compose(u_inv).matrix
-            flow.append(hs_norm(evolved - np.kron(modular_flow(omega, m, t), eye)))
-    return np.array(comm), np.array(flow)
+    return np.array(comm)
 
 
 def tomita_takesaki_input(d, seed):
@@ -272,13 +263,13 @@ def tomita_takesaki_input(d, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 16])
 def test_tomita_takesaki_buffers_are_bit_equal_to_compose(d):
-    # at d = 2, 3 and 5 the commutant residuals carry rounding, so only
-    # those dimensions pin the commutant bits (at d = 16 they are all 0.0)
+    # the buffers serve the commutant only, so only its residuals are
+    # pinned; at d = 2, 3 and 5 they carry rounding (at d = 16 all 0.0).
+    # The flow residuals are held to the dense formula above.
     omega, mats, t_grid = tomita_takesaki_input(d, 80 if d == 16 else 80 + d)
-    got_comm, got_flow = verify_tomita_takesaki(omega, mats, t_grid)
-    comm, flow = compose_tomita_takesaki(omega, mats, t_grid)
+    got_comm, _ = verify_tomita_takesaki(omega, mats, t_grid)
+    comm = compose_tomita_takesaki(omega, mats)
     assert got_comm.tobytes() == comm.tobytes()
-    assert got_flow.tobytes() == flow.tobytes()
     assert np.any(comm != 0.0) == (d != 16)
 
 

@@ -13,6 +13,13 @@ their outputs are identical, at the same BLAS thread count:
     PYTHONPATH=../parent/src python3 tools/gate.py > old.txt
     cmp old.txt new.txt
 
+``--dump DIR`` also writes each command's stdout, with ``wall_time``
+removed, to ``DIR/NNNN.txt`` (NNNN its 0-based position in the list), so
+that ``diff -r`` between two trees' dumps names the fields that changed;
+the printed lines are the same with or without it. A dump is for line
+diffs, not a JSON parser: where ``wall_time`` was the last field, the
+line before it keeps its comma.
+
 The commands are fixed:
 
 * ``campaign --suite all --samples 3 --json`` for seeds 0-19 at d = 2, 3,
@@ -29,6 +36,7 @@ The commands are fixed:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -123,12 +131,20 @@ def fingerprint(env: dict, argv: list[str], code: int, out: str, err: str, tmp: 
     return f"{code} {_sha(WALL_TIME.sub('', out))} {_sha(err)} {shown}"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each stdout, without wall_time, to DIR/NNNN.txt")
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for env, argv in commands(tmp):
-            code, out, err = run(env, argv)
-            print(fingerprint(env, argv, code, out, err, tmp), flush=True)
+        for i, (env, command) in enumerate(commands(tmp)):
+            code, out, err = run(env, command)
+            if args.dump is not None:
+                (args.dump / f"{i:04d}.txt").write_text(WALL_TIME.sub("", out))
+            print(fingerprint(env, command, code, out, err, tmp), flush=True)
     return 0
 
 
