@@ -62,7 +62,6 @@ from .modular import (
     connes_cocycle,
     modular_conjugation,
     modular_flow,
-    relative_f_matrix,
     relative_modular_operator,
     relative_modular_power,
     relative_modular_unitary,

@@ -8,8 +8,8 @@ inequalities):
 
 * vec: kron, inner, s_pk, purify, schmidt_reconstruct, schmidt_spectrum,
   cyclic_separating
-* modular: sstar_s, polar, fs, half_vector, half_expectation, cocycle,
-  cocycle_flow, tt_commutant, tt_flow
+* modular: sstar_s, polar, s_inverse, half_vector, half_expectation,
+  cocycle, cocycle_flow, tt_commutant, tt_flow
 * kms: boundary, invariance, fixed_point, time_bridge, and centralizer on
   every 5th instance
 * cone: self_dual, j_fixed, jordan_orthogonal, jordan_sum, four_part_sum,
@@ -179,10 +179,12 @@ def _draw_modular(rng, d, k):
 
 
 def _modular_relations(m, tol):
-    """F S = Delta, Delta^(1/2) xi_omega = xi_phi and its expectation form,
-    the cocycle identity, and the flow of phi chained through the cocycle."""
+    """S_(omega,phi) S_(phi,omega) = 1 (two basis assemblies), Delta^(1/2)
+    xi_omega = xi_phi and its expectation form, the cocycle identity, and
+    the flow of phi chained through the cocycle."""
     phi, omega, a, t, s = m.phi, m.omega, m.a, m.t, m.s
-    fs = modular.relative_f_matrix(phi, omega).compose(m.s_op).distance(m.delta)
+    identity = vecops.SuperOperator.factored(omega.dim, None, None)
+    s_inverse = modular.relative_s_matrix(omega, phi).compose(m.s_op).distance(identity)
     image = m.half.apply(states.purify(omega))
     lhs = m.half.apply(vec(a @ omega.sqrt())).norm() ** 2
     rhs = float(np.real(np.trace(phi.matrix @ a @ adjoint(a))))
@@ -190,7 +192,7 @@ def _modular_relations(m, tol):
     evolved = modular.modular_flow(phi, a, t)
     chained = u_t @ modular.modular_flow(omega, a, t) @ adjoint(u_t)
     return (
-        fs,
+        s_inverse,
         float(np.linalg.norm(image.amplitudes - states.purify(phi).amplitudes)),
         abs(lhs - rhs) / max(1.0, abs(rhs)),
         hs_norm(u_ts - u_t @ modular.modular_flow(omega, u_s, t)),
@@ -214,7 +216,7 @@ TOMITA_TAKESAKI = Family(
 )
 MODULAR = (
     MODULAR_CROSS_ROUTE,
-    Family(("modular.fs", "modular.half_vector", "modular.half_expectation",
+    Family(("modular.s_inverse", "modular.half_vector", "modular.half_expectation",
             "modular.cocycle", "modular.cocycle_flow"),
            "residual", TOL_RESIDUAL, _modular_relations),
     TOMITA_TAKESAKI,

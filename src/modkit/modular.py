@@ -9,9 +9,10 @@ phi, omega the relative operators act as
     J  vec(X) = vec(X*)                                (antilinear)
     Delta     = F S = D_phi (x) (D_omega^(-1))^T       (linear, PSD)
 
-and satisfy the polar decomposition S = J Delta^(1/2). Both construction
-routes are exposed on purpose: :func:`relative_s_matrix` assembles S
-column-by-column from its action on matrix units, while
+and satisfy the polar decomposition S = J Delta^(1/2). In finite
+dimensions F = S*, so only S is assembled and F is its adjoint. Both
+construction routes are exposed on purpose: :func:`relative_s_matrix`
+assembles S column-by-column from its action on matrix units, while
 :func:`relative_modular_operator` uses the closed Kronecker form; their
 agreement (Delta = S*S) is a standing cross-check in the test suite, not an
 option.
@@ -67,14 +68,6 @@ def relative_s_matrix(
     """
     _require_pair(phi, omega)
     return _assemble_antilinear(omega.spectrum.power(-0.5), phi.power(0.5))
-
-
-def relative_f_matrix(
-    phi: PositiveFunctional, omega: PositiveFunctional
-) -> SuperOperator:
-    """F_(phi,omega) with F vec(Y) = vec(D_phi^(1/2) Y* D_omega^(-1/2))."""
-    _require_pair(phi, omega)
-    return _assemble_antilinear(phi.power(0.5), omega.spectrum.power(-0.5))
 
 
 def relative_modular_operator(

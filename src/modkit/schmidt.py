@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
 from .states import PositiveFunctional, is_faithful
-from .vecops import BipartiteVector, partial_trace, unvec
+from .vecops import BipartiteVector, partial_trace, unvec, vec
 
 RANK_RTOL = 1e-10
 
@@ -40,14 +40,10 @@ class SchmidtData:
     rank: int
 
     def reconstruct(self) -> BipartiteVector:
-        dy = self.left_vectors.shape[0]
-        dx = self.right_vectors.shape[0]
-        amps = np.zeros(dy * dx, dtype=complex)
-        for i in range(self.rank):
-            amps += self.coefficients[i] * np.kron(
-                self.left_vectors[:, i], self.right_vectors[:, i]
-            )
-        return BipartiteVector(dy, dx, amps)
+        """vec(L diag(s) R^T) = sum_i s_i left_i (x) right_i, one product."""
+        r = self.rank
+        left = self.left_vectors[:, :r] * self.coefficients[:r]
+        return vec(left @ self.right_vectors[:, :r].T)
 
 
 def schmidt_decompose(u: BipartiteVector, rank_tol: float = RANK_RTOL) -> SchmidtData:

@@ -127,12 +127,11 @@ class SuperOperator:
     conjugates everything to its right, which the composition rule tracks
     so that e.g. J Delta^(1/2) stays a plain matrix identity.
 
-    Factored operators apply and compose by reshape at O(d^3) per factor
-    product; a factored operator composed with a dense one moves its
-    factors onto the dense matrix at O(d^5). Only dense o dense pays the
-    O(d^6) matmul. Every product allocates its result; a caller that
-    reuses d^2 x d^2 buffers contracts the factors itself with
-    :func:`_contract`, as the Tomita-Takesaki verifier does.
+    Composition has two rules: factored o factored multiplies the factors
+    at O(d^3); any other pair multiplies the d^2 x d^2 matrices at O(d^6),
+    forming a factored operand's matrix first. Every product allocates its
+    result; a caller that reuses d^2 x d^2 buffers contracts the factors
+    itself with :func:`_contract`, as the Tomita-Takesaki verifier does.
     """
 
     def __init__(
@@ -228,42 +227,8 @@ class SuperOperator:
             return SuperOperator.factored(
                 self.d, left, right, self.transpose ^ other.transpose, antilinear
             )
-        if other.is_factored:
-            m = other._right_multiply(self.matrix, conjugate=self.antilinear)
-        else:
-            rhs = np.conj(other.matrix) if self.antilinear else other.matrix
-            m = self._left_multiply(rhs) if self.is_factored else self.matrix @ rhs
-        return SuperOperator(self.d, m, antilinear)
-
-    def _left_multiply(self, m: np.ndarray) -> np.ndarray:
-        """(A (x) B) P^transpose @ m, each column of m taken as vec(X).
-
-        One allocating :func:`_contract` per non-identity factor; the mixed
-        dense/factored branches of :meth:`compose` are the only callers.
-        """
-        d, n = self.d, m.shape[1]
-        t = m.reshape(d, d, n)
-        if self.transpose:
-            t = t.transpose(1, 0, 2)
-        left, right = self.factors
-        if left is not None:
-            t = _contract(left, t, 0)
-        if right is not None:
-            t = _contract(right, t, 1)
-        return t.reshape(d * d, n)
-
-    def _right_multiply(self, m: np.ndarray, conjugate: bool) -> np.ndarray:
-        """m @ conj^conjugate((A (x) B) P^transpose), each row of m as vec(X)."""
-        d, n = self.d, m.shape[0]
-        t = m.reshape(n, d, d)
-        left, right = (_conj(f) if conjugate else f for f in self.factors)
-        if left is not None:
-            t = _contract(left.T, t, 1)
-        if right is not None:
-            t = _contract(right.T, t, 2)
-        if self.transpose:
-            t = t.transpose(0, 2, 1)
-        return t.reshape(n, d * d)
+        rhs = np.conj(other.matrix) if self.antilinear else other.matrix
+        return SuperOperator(self.d, self.matrix @ rhs, antilinear)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
@@ -298,25 +263,18 @@ def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a @ b
 
 
-def _contract(
-    f: np.ndarray, t: np.ndarray, axis: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """f applied along one axis of a 3-tensor, without copying the tensor.
+def _contract(f: np.ndarray, t: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """f applied along axis 0 or 1 of a 3-tensor, written into ``out``.
 
     out[..., a, ...] = sum_i f[a, i] t[..., i, ...] with the sum on ``axis``:
-    one matrix product for the outer axes, one per leading index for the
-    middle one. ``out`` (C-contiguous, t's size) receives the result if
-    given, else it is allocated; it must not overlap t.
+    one matrix product for axis 0, one per leading index for axis 1.
+    ``out`` is C-contiguous with t's size and must not overlap t; the
+    tensor itself is not copied.
     """
     if axis == 0:
         flat = t.reshape(t.shape[0], -1)
-        dest = None if out is None else out.reshape(flat.shape)
-        return np.matmul(f, flat, out=dest).reshape(t.shape)
-    if axis == 2:
-        flat = t.reshape(-1, t.shape[2])
-        dest = None if out is None else out.reshape(flat.shape)
-        return np.matmul(flat, f.T, out=dest).reshape(t.shape)
-    return np.matmul(f, t, out=None if out is None else out.reshape(t.shape))
+        return np.matmul(f, flat, out=out.reshape(flat.shape)).reshape(t.shape)
+    return np.matmul(f, t, out=out.reshape(t.shape))
 
 
 def swap_operator(d: int) -> SuperOperator:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from modkit import campaigns, modular
 from modkit.errors import ShapeMismatch, SingularState
 from modkit.modular import (
     connes_cocycle,
     modular_conjugation,
     modular_flow,
     pi_factored,
-    relative_f_matrix,
     relative_modular_operator,
     relative_modular_power,
     relative_modular_unitary,
@@ -17,7 +17,7 @@ from modkit.modular import (
 )
 from modkit.sampling import complex_gaussian, random_faithful_density
 from modkit.states import DensityMatrix, purify
-from modkit.vecops import swap_operator, unvec, vec
+from modkit.vecops import SuperOperator, swap_operator, unvec, vec
 
 
 def matrix_unit(d, mu, nu):
@@ -65,21 +65,6 @@ def test_s_matrix_closed_form_oracle(rng):
     s = relative_s_matrix(phi, omega)
     assert s.antilinear
     assert np.linalg.norm(s.matrix - dense_s_oracle(phi, omega)) < 1e-9
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
-def test_f_matrix_is_the_adjoint_of_s(d):
-    # in finite dimensions F_(phi,omega) = S*_(phi,omega); the two
-    # assemblies multiply the same entries in the other order, so they
-    # agree to rounding of a complex product
-    rng = np.random.default_rng(90 + d)
-    for _ in range(5):
-        phi, omega = (random_faithful_density(rng, d) for _ in range(2))
-        s = relative_s_matrix(phi, omega)
-        f = relative_f_matrix(phi, omega)
-        assert f.antilinear
-        bound = 2 * np.finfo(float).eps * np.max(np.abs(s.matrix))
-        assert np.max(np.abs(f.matrix - s.adjoint().matrix)) <= bound
 
 
 def test_s_matrix_requires_faithful(rng):
@@ -145,14 +130,80 @@ def test_polar_decomposition(rng):
 def test_fs_is_delta_and_absolute_sf_is_inverse(rng):
     phi = random_faithful_density(rng, 3)
     omega = random_faithful_density(rng, 3)
+    # in finite dimensions F = S*
     s = relative_s_matrix(phi, omega)
-    f = relative_f_matrix(phi, omega)
+    f = s.adjoint()
     assert f.compose(s).distance(relative_modular_operator(phi, omega)) < 1e-10
     # SF = Delta^-1 verbatim in the absolute case; relative SF flips indices
     s0 = relative_s_matrix(omega, omega)
-    f0 = relative_f_matrix(omega, omega)
+    f0 = s0.adjoint()
     assert s0.compose(f0).distance(relative_modular_power(omega, omega, -1.0)) < 1e-9
     assert s.compose(f).distance(relative_modular_power(omega, phi, -1.0)) < 1e-9
+
+
+# Planted defects in the one S assembler, each a wrapper of the real one.
+# modular.s_inverse composes two assemblies, so a defect that commutes with
+# that composition, such as conjugating both factors, still gives the
+# identity: only sstar_s and polar, which hold S to the closed-form Delta,
+# catch it.
+def _unpatched(real):
+    return real
+
+
+def _right_not_transposed(real):
+    return lambda left, right: real(left, right.T)
+
+
+def _antilinear_dropped(real):
+    def assemble(left, right):
+        op = real(left, right)
+        return SuperOperator(op.d, op.matrix, antilinear=False)
+
+    return assemble
+
+
+def _factors_conjugated(real):
+    return lambda left, right: real(np.conj(left), np.conj(right))
+
+
+def _left_transposed(real):
+    return lambda left, right: real(left.T, right)
+
+
+S_CHECKS = ("modular.sstar_s", "modular.polar", "modular.s_inverse")
+
+
+def s_check_verdicts(d, seed, count=6):
+    """Pass/fail of each of S_CHECKS on the first ``count`` modular
+    campaign instances."""
+    draw, families = campaigns.SUITES["modular"]
+    rng = np.random.default_rng(seed)
+    verdicts = {name: [] for name in S_CHECKS}
+    for k in range(count):
+        instance = draw(rng, d, k)
+        for family in families:
+            if family is not campaigns.TOMITA_TAKESAKI:
+                for check in campaigns.evaluate(family, instance):
+                    if check.name in verdicts:
+                        verdicts[check.name].append(check.passed)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "defect, caught",
+    [
+        (_unpatched, ()),
+        (_right_not_transposed, S_CHECKS),
+        (_antilinear_dropped, S_CHECKS),
+        (_factors_conjugated, ("modular.sstar_s", "modular.polar")),
+        (_left_transposed, S_CHECKS),
+    ],
+)
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_planted_assembler_defect(d, defect, caught, monkeypatch):
+    monkeypatch.setattr(modular, "_assemble_antilinear", defect(modular._assemble_antilinear))
+    for name, passed in s_check_verdicts(d, seed=3).items():
+        assert passed == [name not in caught] * len(passed), name
 
 
 def test_quadratic_form_identity(rng):

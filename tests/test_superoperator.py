@@ -4,8 +4,7 @@ Property tests (hypothesis) cover the four tau maps X, conj(X), X^T, X*,
 both linearities, identity factors and mixed dense/factored compositions
 at d = 2, 3 and 16. The dense builders are checked against their loop
 definitions, Ogata's route (a) against the dense 256^2-eigh route it
-replaced, and the Tomita-Takesaki residuals against the all-dense formula
-and, bit for bit, against the same products through ``compose``.
+replaced, and the Tomita-Takesaki residuals against the all-dense formula.
 """
 
 import tracemalloc
@@ -19,7 +18,6 @@ from modkit.inequalities import ogata_modular
 from modkit.linalg import hs_norm, spectral_decomposition
 from modkit.modular import (
     _assemble_antilinear,
-    modular_conjugation,
     modular_flow,
     pi_factored,
     relative_modular_operator,
@@ -103,8 +101,11 @@ def test_compose_matches_dense(pair):
     want = dense_copy(a).compose(dense_copy(b))
     assert got.antilinear == want.antilinear
     assert got.is_factored == (a.is_factored and b.is_factored)
-    scale = np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
-    assert close(got.matrix, want.matrix, scale)
+    if got.is_factored:
+        scale = np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
+        assert close(got.matrix, want.matrix, scale)
+    else:  # a dense operand: the same matrix product on the same matrices
+        assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 @PROPERTY
@@ -239,38 +240,10 @@ def test_tomita_takesaki_residuals_match_dense_formula(d):
     assert max(np.max(got_comm), np.max(got_flow)) < 1e-10
 
 
-def compose_tomita_takesaki(omega, mats):
-    """Reference commutant residuals through SuperOperator.compose.
-
-    Every product allocates its own d^2 x d^2 array; pi(M) is np.kron.
-    """
-    d = omega.dim
-    j = modular_conjugation(d)
-    comm = []
-    for m in mats:
-        jmj = j.compose(SuperOperator(d, np.kron(m, np.eye(d)))).compose(j)
-        for n in mats:
-            pin = pi_factored(n)
-            comm.append(hs_norm(jmj.compose(pin).matrix - pin.compose(jmj).matrix))
-    return np.array(comm)
-
-
 def tomita_takesaki_input(d, seed):
     rng = np.random.default_rng(seed)
     omega = random_faithful_density(rng, d)
     return omega, [complex_gaussian(rng, d) for _ in range(4)], [0.3, 1.0, 2.7]
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 16])
-def test_tomita_takesaki_buffers_are_bit_equal_to_compose(d):
-    # the buffers serve the commutant only, so only its residuals are
-    # pinned; at d = 2, 3 and 5 they carry rounding (at d = 16 all 0.0).
-    # The flow residuals are held to the dense formula above.
-    omega, mats, t_grid = tomita_takesaki_input(d, 80 if d == 16 else 80 + d)
-    got_comm, _ = verify_tomita_takesaki(omega, mats, t_grid)
-    comm = compose_tomita_takesaki(omega, mats)
-    assert got_comm.tobytes() == comm.tobytes()
-    assert np.any(comm != 0.0) == (d != 16)
 
 
 # three d^2 x d^2 complex buffers at d = 16, plus 128 KiB for the small
