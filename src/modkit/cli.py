@@ -210,7 +210,9 @@ def cmd_modular(args) -> int:
         probes = [complex_gaussian(rng, omega.dim) for _ in range(count)]
         times = args.t if args.t else [0.3, 1.0, 2.7]
     pair = campaigns.modular_instance(phi, omega, probes, times)
-    spectrum = np.linalg.eigvalsh(pair.delta.matrix)
+    # spec(A (x) B) = {a_i b_j}: Delta's spectrum from its two d x d factors
+    left, right = (np.linalg.eigvalsh(f) for f in pair.delta.factors)
+    spectrum = np.sort(np.outer(left, right).ravel())
     checks = campaigns.evaluate(campaigns.MODULAR_CROSS_ROUTE, pair, tol)
     out = {
         "dimension": omega.dim,

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ShapeMismatch, SingularState
 from .linalg import adjoint, as_matrix, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
-from .vecops import SuperOperator, _contract
+from .vecops import SuperOperator
 
 
 def _require_faithful(omega: PositiveFunctional, role: str) -> None:
@@ -193,16 +193,16 @@ def verify_tomita_takesaki(
 
     For every pair (M, N) of samples the commutator norm
     ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is J's definition
-    applied to the dense pi(M) from both sides, formed once per M as one
-    conjugating permutation of its entries, not the closed form
-    1 (x) conj(M). Every product is one :func:`vecops._contract` of a
-    factor along one axis of a d^2 x d^2 buffer viewed as a 3-tensor,
-    written into the other buffer of the pair (a, b), so no contraction
-    reads what it writes; differences are taken in place, and J pi(M) J
-    sits in a third buffer. pi(M), the entries of ``pi_factored(M).matrix``,
-    is written into ``a`` by :func:`_write_pi`, not kept for every sample.
-    The three buffers are allocated after the flow residuals, so they
-    serve the commutant only.
+    applied to the dense pi(M) from both sides, one conjugating permutation
+    of its entries, not the closed form 1 (x) conj(M). It is kept times the
+    swap P, as Y = J pi(M) J P, formed once per M in a third buffer: then
+    pi(N) Y and J pi(M) J pi(N) P are each one 2-D matrix product with N,
+    of N with Y viewed as d x d^3 and of Y viewed as d^3 x d with N,
+    written into the buffers a and b. P is a permutation, so the HS norm
+    of their difference, taken in place, is the commutator norm. pi(M),
+    the entries of ``pi_factored(M).matrix``, is written into ``a`` by
+    :func:`_write_pi`, not kept for every sample. The three buffers are
+    allocated after the flow residuals, so they serve the commutant only.
     """
     _require_faithful(omega, "reference")
     d = omega.dim
@@ -220,19 +220,19 @@ def verify_tomita_takesaki(
             flow.append(_flow_residual(left, right, modular_flow(omega, m, t)))
 
     n = d * d
-    a, b, jmj = (np.empty((n, n), dtype=complex) for _ in range(3))
+    a, b, y = (np.empty((n, n), dtype=complex) for _ in range(3))
     comm = []
     for m in mats:
         # J o pi(M) o J with J vec(X) = vec(X*): entry ((i, a), (j, c)) is
-        # conj(pi(M)[(a, i), (c, j)]), one conjugating index permutation
-        # (copied, then conjugated in place: a ufunc reading the strided
-        # view would allocate an iteration buffer)
+        # conj(pi(M)[(a, i), (c, j)]); times P, which swaps the column
+        # factors (c, j). One strided copy, then conjugated in place: a
+        # ufunc reading the strided view would allocate an iteration buffer
         pim = _write_pi(m, a).reshape(d, d, d, d)
-        np.copyto(jmj.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2))
-        np.conjugate(jmj, out=jmj)
+        np.copyto(y.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2).transpose(0, 1, 3, 2))
+        np.conjugate(y, out=y)
         for probe in mats:
-            _contract(probe, jmj.reshape(d, d, n), 0, out=a)  # pi(N) J pi(M) J
-            _contract(probe.T, jmj.reshape(n, d, d), 1, out=b)  # J pi(M) J pi(N)
+            np.matmul(probe, y.reshape(d, d * n), out=a.reshape(d, d * n))  # pi(N) Y
+            np.matmul(y.reshape(n * d, d), probe, out=b.reshape(n * d, d))  # J pi(M) J pi(N) P
             comm.append(hs_norm(np.subtract(b, a, out=b)))
 
     return np.array(comm), np.array(flow)

@@ -130,8 +130,8 @@ class SuperOperator:
     Composition has two rules: factored o factored multiplies the factors
     at O(d^3); any other pair multiplies the d^2 x d^2 matrices at O(d^6),
     forming a factored operand's matrix first. Every product allocates its
-    result; a caller that reuses d^2 x d^2 buffers contracts the factors
-    itself with :func:`_contract`, as the Tomita-Takesaki verifier does.
+    result; a caller that reuses d^2 x d^2 buffers multiplies into them
+    itself, as the Tomita-Takesaki verifier does.
     """
 
     def __init__(
@@ -261,20 +261,6 @@ def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     if b is None:
         return a
     return a @ b
-
-
-def _contract(f: np.ndarray, t: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """f applied along axis 0 or 1 of a 3-tensor, written into ``out``.
-
-    out[..., a, ...] = sum_i f[a, i] t[..., i, ...] with the sum on ``axis``:
-    one matrix product for axis 0, one per leading index for axis 1.
-    ``out`` is C-contiguous with t's size and must not overlap t; the
-    tensor itself is not copied.
-    """
-    if axis == 0:
-        flat = t.reshape(t.shape[0], -1)
-        return np.matmul(f, flat, out=out.reshape(flat.shape)).reshape(t.shape)
-    return np.matmul(f, t, out=out.reshape(t.shape))
 
 
 def swap_operator(d: int) -> SuperOperator:

@@ -8,6 +8,9 @@ import pytest
 
 from modkit.cli import dump_matrix, load_matrix, main
 from modkit.errors import ParseError
+from modkit.modular import relative_modular_operator
+from modkit.sampling import random_faithful_density, random_rank_deficient
+from modkit.states import DensityMatrix
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -143,6 +146,40 @@ def test_modular_command_frozen_spectrum(tmp_path):
     assert r.returncode == 0
     out = json.loads(r.stdout)
     assert sorted(out["delta_spectrum"]) == pytest.approx([0.5, 0.5, 1.5, 1.5])
+
+
+def _reported_and_dense_spectrum(phi, omega, tmp_path, capsys):
+    """delta_spectrum of ``modular --json`` and the sorted eigvalsh of the dense Delta."""
+    paths = [write_matrix(tmp_path / f"{name}.json", m)
+             for name, m in (("phi", phi), ("omega", omega))]
+    main(["modular", *paths, "--json"])
+    got = np.array(_strict_json(capsys.readouterr().out)["delta_spectrum"])
+    # the densities as modular reads them back from their files
+    phi, omega = (DensityMatrix(load_matrix(p)) for p in paths)
+    dense = np.linalg.eigvalsh(relative_modular_operator(phi, omega).matrix)
+    assert got.shape == dense.shape
+    assert np.all(np.abs(got - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
+    return got
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_modular_spectrum_matches_the_dense_delta(d, tmp_path, capsys):
+    rng = np.random.default_rng(70 + d)
+    for _ in range(5):
+        phi, omega = (random_faithful_density(rng, d).matrix for _ in range(2))
+        _reported_and_dense_spectrum(phi, omega, tmp_path, capsys)
+
+
+def test_modular_spectrum_of_a_rank_deficient_phi(tmp_path, capsys):
+    d = 4
+    rng = np.random.default_rng(74)
+    g = random_rank_deficient(rng, d, 2)
+    phi = g @ np.conj(g).T
+    phi /= np.trace(phi).real
+    omega = random_faithful_density(rng, d).matrix
+    got = _reported_and_dense_spectrum(phi, omega, tmp_path, capsys)
+    # the kernel of D_phi (x) (D_omega^-1)^T is ker(D_phi) (x) H_d
+    assert np.count_nonzero(np.abs(got) <= 1e-9) == d * (d - 2)
 
 
 def test_modular_command_verify(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 from pathlib import Path
@@ -37,3 +38,34 @@ def test_gate_fingerprint_ignores_wall_time_and_the_scratch_directory(tmp_path, 
     (line,) = lines
     assert line.startswith("0 ")
     assert line.endswith(" MODKIT_TOL=1e-6 " + " ".join(argv) + " $TMP/x")
+
+
+def _dump(directory, reports):
+    """Reports as ``--dump`` writes them: wall_time removed, its comma left."""
+    directory.mkdir()
+    for i, report in enumerate(reports):
+        out = json.dumps({**report, "wall_time": 0.1}, indent=2) + "\n"
+        (directory / f"{i:04d}.txt").write_text(GATE["WALL_TIME"].sub("", out))
+
+
+def test_gate_compare_names_the_changed_field(tmp_path, capsys):
+    vec, modular = {"suite": "vec", "worst_slack": 0.5}, {"suite": "modular", "worst_slack": 2.0}
+    report = {"suite": "all", "checks": 130, "suites": [vec, modular]}
+    changed = {**report, "suites": [vec, {**modular, "worst_slack": 2.5}]}
+    _dump(tmp_path / "a", [report, report])
+    _dump(tmp_path / "b", [report, changed])
+    assert GATE["main"](["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    line, summary = capsys.readouterr().out.splitlines()
+    # dump 1 is the second campaign command, the d = 2 seed 0 run with --tol
+    assert line == ("0001 campaign --suite all --seed 0 --dim 2 --samples 3 --json --tol 1e-6: "
+                    "suites[1].worst_slack; largest |a - b| / max(1, |a|) 0.25")
+    assert summary == "suites[1].worst_slack: 1 dumps, largest 0.25"
+
+
+def test_gate_compare_fails_on_a_dump_present_on_one_side(tmp_path, capsys):
+    report = {"suite": "all", "checks": 130}
+    _dump(tmp_path / "a", [report, report])
+    _dump(tmp_path / "b", [report])
+    assert GATE["main"](["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("0001 campaign --suite all") and f"only in {tmp_path / 'a'}" in out

@@ -1,5 +1,6 @@
 """The Tomita-Takesaki flow residual: its O(d^3) norm against the dense one,
-and planted defects that the modular.tt_flow check must catch."""
+and planted defects that the modular.tt_flow check must catch; the
+commutant residual on a non-finite probe."""
 
 import numpy as np
 import pytest
@@ -92,3 +93,22 @@ def test_tt_flow_passes_unpatched(d):
 def test_planted_defect_fails_tt_flow(d, defect, monkeypatch):
     defect(monkeypatch)
     assert not any(check.passed for check in tt_flow_checks(d, seed=3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("d", [2, 16])
+def test_commutant_residual_is_non_finite_on_a_non_finite_probe(d, bad):
+    rng = np.random.default_rng(90 + d)
+    phi, omega = (random_faithful_density(rng, d) for _ in range(2))
+    probes = [complex_gaussian(rng, d) for _ in range(3)]
+    probes[1][0, d - 1] = bad
+    comm, _ = modular.verify_tomita_takesaki(omega, probes, [0.7])
+    # pair (M, N) sits at 3 * index(M) + index(N)
+    involved = np.array([1 in divmod(k, 3) for k in range(9)])
+    assert not np.any(np.isfinite(comm[involved]))
+    assert np.all(np.isfinite(comm[~involved]))
+    pair = campaigns.modular_instance(phi, omega, probes, [0.7])
+    commutant, _ = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, pair)
+    assert commutant.name == "modular.tt_commutant"
+    assert not commutant.passed and np.isnan(commutant.margin)

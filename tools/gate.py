@@ -20,6 +20,16 @@ the printed lines are the same with or without it. A dump is for line
 diffs, not a JSON parser: where ``wall_time`` was the last field, the
 line before it keeps its comma.
 
+``--compare DIR_A DIR_B`` reads two such dump directories instead of
+running anything. For each dump that differs it prints the index, the
+command, the JSON fields that differ (a field of a list of objects as
+``suites[i].field``) and the largest |a - b| / max(1, |a|) over the
+numbers of those fields, then each changed field with its count of dumps
+and its largest difference. It exits 1 when a dump exists on one side
+only:
+
+    python3 tools/gate.py --compare old-dump new-dump
+
 The commands are fixed:
 
 * ``campaign --suite all --samples 3 --json`` for seeds 0-19 at d = 2, 3,
@@ -55,6 +65,8 @@ from modkit.cli import dump_matrix, main as modkit_main
 
 ROOT = Path(__file__).resolve().parents[1]
 WALL_TIME = re.compile(r'^\s*"?wall_time"?: .*\n?', re.MULTILINE)
+DANGLING_COMMA = re.compile(r",(\s*[}\]])")
+MISSING = object()
 
 
 def _write_matrix(path: Path, m: np.ndarray) -> str:
@@ -125,17 +137,93 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(env: dict, argv: list[str], code: int, out: str, err: str, tmp: Path) -> str:
+def shown(env: dict, argv: list[str], tmp: Path) -> str:
+    """The command as a line prints it: environment, argv, ``$TMP`` for ``tmp``."""
     words = [f"{key}={value}" for key, value in env.items()] + argv
-    shown = " ".join(words).replace(str(tmp), "$TMP")
-    return f"{code} {_sha(WALL_TIME.sub('', out))} {_sha(err)} {shown}"
+    return " ".join(words).replace(str(tmp), "$TMP")
+
+
+def fingerprint(env: dict, argv: list[str], code: int, out: str, err: str, tmp: Path) -> str:
+    return f"{code} {_sha(WALL_TIME.sub('', out))} {_sha(err)} {shown(env, argv, tmp)}"
+
+
+def _fields(obj, name: str = ""):
+    """(field, value) pairs of a report; a list of objects is walked as
+    ``name[i].field``, any other list is one value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _fields(value, f"{name}.{key}" if name else key)
+    elif isinstance(obj, list) and obj and all(isinstance(x, dict) for x in obj):
+        for i, value in enumerate(obj):
+            yield from _fields(value, f"{name}[{i}]")
+    else:
+        yield name, obj
+
+
+def _report(text: str) -> dict:
+    """A dumped stdout as {field: value}; one that is not JSON is one field."""
+    try:  # without wall_time, the field before it may keep its comma
+        return dict(_fields(json.loads(DANGLING_COMMA.sub(r"\1", text))))
+    except json.JSONDecodeError:
+        return {"stdout": text}
+
+
+def _numbers(value) -> list[float]:
+    values = value if isinstance(value, list) else [value]
+    return [v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)]
+
+
+def _largest_difference(a, b) -> float:
+    """max |a - b| / max(1, |a|) over paired numbers; 0 if they do not pair."""
+    xs, ys = _numbers(a), _numbers(b)
+    if len(xs) != len(ys):
+        return 0.0
+    return max((abs(x - y) / max(1.0, abs(x)) for x, y in zip(xs, ys)), default=0.0)
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print the dumps of two ``--dump`` directories that differ; 1 if a dump
+    exists on one side only, else 0."""
+    in_a, in_b = ({p.name for p in d.glob("*.txt")} for d in (dir_a, dir_b))
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        listed = [shown(env, argv, tmp) for env, argv in commands(tmp)]
+    status = 0
+    groups: dict[str, list] = {}  # field -> [dumps, largest difference]
+    for dump in sorted(in_a | in_b):
+        index = int(Path(dump).stem)
+        command = listed[index] if index < len(listed) else "?"
+        if dump not in in_a or dump not in in_b:
+            print(f"{index:04d} {command}: only in {dir_a if dump in in_a else dir_b}")
+            status = 1
+            continue
+        a, b = (_report((d / dump).read_text()) for d in (dir_a, dir_b))
+        changed = [f for f in {**a, **b} if a.get(f, MISSING) != b.get(f, MISSING)]
+        if not changed:
+            continue
+        largest = 0.0
+        for field in changed:
+            diff = _largest_difference(a.get(field), b.get(field))
+            largest = max(largest, diff)
+            group = groups.setdefault(field, [0, 0.0])
+            group[0] += 1
+            group[1] = max(group[1], diff)
+        print(f"{index:04d} {command}: {', '.join(changed)}; "
+              f"largest |a - b| / max(1, |a|) {largest:.3g}")
+    for field, (count, largest) in groups.items():
+        print(f"{field}: {count} dumps, largest {largest:.3g}")
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", type=Path, metavar="DIR",
                         help="also write each stdout, without wall_time, to DIR/NNNN.txt")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print the dumps of two --dump directories that differ")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare(*args.compare)
     if args.dump is not None:
         args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as name:
