@@ -31,9 +31,11 @@ same matrix products as a single operator would, so stacked results
 equal the per-probe ones bit for bit.
 
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
-by two independent routes, :func:`centralizer_dimension` and
-:func:`commutant_dimension`, each with its own cutoff (see
-:func:`centralizer_window`).
+by two independent routes, each with its own cutoff (see
+:func:`centralizer_window`): :func:`centralizer_dimension` groups D's
+eigenvalues, and :func:`commutant_dimension` counts the null space of the
+real d^2 x d^2 commutator map of D's Householder tridiagonal form, without
+an eigenvalue or eigenvector of D.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
 
     Here adjacent eigenvalues join when g <= max(1e-9 * diameter,
     1e-13 * max(1, lambda_max)); there, the commutator map's eigenvalues
-    are the differences lambda_i - lambda_j, and g is null when g <= 1e-8 *
+    are the differences lambda_i - lambda_j (the same for D and for the
+    tridiagonal form it counts from), and g is null when g <= 1e-8 *
     max(1, diameter). For a density the two counts agree unless some g
     lies in the window between threshold and cutoff, roughly (1e-13, 1e-8].
     """
@@ -175,28 +178,63 @@ def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
 
 
 def commutant_dimension(density: DensityMatrix) -> int:
-    """Nullity of B -> BD - DB computed from the dense d^2 x d^2 map.
+    """Nullity of B -> BD - DB, counted from the commutator map of D's
+    real tridiagonal form.
 
     The brute-force route to :func:`centralizer_dimension`, from the
-    density's matrix rather than its spectrum. The map is Hermitian for
-    Hermitian D, so its singular values are the moduli of its eigenvalues.
-    Cutoff is absolute at density-matrix scale, so a numerically zero map
-    (flat spectrum) counts as fully null.
+    density's matrix rather than its spectrum. Householder reflections
+    (:func:`_householder_tridiagonal`) take D to a real symmetric
+    tridiagonal T = Q* D Q without computing an eigenvalue, and the map's
+    spectrum {lambda_i - lambda_j} is invariant under that similarity, so
+    the nullity is that of the real symmetric d^2 x d^2 map of T. Its
+    singular values are the moduli of its eigenvalues. Cutoff is absolute
+    at density-matrix scale, so a numerically zero map (flat spectrum)
+    counts as fully null.
     """
-    size = np.abs(np.linalg.eigvalsh(_commutator_map(density.matrix)))
+    t = _householder_tridiagonal(density.matrix)
+    size = np.abs(np.linalg.eigvalsh(_commutator_map(t)))
     cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))
     return int(np.count_nonzero(size <= cutoff))
+
+
+def _householder_tridiagonal(d: np.ndarray) -> np.ndarray:
+    """Real symmetric tridiagonal T unitarily similar to the Hermitian ``d``.
+
+    Step k takes the reflection H = 1 - 2 v v* that maps column k below the
+    diagonal onto its first coordinate, and applies it to a copy of ``d``
+    from the left (rows k+1:) and from the right (columns k+1:); Q, the
+    product of the reflections, is never formed (Golub and Van Loan,
+    Matrix Computations, 4th ed., 8.3.1). T keeps the real part of the
+    diagonal and the moduli of the subdiagonal: the diagonal unitary that
+    removes the subdiagonal's phases is one more similarity.
+    """
+    a = np.array(d, dtype=complex)
+    n = a.shape[0]
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        v = x.copy()
+        # the sign that adds to |x_0| and never cancels it
+        v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+        v /= np.linalg.norm(v)
+        a[k + 1 :, k:] -= 2.0 * np.outer(v, np.conj(v) @ a[k + 1 :, k:])
+        a[k:, k + 1 :] -= 2.0 * np.outer(a[k:, k + 1 :] @ v, np.conj(v))
+    off = np.abs(np.diagonal(a, -1))
+    return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
 
 
 def _commutator_map(d: np.ndarray) -> np.ndarray:
     """K = 1 (x) D^T - D (x) 1, the row-major matrix of B -> BD - DB.
 
     Entry ((i, j), (k, l)) is delta_ik D[l, j] - D[i, k] delta_jl: D^T and
-    -D are assigned to a zeroed (d, d, d, d) array, the same entries as
-    the two Kronecker products without their d^4 multiplications.
+    -D are assigned to a zeroed (d, d, d, d) array of D's dtype, the same
+    entries as the two Kronecker products without their d^4
+    multiplications; a real D gives a real map.
     """
     n = d.shape[0]
-    k = np.zeros((n, n, n, n), dtype=complex)
+    k = np.zeros((n, n, n, n), dtype=d.dtype)
     diag = np.arange(n)
     k[diag, :, diag, :] = d.T
     k[:, diag, :, diag] -= d

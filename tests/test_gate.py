@@ -10,8 +10,9 @@ def test_gate_command_list_is_fixed(tmp_path):
     listed = list(GATE["commands"](tmp_path))
     # 20 seeds x 6 dimensions x 3 tolerance settings, 6 README lines,
     # 2 commands for each of 260 statepair ops at 3 bench seeds,
-    # 10 random state pairs at each of 3 small dimensions
-    assert len(listed) == 360 + 6 + 1560 + 30
+    # 10 random state pairs at each of 3 small dimensions,
+    # 7 kms-verify state files at each of 3 dimensions
+    assert len(listed) == 360 + 6 + 1560 + 30 + 21
     assert sum(env == {"MODKIT_TOL": "1e-6"} for env, _ in listed) == 120
     assert sum("--tol" in argv for _, argv in listed) == 120
     assert sorted({int(argv[6]) for _, argv in listed[:360]}) == [2, 3, 4, 5, 8, 16]
@@ -21,9 +22,27 @@ def test_gate_command_list_is_fixed(tmp_path):
     statepair = [argv for _, argv in listed[366:1926]]
     assert [argv[0] for argv in statepair[:2]] == ["modular", "kms-verify"]
     assert all(str(tmp_path) in argv[1] for argv in statepair)
-    pairs = [argv for _, argv in listed[1926:]]
+    pairs = [argv for _, argv in listed[1926:1956]]
     assert all(argv[0] == "modular" and argv[3:] == ["--verify", "--json"] for argv in pairs)
     assert len({(argv[1], argv[2]) for argv in pairs}) == 30
+    states = [argv for _, argv in listed[1956:]]
+    assert all(argv[0] == "kms-verify" and argv[2:] == ["--json"] for argv in states)
+    assert len({argv[1] for argv in states}) == 21
+
+
+def test_gate_kms_verify_states_span_the_centralizer_window(tmp_path):
+    # exact blocks and a 1e-6 gap pass; a 1e-10 gap, inside the window
+    # between the two routes' cutoffs, fails and says why on stderr
+    states = [argv for _, argv in GATE["commands"](tmp_path)][1956:]
+    for d, group in zip((2, 4, 16), (states[0:7], states[7:14], states[14:21])):
+        results = [GATE["run"]({}, argv) for argv in group]
+        reports = [json.loads(out) for _, out, _ in results]
+        assert all(r["dimension"] == d for r in reports)
+        assert [code for code, _, _ in results] == [0] * 6 + [1]
+        assert all(err == "" for _, _, err in results[:6])
+        assert "centralizer dimension" in results[6][2]
+        # at least one seeded state has a block of size 2 or more
+        assert any(r["centralizer_dimension"] > d for r in reports[:5])
 
 
 def test_gate_fingerprint_ignores_wall_time_and_the_scratch_directory(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from modkit import kms
+from modkit.cli import dump_matrix, main
 from modkit.errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
 from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
     _commutator_map,
+    _householder_tridiagonal,
     centralizer_dimension,
     commutant_dimension,
     gibbs_hamiltonian,
@@ -360,6 +365,114 @@ def test_commutator_map_matches_the_kronecker_form(rng, d):
     m = random_faithful_density(rng, d).matrix
     eye = np.eye(d)
     assert np.array_equal(_commutator_map(m), np.kron(eye, m.T) - np.kron(m, eye))
+
+
+def _complex_commutant_count(density: DensityMatrix) -> int:
+    """The commutant count from the complex map of D itself, at the module's cutoff."""
+    size = np.abs(np.linalg.eigvalsh(_commutator_map(density.matrix)))
+    return int(np.count_nonzero(size <= kms.COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))))
+
+
+def _route_cases(d):
+    """Random faithful, degenerate, flat and gapped densities of dimension d."""
+    rng = np.random.default_rng(90 + d)
+    cases = [random_faithful_density(rng, d) for _ in range(5)]
+    cases += [random_degenerate_density(rng, d)[0] for _ in range(5)]
+    cases.append(DensityMatrix(np.eye(d) / d))
+    mults = (d,) if d == 1 else (d // 2, d - d // 2)
+    return cases + [_gapped_density(mults, gap) for gap in (1e-10, 1e-6, 1e-2)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_householder_tridiagonal_is_similar_to_d(d):
+    for density in _route_cases(d):
+        m = density.matrix
+        t = _householder_tridiagonal(m)
+        assert t.dtype == np.float64 and t.shape == (d, d)
+        assert np.array_equal(t, t.T)
+        assert not np.any(np.triu(t, 2))
+        scale = max(1.0, float(np.linalg.norm(m, 2)))
+        assert np.max(np.abs(np.linalg.eigvalsh(t) - np.linalg.eigvalsh(m))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_commutator_map_of_the_tridiagonal_form_keeps_the_moduli(d):
+    # {lambda_i - lambda_j} is invariant under the similarity; the real map
+    # of T has the moduli of the complex map of D
+    for density in _route_cases(d):
+        t = _householder_tridiagonal(density.matrix)
+        k_t, k_d = _commutator_map(t), _commutator_map(density.matrix)
+        assert k_t.dtype == np.float64 and k_d.dtype == complex
+        real = np.sort(np.abs(np.linalg.eigvalsh(k_t)))
+        dense = np.sort(np.abs(np.linalg.eigvalsh(k_d)))
+        assert np.max(np.abs(real - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("gap", [1e-14, 1e-12, 1e-10, 9e-9, 1.1e-8, 1e-7, 1e-6])
+def test_commutant_dimension_matches_the_complex_route_across_the_window(d, gap):
+    # gaps on both sides of the 1e-8 null cutoff, and inside the window where
+    # the count differs from centralizer_dimension's; a gap of exactly 1e-8
+    # lies on the cutoff, where rounding decides either route
+    mults = (1, 1) if d == 2 else (3, 1, 5, 7)
+    density = _gapped_density(mults, gap)
+    assert commutant_dimension(density) == _complex_commutant_count(density)
+
+
+def _left_reflections_only(d: np.ndarray) -> np.ndarray:
+    """The Householder reduction with its right-hand reflections left out,
+    so that T is no longer similar to D."""
+    a = np.array(d, dtype=complex)
+    n = a.shape[0]
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        v = x.copy()
+        v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+        v /= np.linalg.norm(v)
+        a[k + 1 :, k:] -= 2.0 * np.outer(v, np.conj(v) @ a[k + 1 :, k:])
+    off = np.abs(np.diagonal(a, -1))
+    return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
+
+
+_CENTRALIZER_WINDOW = kms.centralizer_window
+
+
+def _window_without_grouping(density):
+    """centralizer_window with its grouping threshold set to 0."""
+    gap, _, cutoff = _CENTRALIZER_WINDOW(density)
+    return gap, 0.0, cutoff
+
+
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize(
+    "target, defect",
+    [
+        ("_householder_tridiagonal", _left_reflections_only),
+        ("centralizer_window", _window_without_grouping),
+    ],
+    ids=["no-right-reflection", "zero-grouping-threshold"],
+)
+def test_planted_defects_split_the_kms_verify_routes(tmp_path, capsys, monkeypatch, d, target, defect):
+    # one defect per route; a simple spectrum would hide the reduction's,
+    # since any T with d distinct eigenvalues still counts d
+    for seed in range(4):
+        density, blocks = random_degenerate_density(np.random.default_rng(seed), d)
+        assert max(blocks) >= 2
+        path = tmp_path / f"omega-{seed}.json"
+        path.write_text(json.dumps(dump_matrix(density.matrix)))
+        reports = []
+        for patched in (False, True):
+            with monkeypatch.context() as m:
+                if patched:
+                    m.setattr(kms, target, defect)
+                code = main(["kms-verify", str(path), "--json"])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        (good_code, good), (bad_code, bad) = reports
+        assert good_code == 0 and good["centralizer_dimension"] == good["commutant_dimension"]
+        assert bad_code == 1 and bad["centralizer_dimension"] != bad["commutant_dimension"]
 
 
 def test_gibbs_system_invariants_hold(rng):

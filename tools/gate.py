@@ -41,7 +41,13 @@ The commands are fixed:
   62, taken from ``bench/workload.py``;
 * ``modular phi omega --verify --json`` on 10 seeded random faithful pairs
   at each of d = 2, 3 and 5, whose Tomita-Takesaki commutant residuals
-  carry rounding (at d = 16 they are exactly zero).
+  carry rounding (at d = 16 they are exactly zero);
+* ``kms-verify omega --json`` at each of d = 2, 4 and 16 on 5 seeded
+  densities with exact eigenvalue blocks (seeded multiplicities, in a
+  seeded unitary basis), then on two blocks 1e-6 apart, which pass, and
+  1e-10 apart, inside the centralizer window, which exit 1 with their
+  explanation on stderr. Every other ``kms-verify`` input has a simple
+  spectrum, on which the commutant count cannot move.
 """
 
 from __future__ import annotations
@@ -82,6 +88,25 @@ def _faithful_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return w / np.real(np.trace(w))
 
 
+def _blocked_density(rng: np.random.Generator, mults: list[int], gap: float) -> np.ndarray:
+    """A density with eigenvalue blocks of sizes ``mults``, ``gap`` apart, in a
+    unitary basis drawn with plain numpy, independent of modkit.sampling."""
+    d = sum(mults)
+    steps = np.repeat(np.arange(len(mults)), mults)
+    vals = (1.0 - gap * steps.sum()) / d + gap * steps  # trace one, exact blocks
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (u * vals) @ u.conj().T
+
+
+def _multiplicities(rng: np.random.Generator, d: int) -> list[int]:
+    """A seeded composition of d into block sizes."""
+    mults = []
+    while sum(mults) < d:
+        mults.append(int(rng.integers(1, d - sum(mults) + 1)))
+    return mults
+
+
 def commands(tmp: Path):
     """(extra environment, argv) pairs, in order; payload files are written
     into ``tmp`` just before the commands that read them."""
@@ -119,6 +144,18 @@ def commands(tmp: Path):
             phi = _write_matrix(tmp / f"phi-{d}-{seed}.json", _faithful_density(rng, d))
             omega = _write_matrix(tmp / f"omega-{d}-{seed}.json", _faithful_density(rng, d))
             yield {}, ["modular", phi, omega, "--verify", "--json"]
+
+    for d in (2, 4, 16):
+        densities = []
+        for seed in range(5):
+            rng = np.random.default_rng([d, seed, 1])
+            # d^-2 apart: every level stays positive for any block sizes
+            densities.append((f"blocks-{seed}", _blocked_density(rng, _multiplicities(rng, d), d ** -2)))
+        halves = [d // 2, d - d // 2]
+        for gap in (1e-6, 1e-10):
+            densities.append((f"gap-{gap:g}", _blocked_density(np.random.default_rng([d, 7]), halves, gap)))
+        for name, m in densities:
+            yield {}, ["kms-verify", _write_matrix(tmp / f"kms-{d}-{name}.json", m), "--json"]
 
 
 def run(env: dict, argv: list[str]) -> tuple[int, str, str]:
