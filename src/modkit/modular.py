@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix, hs_norm
+from .linalg import adjoint, as_matrix
 from .states import DensityMatrix, PositiveFunctional, is_faithful
 from .vecops import SuperOperator
 
@@ -143,16 +143,6 @@ def pi_factored(m: np.ndarray) -> SuperOperator:
     return SuperOperator.factored(m.shape[0], m, None)
 
 
-def _write_pi(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Dense pi(M) into the verifier's own d^2 x d^2 buffer, unvalidated:
-    M at the i = j slots of the zeroed (d, d, d, d) view, no d^4 products."""
-    d = m.shape[0]
-    out.fill(0)
-    diag = np.arange(d)
-    out.reshape(d, d, d, d)[:, diag, :, diag] = m
-    return out
-
-
 def _flow_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """||A (x) B - C (x) 1||_HS from the d x d factors, in O(d^3).
 
@@ -179,30 +169,19 @@ def verify_tomita_takesaki(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the two Tomita-Takesaki conclusions on concrete samples.
 
-    Returns (commutant_residuals, flow_residuals), per pair of samples
-    and per (t, sample), unjudged: :mod:`modkit.campaigns` reduces them.
+    Returns (commutant_residuals, flow_residuals), one per sample and one
+    per (t, sample), unjudged: :mod:`modkit.campaigns` reduces them.
     Every sample must be d x d (``ShapeMismatch`` before any product).
 
-    For every sample and every t, the membership residual
-    ||Delta^(it) pi(M) Delta^(-it) - (D^(it) M D^(-it)) (x) 1||_HS is
-    recorded: ``relative_modular_unitary`` composed with ``pi_factored(M)``
-    and the inverse unitary is the factored A (x) B, by the Kronecker-factor
-    algebra of :meth:`SuperOperator.compose`, and :func:`_flow_residual`
-    compares it with the closed form pi(sigma_t(M)) = C (x) 1, C from
-    :func:`modular_flow`, in O(d^3) without a d^2 x d^2 array.
+    Both are membership residuals of a factored A (x) B, composed by
+    :meth:`SuperOperator.compose` at O(d^3) and measured by
+    :func:`_flow_residual` without a d^2 x d^2 array:
 
-    For every pair (M, N) of samples the commutator norm
-    ||[J pi(M) J, pi(N)]||_HS is recorded; J pi(M) J is J's definition
-    applied to the dense pi(M) from both sides, one conjugating permutation
-    of its entries, not the closed form 1 (x) conj(M). It is kept times the
-    swap P, as Y = J pi(M) J P, formed once per M in a third buffer: then
-    pi(N) Y and J pi(M) J pi(N) P are each one 2-D matrix product with N,
-    of N with Y viewed as d x d^3 and of Y viewed as d^3 x d with N,
-    written into the buffers a and b. P is a permutation, so the HS norm
-    of their difference, taken in place, is the commutator norm. pi(M),
-    the entries of ``pi_factored(M).matrix``, is written into ``a`` by
-    :func:`_write_pi`, not kept for every sample. The three buffers are
-    allocated after the flow residuals, so they serve the commutant only.
+    * flow: Delta^(it) pi(M) Delta^(-it) against the closed form
+      pi(sigma_t(M)) = C (x) 1, C from :func:`modular_flow`;
+    * commutant: J pi(M) J against pi(M_d)' = 1 (x) M_d. Its HS projection
+      there is 1 (x) X with X = (Tr A / d) B, and conjugating both by the
+      swap makes the distance ||B (x) A - X (x) 1||.
     """
     _require_faithful(omega, "reference")
     d = omega.dim
@@ -219,20 +198,13 @@ def verify_tomita_takesaki(
             left, right = u.compose(pi_factored(m)).compose(u_inv).factors
             flow.append(_flow_residual(left, right, modular_flow(omega, m, t)))
 
-    n = d * d
-    a, b, y = (np.empty((n, n), dtype=complex) for _ in range(3))
+    # J on both sides: its transposition and conjugation cancel, so the
+    # product is a plain A (x) B
+    j = modular_conjugation(d)
     comm = []
     for m in mats:
-        # J o pi(M) o J with J vec(X) = vec(X*): entry ((i, a), (j, c)) is
-        # conj(pi(M)[(a, i), (c, j)]); times P, which swaps the column
-        # factors (c, j). One strided copy, then conjugated in place: a
-        # ufunc reading the strided view would allocate an iteration buffer
-        pim = _write_pi(m, a).reshape(d, d, d, d)
-        np.copyto(y.reshape(d, d, d, d), pim.transpose(1, 0, 3, 2).transpose(0, 1, 3, 2))
-        np.conjugate(y, out=y)
-        for probe in mats:
-            np.matmul(probe, y.reshape(d, d * n), out=a.reshape(d, d * n))  # pi(N) Y
-            np.matmul(y.reshape(n * d, d), probe, out=b.reshape(n * d, d))  # J pi(M) J pi(N) P
-            comm.append(hs_norm(np.subtract(b, a, out=b)))
+        factors = j.compose(pi_factored(m)).compose(j).factors
+        a, b = (np.eye(d) if f is None else f for f in factors)
+        comm.append(_flow_residual(b, a, np.trace(a) / d * b))
 
     return np.array(comm), np.array(flow)

@@ -47,7 +47,8 @@ class BipartiteVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        # an own copy: a caller's later writes must not reach the vector
+        amps = np.array(self.amplitudes, dtype=complex).ravel()
         if self.dim_left < 1 or self.dim_right < 1:
             raise DimensionMismatch(
                 f"factor dimensions must be positive, got "
@@ -129,9 +130,7 @@ class SuperOperator:
 
     Composition has two rules: factored o factored multiplies the factors
     at O(d^3); any other pair multiplies the d^2 x d^2 matrices at O(d^6),
-    forming a factored operand's matrix first. Every product allocates its
-    result; a caller that reuses d^2 x d^2 buffers multiplies into them
-    itself, as the Tomita-Takesaki verifier does.
+    forming a factored operand's matrix first.
     """
 
     def __init__(

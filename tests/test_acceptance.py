@@ -147,7 +147,7 @@ def test_criterion_05_tomita_takesaki():
         worst_comm = max(worst_comm, float(np.max(comm)))
         worst_flow = max(worst_flow, float(np.max(flow)))
     ok = worst_comm < 1e-10 and worst_flow < 1e-10
-    _report(5, "||[J pi(M) J, pi(N)]|| over matrix-unit bases", worst_comm, 1e-10, ok)
+    _report(5, "commutant membership residual over matrix-unit bases", worst_comm, 1e-10, ok)
     _report(5, "flow membership residual, t in {0.3, 1, 2.7}", worst_flow, 1e-10, ok)
     assert ok
 

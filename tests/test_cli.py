@@ -498,7 +498,7 @@ def test_kms_verify_fails_closed_on_non_finite_defect(
     [
         ("distance", 1, "cross_route_residual"),
         ("distance", 2, "polar_residual"),
-        ("hs_norm", 2, "tt_max_commutant_residual"),
+        ("_flow_residual", 7, "tt_max_commutant_residual"),
         ("_flow_residual", 2, "tt_max_flow_residual"),
     ],
 )
@@ -516,7 +516,7 @@ def test_modular_fails_closed_on_non_finite_residual(
     def poisoned(*args):
         calls.append(None)
         # one bad value among finite ones; with 2 samples and 3 flow times
-        # hs_norm gives the 4 commutator norms, _flow_residual the 6 flow ones
+        # _flow_residual gives the 6 flow residuals, then the 2 commutant ones
         return bad if len(calls) == call else real(*args)
 
     monkeypatch.setattr(owner, target, poisoned)

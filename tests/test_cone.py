@@ -76,6 +76,14 @@ def test_from_witness_validates(rng):
     assert np.array_equal(unvec(elem), x)
 
 
+def test_cone_element_is_not_changed_by_a_later_write():
+    x = np.diag([1.0, 2.0]).astype(complex)
+    elem = cone_element(x)
+    x[0, 0] = -5  # the caller's array; the vector keeps its own copy
+    assert np.array_equal(elem.amplitudes, [1.0, 0.0, 0.0, 2.0])
+    assert cone_contains(elem)
+
+
 def test_j_fixed_split_of_cone_element(rng):
     x = random_psd(rng, 3)
     plus, minus = decompose_j_fixed(vec(x))

@@ -309,7 +309,7 @@ def test_verify_tt_matrix_units_d2(rng):
     omega = random_faithful_density(rng, 2)
     units = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
     comm, flow = verify_tomita_takesaki(omega, units, [0.3, 1.0])
-    assert comm.shape == (16,) and flow.shape == (8,)
+    assert comm.shape == (4,) and flow.shape == (8,)
     assert np.max(comm) < 1e-12
     assert np.max(flow) < 1e-12
 

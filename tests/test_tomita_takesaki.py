@@ -1,6 +1,6 @@
 """The Tomita-Takesaki flow residual: its O(d^3) norm against the dense one,
-and planted defects that the modular.tt_flow check must catch; the
-commutant residual on a non-finite probe."""
+and planted defects that the modular.tt_flow and modular.tt_commutant
+checks must catch; the commutant residual on a non-finite probe."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from modkit import campaigns, modular
 from modkit.modular import _flow_residual
 from modkit.sampling import complex_gaussian, random_faithful_density
+from modkit.vecops import SuperOperator
 
 
 def dense_residual(a, b, c):
@@ -71,28 +72,43 @@ def _inverse_unitary_not_inverted(monkeypatch):
     )
 
 
-def tt_flow_checks(d, seed, count=3):
-    """modular.tt_flow on the first ``count`` modular campaign instances."""
+def _conjugation_not_transposed(monkeypatch):
+    # J = K, vec(X) -> vec(conj(X)): K pi(M) K = conj(M) (x) 1 is not in pi(M)'
+    monkeypatch.setattr(
+        modular, "modular_conjugation",
+        lambda d: SuperOperator.factored(d, None, None, antilinear=True),
+    )
+
+
+def tt_checks(d, seed, name, count=3):
+    """The check ``name`` on the first ``count`` modular campaign instances."""
     draw, _ = campaigns.SUITES["modular"]
     rng = np.random.default_rng(seed)
     checks = []
     for k in range(count):
-        flow = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, draw(rng, d, k))[1]
-        assert flow.name == "modular.tt_flow"
-        checks.append(flow)
+        tt = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, draw(rng, d, k))
+        checks += [check for check in tt if check.name == name]
+    assert len(checks) == count
     return checks
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])
 def test_tt_flow_passes_unpatched(d):
-    assert all(check.passed for check in tt_flow_checks(d, seed=3))
+    assert all(check.passed for check in tt_checks(d, 3, "modular.tt_flow"))
 
 
 @pytest.mark.parametrize("defect", [_pi_transposed, _inverse_unitary_not_inverted])
 @pytest.mark.parametrize("d", [2, 4, 16])
 def test_planted_defect_fails_tt_flow(d, defect, monkeypatch):
     defect(monkeypatch)
-    assert not any(check.passed for check in tt_flow_checks(d, seed=3))
+    assert not any(check.passed for check in tt_checks(d, 3, "modular.tt_flow"))
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_planted_defect_fails_tt_commutant(d, monkeypatch):
+    assert all(check.passed for check in tt_checks(d, 3, "modular.tt_commutant"))
+    _conjugation_not_transposed(monkeypatch)
+    assert not any(check.passed for check in tt_checks(d, 3, "modular.tt_commutant"))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -104,10 +120,7 @@ def test_commutant_residual_is_non_finite_on_a_non_finite_probe(d, bad):
     probes = [complex_gaussian(rng, d) for _ in range(3)]
     probes[1][0, d - 1] = bad
     comm, _ = modular.verify_tomita_takesaki(omega, probes, [0.7])
-    # pair (M, N) sits at 3 * index(M) + index(N)
-    involved = np.array([1 in divmod(k, 3) for k in range(9)])
-    assert not np.any(np.isfinite(comm[involved]))
-    assert np.all(np.isfinite(comm[~involved]))
+    assert np.array_equal(np.isfinite(comm), [True, False, True])
     pair = campaigns.modular_instance(phi, omega, probes, [0.7])
     commutant, _ = campaigns.evaluate(campaigns.TOMITA_TAKESAKI, pair)
     assert commutant.name == "modular.tt_commutant"

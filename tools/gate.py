@@ -40,8 +40,9 @@ The commands are fixed:
 * the two commands of statepair-d16 ops 0-259 at bench seeds 0, 61 and
   62, taken from ``bench/workload.py``;
 * ``modular phi omega --verify --json`` on 10 seeded random faithful pairs
-  at each of d = 2, 3 and 5, whose Tomita-Takesaki commutant residuals
-  carry rounding (at d = 16 they are exactly zero);
+  at each of d = 2, 3 and 5, whose Tomita-Takesaki flow residuals carry
+  rounding at small and odd d (the commutant residuals read exactly zero
+  at every d);
 * ``kms-verify omega --json`` at each of d = 2, 4 and 16 on 5 seeded
   densities with exact eigenvalue blocks (seeded multiplicities, in a
   seeded unitary basis), then on two blocks 1e-6 apart, which pass, and
