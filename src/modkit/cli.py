@@ -44,7 +44,7 @@ import numpy as np
 from . import campaigns
 from .errors import ModkitError, ParseError, ShapeMismatch, UsageError
 from .kms import centralizer_dimension, centralizer_window, commutant_dimension, gibbs_hamiltonian
-from .sampling import complex_gaussian, random_faithful_density
+from .sampling import complex_gaussian, complex_gaussian_stack, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import DensityMatrix
 from .vecops import vec
@@ -55,9 +55,12 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
-# kms-verify evaluates its probes in stacks of at most this many, so the
-# (probes, times, d, d) intermediates stay bounded for any --samples
-KMS_BLOCK = 64
+# kms-verify evaluates its probe pairs in blocks of as many as keep one
+# (probes, times, d, d) complex intermediate within this many bytes, at
+# least one: 12 at d = 16 and 204 at d = 4 on the 5 times of the grid, so
+# the intermediates stay cache-sized for any --samples. The block size
+# never moves an output: stacked defects equal the per-probe ones
+KMS_BLOCK_BYTES = 256 * 1024
 # the largest --dim, and the largest state file modular and kms-verify
 # accept: their d^2 x d^2 complex operators take 16 d^4 bytes each
 MAX_DIM = 16
@@ -244,11 +247,12 @@ def cmd_kms_verify(args) -> int:
     sys_ = gibbs_hamiltonian(density, args.beta)
 
     t_grid = np.array(campaigns.KMS_TIMES)
+    pairs = max(1, KMS_BLOCK_BYTES // (16 * len(t_grid) * density.dim**2))
     boundaries, invariances = [], []
-    for start in range(0, args.samples, KMS_BLOCK):
-        count = min(KMS_BLOCK, args.samples - start)
+    for start in range(0, args.samples, pairs):
+        count = min(pairs, args.samples - start)
         # drawn a_0, b_0, a_1, b_1, ... as one probe pair at a time would be
-        probes = np.array([complex_gaussian(rng, density.dim) for _ in range(2 * count)])
+        probes = complex_gaussian_stack(rng, 2 * count, density.dim)
         block = SimpleNamespace(sys=sys_, a=probes[0::2], b=probes[1::2], t=t_grid)
         boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
         invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block, tol)

@@ -28,14 +28,18 @@ shape (k, d, d); the paired operators of :func:`kms_function` and
 :func:`kms_boundary_defect` are stacked alike. A stack puts its probe
 axis first, ahead of the time axis, and evaluates every probe with the
 same matrix products as a single operator would, so stacked results
-equal the per-probe ones bit for bit.
+equal the per-probe ones bit for bit. Sums over the d x d entries (the
+two-point function's eigenbasis sum, and the traces Tr(X M) taken as
+sum_jk X_jk M_kj) run one time at a time, so they add only (probes, d, d)
+temporaries to the (probes, times, d, d) stacks of the evolution.
 
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
 :func:`centralizer_window`): :func:`centralizer_dimension` groups D's
 eigenvalues, and :func:`commutant_dimension` counts the null space of the
-real d^2 x d^2 commutator map of D's Householder tridiagonal form, without
-an eigenvalue or eigenvector of D.
+real commutator map of D's Householder tridiagonal form from the singular
+values of its swap-antisymmetric block, without an eigenvalue or
+eigenvector of D.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from .states import DensityMatrix, is_faithful
 
 GAP_RTOL = 1e-9
 # eigenvalues of the commutator map at or below this in modulus (times
-# max(1, largest modulus)) count toward the commutant dimension
+# max(1, largest modulus)), i.e. singular values of its antisymmetric
+# block, count toward the commutant dimension
 COMMUTANT_NULL_RTOL = 1e-8
 
 
@@ -104,7 +109,9 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     phases = np.exp(np.multiply.outer(1j * t, sys.energies))
     a_eig = adjoint(v) @ a @ v
     outer = phases[:, :, None] * np.conj(phases)[:, None, :]
-    return v @ (outer * a_eig[..., None, :, :]) @ adjoint(v)
+    evolved = outer * a_eig[..., None, :, :]
+    # the second product overwrites the phase product it no longer needs
+    return np.matmul(v @ evolved, adjoint(v), out=evolved)
 
 
 def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -116,7 +123,7 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
 
     ``a`` and ``b`` are (d, d) matrices, giving an array over z, or
     (k, d, d) stacks, giving an array over the probes, then z. The weights
-    lambda_j A_jk B_kj are formed once for all z.
+    lambda_j A_jk B_kj are formed once for all z, and summed one z at a time.
     Raises :class:`OutsideStrip` unless 0 <= Im z <= beta for every z.
     """
     z = _times(z, complex)
@@ -137,8 +144,11 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
     b_eig = adjoint(v) @ b @ v
     weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
     phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
-    terms = weights[..., None, :, :] * phase
-    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    values = np.empty(weights.shape[:-2] + z.shape, dtype=complex)
+    for i, p in enumerate(phase):
+        terms = weights * p
+        values[..., i] = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    return values
 
 
 def centralizer_dimension(density: DensityMatrix) -> int:
@@ -186,15 +196,24 @@ def commutant_dimension(density: DensityMatrix) -> int:
     (:func:`_householder_tridiagonal`) take D to a real symmetric
     tridiagonal T = Q* D Q without computing an eigenvalue, and the map's
     spectrum {lambda_i - lambda_j} is invariant under that similarity, so
-    the nullity is that of the real symmetric d^2 x d^2 map of T. Its
-    singular values are the moduli of its eigenvalues. Cutoff is absolute
-    at density-matrix scale, so a numerically zero map (flat spectrum)
-    counts as fully null.
+    the nullity is that of the real symmetric d^2 x d^2 map K of T.
+
+    K anticommutes with the swap X -> X^T (T^T = T), so it maps symmetric
+    matrices to antisymmetric ones and back: on the symmetric and
+    antisymmetric orthonormal bases it is [[0, C^T], [C, 0]], with the
+    d(d-1)/2 x d(d+1)/2 block C of :func:`_antisymmetric_block`. Its
+    eigenvalues are +-sigma for each singular value sigma of C, and d
+    zeros (the surplus of columns over rows), so the nullity is d plus
+    twice the number of singular values at or below the cutoff (Golub
+    and Van Loan, Matrix Computations, 4th ed., 8.6.1). Cutoff is
+    absolute at density-matrix scale, so a numerically zero map (flat
+    spectrum) counts as fully null; a 1 x 1 density has an empty C and
+    nullity 1.
     """
     t = _householder_tridiagonal(density.matrix)
-    size = np.abs(np.linalg.eigvalsh(_commutator_map(t)))
-    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))
-    return int(np.count_nonzero(size <= cutoff))
+    sigma = np.linalg.svd(_antisymmetric_block(_commutator_map(t)), compute_uv=False)
+    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma.max(initial=0.0)))
+    return density.dim + 2 * int(np.count_nonzero(sigma <= cutoff))
 
 
 def _householder_tridiagonal(d: np.ndarray) -> np.ndarray:
@@ -241,16 +260,36 @@ def _commutator_map(d: np.ndarray) -> np.ndarray:
     return k.reshape(n * n, n * n)
 
 
+def _antisymmetric_block(k: np.ndarray) -> np.ndarray:
+    """C, the block of the swap-anticommuting n^2 x n^2 map ``k`` from
+    symmetric to antisymmetric matrices, on orthonormal bases.
+
+    Rows are (E_ij - E_ji)/sqrt(2) for i < j, columns E_kk and
+    (E_kl + E_lk)/sqrt(2) for k < l, both in ``np.triu_indices`` order.
+    Anticommuting with the swap means k[(j, i), (l, k)] = -k[(i, j), (k, l)],
+    so C is read from the rows (i, j), i < j, alone: entry (ij, kl) is
+    k[ij, kl] + k[ij, lk], and sqrt(2) k[ij, kk] on the diagonal columns.
+    A map that does not anticommute with the swap is not projected onto
+    one that does: its block is read all the same, and miscounts.
+    """
+    n = math.isqrt(k.shape[0])
+    i, j = np.triu_indices(n, 1)
+    rows = k.reshape(n, n, n, n)[i, j]
+    p, q = np.triu_indices(n)
+    return (rows[:, p, q] + rows[:, q, p]) * np.where(p == q, math.sqrt(0.5), 1.0)
+
+
 def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
-    An array over the times, or for a (k, d, d) stack over the probes,
-    then the times.
+    omega(X) = Tr(D X) is taken as sum_jk X_jk D_kj, for sigma_t(A) and for
+    A alike. An array over the times, or for a (k, d, d) stack over the
+    probes, then the times.
     """
     d = sys.density.matrix
     a = _operands(sys, a)
-    initial = _trace(d @ a)[..., None]
-    return np.abs(_trace(d @ heisenberg_evolve(sys, a, t)) - initial)
+    initial = _trace_of_products(a[..., None, :, :], d)
+    return np.abs(_trace_of_products(heisenberg_evolve(sys, a, t), d) - initial)
 
 
 def kms_boundary_defect(
@@ -259,14 +298,14 @@ def kms_boundary_defect(
     """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
 
     The left side is the eigenbasis sum of :func:`kms_function`; the right
-    side forms sigma_t(B) as a matrix and takes the trace in the standard
-    basis. An array over the times, or for (k, d, d) stacks over the
-    probes, then the times.
+    side forms sigma_t(B) as a matrix and takes Tr(D sigma_t(B) A) in the
+    standard basis, as sum_jk sigma_t(B)_jk (A D)_kj. An array over the
+    times, or for (k, d, d) stacks over the probes, then the times.
     """
     a = _operands(sys, a)
     t = _times(t, float)
     lhs = kms_function(sys, a, b, t + 1j * sys.beta)
-    rhs = _trace(sys.density.matrix @ heisenberg_evolve(sys, b, t) @ a[..., None, :, :])
+    rhs = _trace_of_products(heisenberg_evolve(sys, b, t), a @ sys.density.matrix)
     return np.abs(lhs - rhs)
 
 
@@ -289,6 +328,15 @@ def _times(t, dtype) -> np.ndarray:
     return t
 
 
-def _trace(m: np.ndarray) -> complex | np.ndarray:
-    """Trace over the last two axes of a matrix or a stack of matrices."""
-    return np.trace(m, axis1=-2, axis2=-1)
+def _trace_of_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Tr(X M) = sum_jk X_jk M_kj for each time of ``x``, shape (..., times, d, d),
+    against ``m``, shape (..., d, d): an array of shape (..., times).
+
+    One elementwise product and per-row sums per time, O(d^2) each; the
+    same operations for every probe, so a stack gives the per-probe bits.
+    """
+    mt = np.swapaxes(m, -2, -1)
+    traces = np.empty(x.shape[:-2], dtype=complex)
+    for i in range(x.shape[-3]):
+        traces[..., i] = (x[..., i, :, :] * mt).sum(axis=-1).sum(axis=-1)
+    return traces

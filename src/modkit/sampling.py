@@ -23,6 +23,17 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = Non
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
+def complex_gaussian_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` draws of ``complex_gaussian(rng, d)``, stacked (count, d, d).
+
+    One ``standard_normal`` call fills, per matrix, its real and then its
+    imaginary part, in the order the one-at-a-time draws consume the
+    stream, and the same arithmetic combines them: the same bits.
+    """
+    z = rng.standard_normal((count, 2, d, d))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = complex_gaussian(rng, d)
     return 0.5 * (g + np.conj(g).T)

@@ -187,12 +187,13 @@ class SuperOperator:
         """The dense d^2 x d^2 matrix, formed on first use for factored forms."""
         if self._matrix is None:
             d = self.d
-            left, right = (np.eye(d) if f is None else f for f in self.factors)
-            m = np.kron(left, right).astype(complex, copy=False)
-            if self.transpose:  # m @ P permutes the columns
-                n = d * d
-                m = m.reshape(n, d, d).transpose(0, 2, 1).reshape(n, n)
-            self._matrix = m
+            a, b = (np.eye(d) if f is None else f for f in self.factors)
+            # one product in the final index order (i, k, j, l)
+            if self.transpose:  # (A (x) B) P: entry ((i, k), (j, l)) is A_il B_kj
+                m = np.multiply(a[:, None, None, :], b[None, :, :, None], dtype=complex)
+            else:  # A (x) B: entry ((i, k), (j, l)) is A_ij B_kl
+                m = np.multiply(a[:, None, :, None], b[None, :, None, :], dtype=complex)
+            self._matrix = m.reshape(d * d, d * d)
         return self._matrix
 
     def apply(self, v: BipartiteVector) -> BipartiteVector:

@@ -6,10 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+from modkit import campaigns
 from modkit.cli import dump_matrix, load_matrix, main
 from modkit.errors import ParseError
 from modkit.modular import relative_modular_operator
-from modkit.sampling import random_faithful_density, random_rank_deficient
+from modkit.sampling import (
+    complex_gaussian,
+    complex_gaussian_stack,
+    random_faithful_density,
+    random_rank_deficient,
+)
 from modkit.states import DensityMatrix
 
 
@@ -775,3 +781,50 @@ def test_kms_verify_judges_the_centralizer_routes_as_a_family(tmp_path, monkeypa
     capsys.readouterr()
     assert len(commutant_calls) == 2
     assert [checks[0].passed for checks in judged] == [True, False]
+
+
+def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypatch, capsys):
+    # one probe pair per block, the default byte bound (12 pairs at d = 16,
+    # a partial last block of 2), and all 50 pairs in one block
+    import modkit.cli as cli
+
+    density = random_faithful_density(np.random.default_rng(16), 16)
+    path = write_matrix(tmp_path / "omega.json", density.matrix)
+    draws, real_draw = [], cli.complex_gaussian_stack
+
+    def draw(rng, count, d):
+        draws.append(count)
+        return real_draw(rng, count, d)
+
+    monkeypatch.setattr(cli, "complex_gaussian_stack", draw)
+    per_pair = 16 * len(campaigns.KMS_TIMES) * 16 * 16
+    outputs, blocks = [], []
+    for bound in (1, cli.KMS_BLOCK_BYTES, 50 * per_pair):
+        monkeypatch.setattr(cli, "KMS_BLOCK_BYTES", bound)
+        draws.clear()
+        assert main(["kms-verify", path, "--samples", "50", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+        blocks.append(list(draws))
+    assert blocks == [[2] * 50, [24] * 4 + [4], [100]]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_block_draw_matches_one_probe_at_a_time(d):
+    stacked_rng, single_rng = np.random.default_rng(d), np.random.default_rng(d)
+    stack = complex_gaussian_stack(stacked_rng, 9, d)
+    single = np.array([complex_gaussian(single_rng, d) for _ in range(9)])
+    assert stack.shape == (9, d, d) and stack.dtype == complex
+    assert np.array_equal(stack.view(np.uint64), single.view(np.uint64))
+    # both generators are left at the same point of their streams
+    assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+
+def test_kms_verify_on_a_one_by_one_state(tmp_path, capsys):
+    # the commutator map's antisymmetric block is empty (0 x 1), and both
+    # routes count the whole 1 x 1 algebra
+    path = write_matrix(tmp_path / "omega.json", [[1.0]])
+    assert main(["kms-verify", path, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dimension"], out["centralizer_dimension"], out["commutant_dimension"]) == (1, 1, 1)
+    assert out["passed"] is True

@@ -10,6 +10,7 @@ from modkit.errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
 from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
+    _antisymmetric_block,
     _commutator_map,
     _householder_tridiagonal,
     centralizer_dimension,
@@ -312,8 +313,8 @@ def test_centralizer_matches_nullspace_oracle(rng):
 
 @pytest.mark.parametrize("d", [2, 16])
 def test_kms_verify_commutant_route_matches_blocks(rng, d):
-    # the routes kms-verify compares: the eigvalsh nullity of the commutator
-    # map and the centralizer dimension, both the sum of m^2 over blocks
+    # the routes kms-verify compares: the nullity of the commutator map and
+    # the centralizer dimension, both the sum of m^2 over blocks
     cases = [random_degenerate_density(rng, d) for _ in range(10)]
     if d == 16:
         cases.append((DensityMatrix(np.eye(16) / 16), [16]))
@@ -350,8 +351,8 @@ def test_kms_verify_counts_agree_away_from_the_cutoffs(mults, gap):
 
 @pytest.mark.parametrize("d", [2, 16])
 def test_commutant_dimension_matches_the_svd_oracle(rng, d):
-    # commutant_dimension counts |eigvalsh| of the Hermitian map at the
-    # cutoff the SVD oracle applies to its singular values
+    # commutant_dimension counts the singular values of the real map's
+    # antisymmetric block at the cutoff the SVD oracle applies to the map's
     mults = (1, 1) if d == 2 else (3, 1, 5, 7)
     cases = [random_degenerate_density(rng, d)[0] for _ in range(10)]
     cases.append(DensityMatrix(np.eye(d) / d))
@@ -408,6 +409,22 @@ def test_commutator_map_of_the_tridiagonal_form_keeps_the_moduli(d):
         assert np.max(np.abs(real - dense)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_antisymmetric_block_singular_values_are_the_map_moduli(d):
+    # K = [[0, B^T], [B, 0]] on the symmetric and antisymmetric bases: each
+    # singular value of B is the modulus of two eigenvalues of K, and the
+    # d columns B has beyond its rows add d zeros
+    for density in _route_cases(d):
+        k = _commutator_map(_householder_tridiagonal(density.matrix))
+        block = _antisymmetric_block(k)
+        assert block.dtype == np.float64
+        assert block.shape == (d * (d - 1) // 2, d * (d + 1) // 2)
+        sigma = np.linalg.svd(block, compute_uv=False)
+        moduli = np.sort(np.abs(np.linalg.eigvalsh(k)))
+        counted = np.sort(np.concatenate([sigma, sigma, np.zeros(d)]))
+        assert np.max(np.abs(counted - moduli)) <= 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 16])
 @pytest.mark.parametrize("gap", [1e-14, 1e-12, 1e-10, 9e-9, 1.1e-8, 1e-7, 1e-6])
 def test_commutant_dimension_matches_the_complex_route_across_the_window(d, gap):
@@ -437,6 +454,13 @@ def _left_reflections_only(d: np.ndarray) -> np.ndarray:
     return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
 
 
+def _anticommutator_map(d: np.ndarray) -> np.ndarray:
+    """B -> BD + DB: the commutator map with its sign flipped, which commutes
+    with the swap instead of anticommuting with it."""
+    eye = np.eye(d.shape[0])
+    return np.kron(eye, d.T) + np.kron(d, eye)
+
+
 _CENTRALIZER_WINDOW = kms.centralizer_window
 
 
@@ -452,12 +476,16 @@ def _window_without_grouping(density):
     [
         ("_householder_tridiagonal", _left_reflections_only),
         ("centralizer_window", _window_without_grouping),
+        ("_commutator_map", _anticommutator_map),
     ],
-    ids=["no-right-reflection", "zero-grouping-threshold"],
+    ids=["no-right-reflection", "zero-grouping-threshold", "anticommutator"],
 )
 def test_planted_defects_split_the_kms_verify_routes(tmp_path, capsys, monkeypatch, d, target, defect):
     # one defect per route; a simple spectrum would hide the reduction's,
-    # since any T with d distinct eigenvalues still counts d
+    # since any T with d distinct eigenvalues still counts d. The commutant
+    # count reads only K's symmetric-to-antisymmetric block, so a map
+    # outside that structure, the anticommutator, must miscount rather than
+    # hide in the blocks the count never reads
     for seed in range(4):
         density, blocks = random_degenerate_density(np.random.default_rng(seed), d)
         assert max(blocks) >= 2

@@ -262,3 +262,20 @@ def test_tomita_takesaki_traced_peak_within_compose_scheme():
     finally:
         tracemalloc.stop()
     assert peak < TRACED_PEAK_BYTES
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+@pytest.mark.parametrize("left_dense", [False, True])
+@pytest.mark.parametrize("right_dense", [False, True])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_factored_matrix_is_the_kronecker_product_bit_for_bit(d, left_dense, right_dense, transpose):
+    rng = np.random.default_rng(d)
+    left = complex_gaussian(rng, d) if left_dense else None
+    right = complex_gaussian(rng, d) if right_dense else None
+    a, b = (np.eye(d) if f is None else f for f in (left, right))
+    expected = np.kron(a, b).astype(complex)
+    if transpose:  # (A (x) B) P permutes the columns
+        expected = expected.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
+    m = SuperOperator.factored(d, left, right, transpose).matrix
+    assert m.dtype == complex and m.shape == (d * d, d * d)
+    assert np.array_equal(m.view(np.uint64), expected.view(np.uint64))
