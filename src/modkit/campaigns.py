@@ -179,12 +179,16 @@ def _draw_modular(rng, d, k):
 
 
 def _modular_relations(m, tol):
-    """S_(omega,phi) S_(phi,omega) = 1 (two basis assemblies), Delta^(1/2)
-    xi_omega = xi_phi and its expectation form, the cocycle identity, and
-    the flow of phi chained through the cocycle."""
+    """S_(omega,phi) S_(phi,omega) = 1, Delta^(1/2) xi_omega = xi_phi and its
+    expectation form, the cocycle identity, and the flow of phi chained
+    through the cocycle. S_(omega,phi) is the closed form
+    J Delta^(1/2)_(omega,phi), composed at O(d^5) with the assembled
+    S_(phi,omega): the two factors come from different routes."""
     phi, omega, a, t, s = m.phi, m.omega, m.a, m.t, m.s
     identity = vecops.SuperOperator.factored(omega.dim, None, None)
-    s_inverse = modular.relative_s_matrix(omega, phi).compose(m.s_op).distance(identity)
+    s_reverse = modular.modular_conjugation(omega.dim).compose(
+        modular.relative_modular_power(omega, phi, 0.5))
+    s_inverse = s_reverse.compose(m.s_op).distance(identity)
     image = m.half.apply(states.purify(omega))
     lhs = m.half.apply(vec(a @ omega.sqrt())).norm() ** 2
     rhs = float(np.real(np.trace(phi.matrix @ a @ adjoint(a))))

@@ -23,10 +23,21 @@ forms the d^2 x d^2 matrix only on demand; its dense form holds operators
 assembled entry by entry. By the first identity above, the factored form
 with tau(X) = X is the Kronecker product A (x) B, and P vec(X) = vec(X^T)
 for the swap P gives the transposed forms; :func:`swap_operator` is P.
+Composition has three rules (factored o factored, factored o dense,
+dense on the left), listed on :class:`SuperOperator`.
+
+Workspace: a d^2 x d^2 array that never leaves the call computing it (the
+difference inside :meth:`SuperOperator.distance`; a conjugated operand or
+an intermediate product inside :meth:`SuperOperator.compose`, which needs
+one of them at a time) is written into a private buffer of the calling
+thread, one per method and per d, so a warm call maps no fresh pages.
+Every array a call returns or caches (a product,
+:attr:`SuperOperator.matrix`, an assembly) is freshly allocated.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +139,15 @@ class SuperOperator:
     conjugates everything to its right, which the composition rule tracks
     so that e.g. J Delta^(1/2) stays a plain matrix identity.
 
-    Composition has two rules: factored o factored multiplies the factors
-    at O(d^3); any other pair multiplies the d^2 x d^2 matrices at O(d^6),
-    forming a factored operand's matrix first.
+    Composition has three rules: factored o factored multiplies the
+    factors at O(d^3); factored o dense applies the factors to the dense
+    matrix's columns by reshape, two GEMMs of inner dimension d at O(d^5);
+    dense o anything multiplies the d^2 x d^2 matrices at O(d^6), forming a
+    factored right operand's matrix first. The difference inside
+    :meth:`distance` and, inside :meth:`compose`, the conjugated right
+    operand of a dense o anything product or the factored o dense
+    intermediate live in this thread's workspace; every product is a
+    fresh array.
     """
 
     def __init__(
@@ -186,15 +203,55 @@ class SuperOperator:
     def matrix(self) -> np.ndarray:
         """The dense d^2 x d^2 matrix, formed on first use for factored forms."""
         if self._matrix is None:
-            d = self.d
-            a, b = (np.eye(d) if f is None else f for f in self.factors)
-            # one product in the final index order (i, k, j, l)
-            if self.transpose:  # (A (x) B) P: entry ((i, k), (j, l)) is A_il B_kj
-                m = np.multiply(a[:, None, None, :], b[None, :, :, None], dtype=complex)
-            else:  # A (x) B: entry ((i, k), (j, l)) is A_ij B_kl
-                m = np.multiply(a[:, None, :, None], b[None, :, None, :], dtype=complex)
-            self._matrix = m.reshape(d * d, d * d)
+            n = self.d * self.d
+            self._matrix = self._write_matrix(np.empty((n, n), dtype=complex))
         return self._matrix
+
+    def _write_matrix(self, out: np.ndarray) -> np.ndarray:
+        """Write the factored form's matrix into the d^2 x d^2 ``out``."""
+        d = self.d
+        a, b = (np.eye(d) if f is None else f for f in self.factors)
+        # one product in the final index order (i, k, j, l)
+        m = out.reshape(d, d, d, d)
+        if self.transpose:  # (A (x) B) P: entry ((i, k), (j, l)) is A_il B_kj
+            np.multiply(a[:, None, None, :], b[None, :, :, None], out=m, dtype=complex)
+        else:  # A (x) B: entry ((i, k), (j, l)) is A_ij B_kl
+            np.multiply(a[:, None, :, None], b[None, :, None, :], out=m, dtype=complex)
+        return out
+
+    def _apply_factors(self, n: np.ndarray) -> np.ndarray:
+        """The matrix of self o (a dense operator with matrix ``n``).
+
+        That is (A (x) B) P^transpose conj^antilinear(n), column by column:
+        column c of n is vec(X_c), and its image is vec(A tau(X_c) B^T). With
+        rows (i, k) and the column c as the axes of a (d, d, d^2) array, a
+        factor contracts the leading axis in one GEMM of inner dimension d:
+        B on k, then A on i, each after a copy that brings its index to the
+        front. The copies go to the workspace and the first GEMM's result to
+        the fresh output, which the second GEMM overwrites. An antilinear
+        self conjugates its d x d factors, and then the output in place,
+        instead of n.
+        """
+        d = self.d
+        left, right = self.factors
+        if self.antilinear:  # (A (x) B) P conj(n) = conj((conj A (x) conj B) P n)
+            left, right = _conj(left), _conj(right)
+        out = np.empty((d * d, d * d), dtype=complex)
+        image = out.reshape(d, d, d * d)
+        work = _workspace("compose", d).reshape(d, d, d * d)
+        rows = n.reshape(d, d, d * d)  # entry (i, k, c) is X_c[i, k]
+        # by_k[k, i, c] = tau(X_c)[i, k], so the transposition needs no copy
+        if self.transpose:
+            by_k = rows
+        else:
+            by_k = work
+            np.copyto(by_k, rows.transpose(1, 0, 2))
+        _contract_leading(right, by_k, image)  # (b, i, c)
+        np.copyto(work, image.transpose(1, 0, 2))  # (i, b, c)
+        _contract_leading(left, work, image)  # (a, b, c)
+        if self.antilinear:
+            np.conj(out, out=out)
+        return out
 
     def apply(self, v: BipartiteVector) -> BipartiteVector:
         if v.dims != (self.d, self.d):
@@ -227,7 +284,11 @@ class SuperOperator:
             return SuperOperator.factored(
                 self.d, left, right, self.transpose ^ other.transpose, antilinear
             )
-        rhs = np.conj(other.matrix) if self.antilinear else other.matrix
+        if self.is_factored:
+            return SuperOperator(self.d, self._apply_factors(other.matrix), antilinear)
+        rhs = other.matrix
+        if self.antilinear:
+            rhs = np.conj(rhs, out=_workspace("compose", self.d))
         return SuperOperator(self.d, self.matrix @ rhs, antilinear)
 
     def adjoint(self) -> "SuperOperator":
@@ -244,14 +305,62 @@ class SuperOperator:
         )
 
     def distance(self, other: "SuperOperator") -> float:
-        """HS distance between matrices; infinite if linearity types differ."""
+        """HS distance between matrices; infinite if linearity types differ.
+
+        The difference is formed in the workspace: an uncached factored
+        side is written there by the writer of :attr:`matrix`, and the
+        other side subtracted in place, so the value is that of
+        ``norm(self.matrix - other.matrix)`` bit for bit.
+        """
+        if self.d != other.d:
+            raise ShapeMismatch(f"dimensions {self.d} != {other.d}")
         if self.antilinear != other.antilinear:
             return float("inf")
-        return float(np.linalg.norm(self.matrix - other.matrix))
+        diff = _workspace("distance", self.d)
+        if self._matrix is None:
+            np.subtract(self._write_matrix(diff), other.matrix, out=diff)
+        elif other._matrix is None:
+            np.subtract(self._matrix, other._write_matrix(diff), out=diff)
+        else:
+            np.subtract(self._matrix, other._matrix, out=diff)
+        return float(np.linalg.norm(diff))
+
+
+class _Workspace(threading.local):
+    """This thread's d^2 x d^2 complex buffers, keyed by (method, d)."""
+
+    def __init__(self):
+        self.buffers: dict[tuple[str, int], np.ndarray] = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _workspace(method: str, d: int) -> np.ndarray:
+    """The calling thread's buffer for ``method`` at dimension d.
+
+    Its contents are valid only inside the call that filled it: nothing
+    written there is returned or kept, and no call holding it makes
+    another call that takes it.
+    """
+    buffers = _WORKSPACE.buffers
+    key = (method, d)
+    if key not in buffers:
+        buffers[key] = np.empty((d * d, d * d), dtype=complex)
+    return buffers[key]
 
 
 def _conj(f: np.ndarray | None) -> np.ndarray | None:
     return None if f is None else np.conj(f)
+
+
+def _contract_leading(f: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
+    """out[a, ...] = sum_i f[a, i] x[i, ...] for C-ordered (d, d, d^2) x and
+    out, one GEMM; a None factor (the identity) copies."""
+    if f is None:
+        np.copyto(out, x)
+    else:
+        np.matmul(f, x.reshape(f.shape[1], -1), out=out.reshape(f.shape[0], -1))
 
 
 def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:

@@ -142,10 +142,10 @@ def test_fs_is_delta_and_absolute_sf_is_inverse(rng):
 
 
 # Planted defects in the one S assembler, each a wrapper of the real one.
-# modular.s_inverse composes two assemblies, so a defect that commutes with
-# that composition, such as conjugating both factors, still gives the
-# identity: only sstar_s and polar, which hold S to the closed-form Delta,
-# catch it.
+# Each S check holds the assembled S to a closed form: sstar_s to Delta,
+# polar to J Delta^(1/2), and s_inverse to the inverse J Delta^(1/2) of the
+# other order. So every check sees every row, conjugating both factors too
+# (a defect that would cancel in a product of two assemblies).
 def _unpatched(real):
     return real
 
@@ -195,7 +195,7 @@ def s_check_verdicts(d, seed, count=6):
         (_unpatched, ()),
         (_right_not_transposed, S_CHECKS),
         (_antilinear_dropped, S_CHECKS),
-        (_factors_conjugated, ("modular.sstar_s", "modular.polar")),
+        (_factors_conjugated, S_CHECKS),
         (_left_transposed, S_CHECKS),
     ],
 )

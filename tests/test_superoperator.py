@@ -7,6 +7,8 @@ definitions, Ogata's route (a) against the dense 256^2-eigh route it
 replaced, and the Tomita-Takesaki residuals against the all-dense formula.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,14 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modkit.errors import ShapeMismatch
 from modkit.inequalities import ogata_modular
 from modkit.linalg import hs_norm, spectral_decomposition
 from modkit.modular import (
     _assemble_antilinear,
+    modular_conjugation,
     modular_flow,
     pi_factored,
     relative_modular_operator,
+    relative_modular_power,
     relative_modular_unitary,
+    relative_s_matrix,
     verify_tomita_takesaki,
 )
 from modkit.sampling import (
@@ -101,11 +107,37 @@ def test_compose_matches_dense(pair):
     want = dense_copy(a).compose(dense_copy(b))
     assert got.antilinear == want.antilinear
     assert got.is_factored == (a.is_factored and b.is_factored)
-    if got.is_factored:
+    if a.is_factored:  # factors multiplied, or applied to b's columns by reshape
         scale = np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix)
         assert close(got.matrix, want.matrix, scale)
-    else:  # a dense operand: the same matrix product on the same matrices
+    else:  # dense on the left: the same matrix product on the same matrices
         assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("factors", ["both", "left", "right", "none"])
+@pytest.mark.parametrize("antilinear", [False, True])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_factored_o_dense_matches_per_column_apply(d, transpose, antilinear, factors):
+    """Column c of the product is the factored operator applied to column c
+    of the dense one: bit for bit where the product only moves entries (no
+    factor), else bit for bit or within the compose bound."""
+    rng = np.random.default_rng(d)
+    left = complex_gaussian(rng, d) if factors in ("both", "left") else None
+    right = complex_gaussian(rng, d) if factors in ("both", "right") else None
+    a = SuperOperator.factored(d, left, right, transpose, antilinear)
+    b = SuperOperator(d, complex_gaussian(rng, d * d), antilinear=True)
+    got = a.compose(b)
+    assert not got.is_factored and got.antilinear == (not antilinear)
+    want = np.empty((d * d, d * d), dtype=complex)
+    for c in range(d * d):
+        unit = np.zeros(d * d)
+        unit[c] = 1.0  # real, so conj^antilinear leaves it as it is
+        want[:, c] = a.apply(b.apply(BipartiteVector(d, d, unit))).amplitudes
+    if factors == "none":  # a permutation of b's entries
+        assert np.array_equal(got.matrix, want)
+    elif not np.array_equal(got.matrix, want):
+        assert close(got.matrix, want, np.linalg.norm(a.matrix) * np.linalg.norm(b.matrix))
 
 
 @PROPERTY
@@ -279,3 +311,126 @@ def test_factored_matrix_is_the_kronecker_product_bit_for_bit(d, left_dense, rig
     m = SuperOperator.factored(d, left, right, transpose).matrix
     assert m.dtype == complex and m.shape == (d * d, d * d)
     assert np.array_equal(m.view(np.uint64), expected.view(np.uint64))
+
+
+# Workspace: the d^2 x d^2 arrays that never leave a call (the difference in
+# distance; the conjugated operand or the factored o dense intermediate in
+# compose) live in a per-thread buffer; every returned array is fresh.
+ARRAY_BYTES = 256 * 256 * 16  # one d^2 x d^2 complex array at d = 16
+KINDS = ("dense", "factored", "transposed", "identity")
+
+
+def operand(d, kind, antilinear, seed):
+    """A superoperator of one kind, the same for the same arguments."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return SuperOperator(d, complex_gaussian(rng, d * d), antilinear)
+    if kind == "identity":
+        return SuperOperator.factored(d, None, None, antilinear=antilinear)
+    left, right = complex_gaussian(rng, d), complex_gaussian(rng, d)
+    return SuperOperator.factored(d, left, right, kind == "transposed", antilinear)
+
+
+@pytest.mark.parametrize("right", KINDS)
+@pytest.mark.parametrize("left", KINDS)
+@pytest.mark.parametrize("antilinear", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_distance_is_the_fresh_difference_norm_bit_for_bit(d, antilinear, left, right):
+    want = np.linalg.norm(
+        operand(d, left, antilinear, 1).matrix - operand(d, right, antilinear, 2).matrix
+    )
+    a, b = operand(d, left, antilinear, 1), operand(d, right, antilinear, 2)
+    first = a.distance(b)  # factored sides written into the workspace
+    a.matrix, b.matrix  # cached now, subtracted as they are
+    for got in (first, a.distance(b)):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_distance_rejects_unequal_dimensions():
+    for a, b in [
+        (operand(2, "identity", False, 0), operand(3, "identity", False, 0)),
+        (operand(2, "dense", True, 0), operand(3, "factored", False, 0)),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            a.distance(b)
+        with pytest.raises(ShapeMismatch):
+            b.distance(a)
+
+
+def test_returned_arrays_survive_later_workspace_use():
+    d = 16
+    rng = np.random.default_rng(70)
+    phi, omega = random_faithful_density(rng, d), random_faithful_density(rng, d)
+    s = relative_s_matrix(phi, omega)  # an assembly
+    half = relative_modular_power(phi, omega, 0.5)
+    mixed = modular_conjugation(d).compose(half).compose(s)  # factored o dense
+    dense = s.adjoint().compose(s)  # antilinear dense o dense
+    matrix = half.matrix  # a densified factored operator
+    kept = [x.copy() for x in (s.matrix, mixed.matrix, dense.matrix, matrix)]
+    # every workspace use again, on other operands of the same d
+    s2 = relative_s_matrix(omega, phi)
+    j_half2 = modular_conjugation(d).compose(relative_modular_power(omega, phi, 0.5))
+    for op in (j_half2, operand(d, "factored", True, 5)):
+        op.compose(s2).distance(operand(d, "identity", False, 0))
+    s2.adjoint().compose(s2).distance(relative_modular_operator(omega, phi))
+    j_half2.distance(s2)
+    for got, want in zip((s.matrix, mixed.matrix, dense.matrix, matrix), kept):
+        assert np.array_equal(got, want)
+
+
+def test_distance_in_threads_matches_one_thread():
+    """More threads than cores, each on its own pair, switching often: a
+    buffer shared between threads would mix their differences."""
+    d, rounds = 16, 40
+    kinds = [("transposed", "dense"), ("dense", "factored"), ("identity", "dense"),
+             ("factored", "transposed")]
+    pairs = [(operand(d, a, k % 2 == 0, 10 * k), operand(d, b, k % 2 == 0, 10 * k + 1))
+             for k, (a, b) in enumerate(kinds)]
+    want = [a.distance(b) for a, b in pairs]
+    assert len(set(want)) == len(want)
+    got = [[] for _ in pairs]
+    start = threading.Barrier(len(pairs), timeout=30)
+
+    def run(k):
+        a, b = pairs[k]
+        start.wait()
+        for _ in range(rounds):
+            got[k].append(a.distance(b))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * rounds for w in want]
+
+
+def traced_peak(fn):
+    """Peak traced bytes of a warm call: fn runs once untraced first."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("left, right", [
+    ("transposed", "dense"), ("dense", "factored"), ("dense", "dense"), ("identity", "factored"),
+])
+def test_warm_distance_allocates_no_d2_array(left, right):
+    a, b = operand(16, left, True, 30), operand(16, right, True, 31)
+    assert traced_peak(lambda: a.distance(b)) < ARRAY_BYTES
+
+
+@pytest.mark.parametrize("left", ["dense", "factored", "transposed"])
+def test_warm_antilinear_compose_allocates_only_its_product(left):
+    a, b = operand(16, left, True, 40), operand(16, "dense", True, 41)
+    assert ARRAY_BYTES <= traced_peak(lambda: a.compose(b)) < 2 * ARRAY_BYTES
