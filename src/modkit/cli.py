@@ -57,9 +57,11 @@ EXIT_USAGE = 4
 
 # kms-verify evaluates its probe pairs in blocks of as many as keep one
 # (probes, times, d, d) complex intermediate within this many bytes, at
-# least one: 12 at d = 16 and 204 at d = 4 on the 5 times of the grid, so
-# the intermediates stay cache-sized for any --samples. The block size
-# never moves an output: stacked defects equal the per-probe ones
+# least one: 12 at d = 16 and 204 at d = 4 on the 5 times of the grid.
+# The block is the one memory bound of the KMS path: modkit.kms takes the
+# probe and time axes of a block as array axes and holds a few such
+# intermediates at once, so they stay cache-sized for any --samples. The
+# block size never moves an output: stacked defects equal the per-probe ones
 KMS_BLOCK_BYTES = 256 * 1024
 # the largest --dim, and the largest state file modular and kms-verify
 # accept: their d^2 x d^2 complex operators take 16 d^4 bytes each

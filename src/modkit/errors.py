@@ -22,7 +22,9 @@ class NotSquare(ModkitError):
 
 
 class DomainError(ModkitError):
-    """An eigenvalue lies outside the declared domain of a scalar function."""
+    """An eigenvalue lies outside the declared domain of a scalar function,
+    or a time is not a number, or a physical (real) time has a non-zero
+    imaginary part."""
 
 
 class BadExponent(ModkitError):

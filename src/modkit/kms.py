@@ -19,19 +19,26 @@ and is enforced as a contract, not a numerical necessity. On the upper
 boundary, F(t + i beta) = omega(sigma_t(B) A).
 
 Every time argument is a 1-D array of times, one time being an array of
-length one; any other shape raises :class:`ShapeMismatch`. It is
-evaluated from one change of basis per operator and one phase matrix
-per time, and gives the results stacked along a trailing time axis.
+length one; any other shape raises :class:`ShapeMismatch`, and an entry
+numpy cannot convert to a number, or a physical time with a non-zero
+imaginary part, raises :class:`DomainError`. It is evaluated from one
+change of basis per operator and one phase matrix per time, and gives
+the results stacked along a trailing time axis.
 
 Every operator argument is a (d, d) matrix or a stack of k of them,
 shape (k, d, d); the paired operators of :func:`kms_function` and
 :func:`kms_boundary_defect` are stacked alike. A stack puts its probe
 axis first, ahead of the time axis, and evaluates every probe with the
 same matrix products as a single operator would, so stacked results
-equal the per-probe ones bit for bit. Sums over the d x d entries (the
-two-point function's eigenbasis sum, and the traces Tr(X M) taken as
-sum_jk X_jk M_kj) run one time at a time, so they add only (probes, d, d)
-temporaries to the (probes, times, d, d) stacks of the evolution.
+equal the per-probe ones bit for bit. The time axis is an array axis
+like the probe axis: each sum over the d x d entries (the two-point
+function's eigenbasis sum, and the traces Tr(X M) taken as
+sum_jk X_jk M_kj) is one broadcast product over every probe and time,
+reduced over its contiguous trailing axis in the order one probe at one
+time would use, so it keeps the one-time bits. Nothing here bounds its
+own memory: a call holds a few (probes, times, d, d) complex arrays at
+once, and the caller bounds them by the stack it passes, as
+``kms-verify`` does with its probe blocks (``cli.KMS_BLOCK_BYTES``).
 
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
+from .errors import BadBeta, DomainError, OutsideStrip, ShapeMismatch, SingularState
 from .linalg import adjoint
 from .states import DensityMatrix, is_faithful
 
@@ -100,8 +107,9 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
 
     ``a`` is a (d, d) matrix or a (k, d, d) stack; the evolved matrices
     come stacked along a time axis after the probe axis, from one change
-    of basis of A. Energy is conserved ([A, H] = 0 implies a fixed point)
-    and the Gibbs state is invariant: Tr(D sigma_t(A)) = Tr(D A).
+    of basis of A, then one phase product and two matrix products over
+    every probe and time at once. Energy is conserved ([A, H] = 0 implies a
+    fixed point) and the Gibbs state is invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
     a = _operands(sys, a)
     t = _times(t, float)
@@ -110,8 +118,7 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     a_eig = adjoint(v) @ a @ v
     outer = phases[:, :, None] * np.conj(phases)[:, None, :]
     evolved = outer * a_eig[..., None, :, :]
-    # the second product overwrites the phase product it no longer needs
-    return np.matmul(v @ evolved, adjoint(v), out=evolved)
+    return v @ evolved @ adjoint(v)
 
 
 def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -123,8 +130,10 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
 
     ``a`` and ``b`` are (d, d) matrices, giving an array over z, or
     (k, d, d) stacks, giving an array over the probes, then z. The weights
-    lambda_j A_jk B_kj are formed once for all z, and summed one z at a time.
-    Raises :class:`OutsideStrip` unless 0 <= Im z <= beta for every z.
+    lambda_j A_jk B_kj are formed once for all z, and multiplied by the
+    phases of every z in one broadcast product over a flat d^2 axis,
+    which is summed. Raises :class:`OutsideStrip` unless
+    0 <= Im z <= beta for every z.
     """
     z = _times(z, complex)
     outside = (z.imag < 0) | (z.imag > sys.beta)
@@ -144,11 +153,9 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
     b_eig = adjoint(v) @ b @ v
     weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
     phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
-    values = np.empty(weights.shape[:-2] + z.shape, dtype=complex)
-    for i, p in enumerate(phase):
-        terms = weights * p
-        values[..., i] = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
-    return values
+    d2 = sys.dim**2
+    terms = weights.reshape(*weights.shape[:-2], 1, d2) * phase.reshape(len(z), d2)
+    return terms.sum(axis=-1)
 
 
 def centralizer_dimension(density: DensityMatrix) -> int:
@@ -321,22 +328,26 @@ def _operands(sys: GibbsSystem, a) -> np.ndarray:
 
 
 def _times(t, dtype) -> np.ndarray:
-    """``t`` as a 1-D array of ``dtype``, else ShapeMismatch."""
-    t = np.asarray(t, dtype=dtype)
-    if t.ndim != 1:
-        raise ShapeMismatch(f"times must form a 1-D array, got shape {t.shape}")
-    return t
+    """``t`` as a 1-D array of ``dtype``: ShapeMismatch for any other shape,
+    DomainError for an entry numpy cannot convert to a number, or one with
+    a non-zero imaginary part where ``dtype`` is float."""
+    try:
+        z = np.asarray(t, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"times must be numbers: {exc}") from exc
+    if z.ndim != 1:
+        raise ShapeMismatch(f"times must form a 1-D array, got shape {z.shape}")
+    if dtype is float and np.any(z.imag != 0):
+        raise DomainError(f"physical time {z[z.imag != 0][0]} is not real")
+    return z.real if dtype is float else z
 
 
 def _trace_of_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Tr(X M) = sum_jk X_jk M_kj for each time of ``x``, shape (..., times, d, d),
     against ``m``, shape (..., d, d): an array of shape (..., times).
 
-    One elementwise product and per-row sums per time, O(d^2) each; the
-    same operations for every probe, so a stack gives the per-probe bits.
+    One elementwise product broadcast over every probe and time, then
+    per-row sums and their sum; each (d, d) slice is reduced as it would
+    be alone, so a stack gives the per-probe and per-time bits.
     """
-    mt = np.swapaxes(m, -2, -1)
-    traces = np.empty(x.shape[:-2], dtype=complex)
-    for i in range(x.shape[-3]):
-        traces[..., i] = (x[..., i, :, :] * mt).sum(axis=-1).sum(axis=-1)
-    return traces
+    return (x * np.swapaxes(m, -2, -1)[..., None, :, :]).sum(axis=-1).sum(axis=-1)

@@ -341,7 +341,11 @@ def _workspace(method: str, d: int) -> np.ndarray:
 
     Its contents are valid only inside the call that filled it: nothing
     written there is returned or kept, and no call holding it makes
-    another call that takes it.
+    another call that takes it. One buffer per method, not one shared
+    buffer per thread and d, is load-bearing: the resident buffers keep
+    the allocator serving each op's fresh 1 MiB products from memory it
+    already holds. Sharing one buffer gave the same bits but raised a warm
+    campaign-d16 op from about 0.3 to 513 minor page faults (2 BLAS threads).
     """
     buffers = _WORKSPACE.buffers
     key = (method, d)

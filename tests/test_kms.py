@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from modkit import kms
+from modkit import campaigns, cli, kms
 from modkit.cli import dump_matrix, main
-from modkit.errors import BadBeta, OutsideStrip, ShapeMismatch, SingularState
+from modkit.errors import BadBeta, DomainError, OutsideStrip, ShapeMismatch, SingularState
 from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
@@ -212,6 +213,60 @@ def test_stacked_probes_match_the_per_probe_loop(d):
     assert evolved.shape == (7, 5, d, d)
     assert np.array_equal(evolved, [heisenberg_evolve(sys, x, t_grid) for x in a])
 
+    # the time axis is an array axis: the whole grid gives the bits of its
+    # one-time calls, concatenated along the time axis
+    def whole_and_by_time(f, *ops, shift=0.0, axis=-1):
+        whole = f(sys, *ops, t_grid + shift)
+        times = [t_grid[i : i + 1] + shift for i in range(len(t_grid))]
+        return whole, np.concatenate([f(sys, *ops, t) for t in times], axis=axis)
+
+    for whole, single in (
+        whole_and_by_time(kms_function, a, b, shift=0.5j * sys.beta),
+        whole_and_by_time(kms_boundary_defect, a, b),
+        whole_and_by_time(state_invariance_defect, a),
+        whole_and_by_time(heisenberg_evolve, a, axis=1),
+    ):
+        assert whole.shape == single.shape
+        assert np.array_equal(whole.view(np.uint64), single.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_one_default_probe_block_stays_within_four_block_bounds(d):
+    # kms-verify's probe block is the only memory bound on the KMS path:
+    # one block of the default size keeps both defects' traced peak within
+    # a few (probes, times, d, d) arrays of KMS_BLOCK_BYTES each
+    rng = np.random.default_rng(90 + d)
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), 1.0)
+    t_grid = np.array(campaigns.KMS_TIMES)
+    pairs = max(1, cli.KMS_BLOCK_BYTES // (16 * len(t_grid) * d * d))
+    probes = np.array([complex_gaussian(rng, d) for _ in range(2 * pairs)])
+    a, b = probes[0::2], probes[1::2]
+    kms_boundary_defect(sys, a, b, t_grid)
+    state_invariance_defect(sys, a, t_grid)
+    tracemalloc.start()
+    try:
+        kms_boundary_defect(sys, a, b, t_grid)
+        state_invariance_defect(sys, a, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cli.KMS_BLOCK_BYTES
+
+
+def test_an_empty_time_grid_or_probe_stack_gives_empty_results(rng):
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
+    a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
+    none = np.array([])
+    assert kms_function(sys, a, b, none).shape == (0,)
+    assert kms_boundary_defect(sys, a, b, none).shape == (0,)
+    assert state_invariance_defect(sys, a, none).shape == (0,)
+    assert heisenberg_evolve(sys, a, none).shape == (0, 3, 3)
+    empty = np.empty((0, 3, 3), dtype=complex)
+    t = np.array([0.5, 1.0])
+    assert kms_function(sys, empty, empty, t).shape == (0, 2)
+    assert kms_boundary_defect(sys, empty, empty, t).shape == (0, 2)
+    assert state_invariance_defect(sys, empty, t).shape == (0, 2)
+
 
 def test_stacked_operands_are_validated(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
@@ -240,6 +295,26 @@ def test_times_must_form_a_1d_array(rng, t):
     ):
         with pytest.raises(ShapeMismatch, match="times must form a 1-D array"):
             call()
+
+
+def test_times_that_are_not_real_numbers_raise_domain_error(rng):
+    # a physical time with an imaginary part is refused, not cut to its real
+    # part; an entry numpy cannot convert to a number is refused everywhere
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
+    a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
+    real_time = (
+        lambda t: heisenberg_evolve(sys, a, t),
+        lambda t: state_invariance_defect(sys, a, t),
+        lambda t: kms_boundary_defect(sys, a, b, t),
+    )
+    for call in real_time:
+        for t in (np.array([1 + 1j]), [0.5, 1j]):
+            with pytest.raises(DomainError, match="is not real"):
+                call(t)
+    for call in (*real_time, lambda z: kms_function(sys, a, b, z)):
+        for t in (["a"], [0.5, object()]):
+            with pytest.raises(DomainError, match="times must be numbers"):
+                call(t)
 
 
 def test_kms_function_strip_contract_for_time_arrays(rng):
