@@ -16,7 +16,9 @@ inequalities):
   pointed, pi_j_invariance
 * inequalities: norm_sandwich_low, norm_sandwich_high, powers_stormer,
   ozawa_s[s] (s = 0.0, 0.25, .., 1.0), hoa[f] per monotone function,
-  phillips[t] (t = 1.0, 1.5, 2.0, 3.0), ogata_modular
+  phillips[t] (t = 1.0, 1.5, 2.0, 3.0), ogata_modular; the grids of s and
+  t and the monotone functions are tables of :mod:`modkit.inequalities`,
+  and each of those three families is one call per instance
 
 ``modkit modular`` evaluates the same modular.sstar_s and polar checks
 (with ``--verify`` also tt_commutant and tt_flow) on the pair its files
@@ -183,12 +185,15 @@ def _modular_relations(m, tol):
     expectation form, the cocycle identity, and the flow of phi chained
     through the cocycle. S_(omega,phi) is the closed form
     J Delta^(1/2)_(omega,phi), composed at O(d^5) with the assembled
-    S_(phi,omega): the two factors come from different routes."""
+    S_(phi,omega): the two factors come from different routes. The product
+    is a fresh array, so the identity is subtracted from its diagonal in
+    place; an antilinear product reads inf, as ``distance`` reads it."""
     phi, omega, a, t, s = m.phi, m.omega, m.a, m.t, m.s
-    identity = vecops.SuperOperator.factored(omega.dim, None, None)
     s_reverse = modular.modular_conjugation(omega.dim).compose(
         modular.relative_modular_power(omega, phi, 0.5))
-    s_inverse = s_reverse.compose(m.s_op).distance(identity)
+    product = s_reverse.compose(m.s_op)
+    product.matrix[np.diag_indices(omega.dim**2)] -= 1
+    s_inverse = math.inf if product.antilinear else float(np.linalg.norm(product.matrix))
     image = m.half.apply(states.purify(omega))
     lhs = m.half.apply(vec(a @ omega.sqrt())).norm() ** 2
     rhs = float(np.real(np.trace(phi.matrix @ a @ adjoint(a))))
@@ -312,10 +317,6 @@ CONE = (
     Family(("cone.pointed", "cone.pi_j_invariance"), "boolean", TOL_RESIDUAL, _cone_membership),
 )
 
-_S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-_T_GRID = (1.0, 1.5, 2.0, 3.0)
-
-
 def _draw_inequalities(rng, d, k):
     a = sampling.random_psd(rng, d, trace_one=False)
     b = sampling.random_psd(rng, d, trace_one=False)
@@ -323,7 +324,8 @@ def _draw_inequalities(rng, d, k):
     a, b, a_plus_b = (states.PositiveFunctional(m) for m in (a, b, a + b))
     phi1 = sampling.random_positive_functional(rng, d, faithful=True)
     phi2 = sampling.random_positive_functional(rng, d)
-    return SimpleNamespace(a=a, b=b, a_plus_b=a_plus_b, phi1=phi1, phi2=phi2, s=_S_GRID[k % 5])
+    return SimpleNamespace(a=a, b=b, a_plus_b=a_plus_b, phi1=phi1, phi2=phi2,
+                           s=ineq.S_GRID[k % 5])
 
 
 def _trace_inequalities(p, tol):
@@ -331,18 +333,18 @@ def _trace_inequalities(p, tol):
     return (
         *ineq.norm_sandwich(a, b),
         ineq.powers_stormer(a, b),
-        *(ineq.ozawa_s(a, b, s) for s in _S_GRID),
-        *(ineq.hoa_generalized(a, b, mf) for mf in ineq.MONOTONE_FUNCTIONS),
-        *(ineq.phillips(p.a_plus_b, b, t) for t in _T_GRID),
+        *ineq.ozawa_s(a, b),
+        *ineq.hoa_generalized(a, b),
+        *ineq.phillips(p.a_plus_b, b),
     )
 
 
 # a report family's tolerance is unused: each report has its own floor
 INEQUALITIES = (
     Family(("ineq.norm_sandwich_low", "ineq.norm_sandwich_high", "ineq.powers_stormer",
-            *(f"ineq.ozawa_s[{s}]" for s in _S_GRID),
+            *(f"ineq.ozawa_s[{s}]" for s in ineq.S_GRID),
             *(f"ineq.hoa[{mf.name}]" for mf in ineq.MONOTONE_FUNCTIONS),
-            *(f"ineq.phillips[{t}]" for t in _T_GRID)),
+            *(f"ineq.phillips[{t}]" for t in ineq.T_GRID)),
            "report", TOL_RESIDUAL, _trace_inequalities),
     Family(("ineq.ogata_modular",), "report", TOL_RESIDUAL,
            lambda p, tol: (ineq.ogata_modular(p.phi1, p.phi2, p.s),)),

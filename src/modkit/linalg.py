@@ -184,11 +184,12 @@ def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
     :class:`DomainError`; noise above it is clipped to zero. At ``s = 0``
     the support convention holds (eigenvalues at or below
     ``PSD_TOL * max(1, lambda_max)`` map to 0, the rest to 1), the
-    operator-monotone limit of ``t^s``. ``s < 0`` raises
+    operator-monotone limit of ``t^s``. ``s < 0`` and a NaN ``s`` raise
     :class:`DomainError`: inverse powers are taken on faithful states only,
     through :meth:`SpectralDecomposition.power`.
     """
-    if s < 0:
+    # written so that NaN fails too: nan >= 0 is False
+    if not s >= 0:
         raise DomainError(
             f"psd_power_values takes s >= 0, got {s}; inverse powers of a "
             f"faithful state come from SpectralDecomposition.power"
@@ -208,9 +209,10 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
     """Schatten p-norm, (sum_i sigma_i^p)^(1/p) over singular values.
 
     ``p = 1`` is the trace norm, ``p = 2`` the Hilbert-Schmidt norm and
-    ``p = inf`` the operator norm. Raises :class:`BadExponent` for p < 1.
+    ``p = inf`` the operator norm. Raises :class:`BadExponent` for p < 1
+    and for a NaN p.
     """
-    if p < 1:
+    if not p >= 1:
         raise BadExponent(f"Schatten norm requires p >= 1, got {p}")
     sigma = np.linalg.svd(as_matrix(a), compute_uv=False)
     if np.isinf(p):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from modkit.errors import BadExponent, NotPSD, OrderViolation, SingularState
+from modkit.errors import NotPSD, OrderViolation, SingularState
 from modkit.inequalities import (
     MONOTONE_FUNCTIONS,
+    S_GRID,
+    T_GRID,
     MonotoneFunction,
     hoa_generalized,
     norm_sandwich,
@@ -12,7 +14,7 @@ from modkit.inequalities import (
     phillips,
     powers_stormer,
 )
-from modkit.linalg import check_psd, spectral_decomposition
+from modkit.linalg import check_psd, schatten_norm, spectral_decomposition, trace_norm
 from modkit.sampling import random_psd
 from modkit.states import DensityMatrix, PositiveFunctional
 
@@ -29,6 +31,21 @@ def pfs(*matrices):
 def shipped(name):
     """The shipped MonotoneFunction called ``name``."""
     return next(mf for mf in MONOTONE_FUNCTIONS if mf.name == name)
+
+
+def ozawa_at(a, b, s):
+    """The s-family's report at the grid point s."""
+    return ozawa_s(a, b)[S_GRID.index(s)]
+
+
+def hoa_at(a, b, name):
+    """The monotone form's report for the shipped function called ``name``."""
+    return hoa_generalized(a, b)[MONOTONE_FUNCTIONS.index(shipped(name))]
+
+
+def phillips_at(a, b, t):
+    """Phillips' report at the grid point t."""
+    return phillips(a, b)[T_GRID.index(t)]
 
 
 def test_norm_sandwich_degenerate():
@@ -83,8 +100,6 @@ def test_powers_stormer_campaign(rng):
 
 def test_powers_stormer_chain_to_ozawa(rng):
     # ||sqrt A - sqrt B||_2^2 = TrA + TrB - 2Tr(sqrtA sqrtB) <= ||A - B||_1
-    from modkit.linalg import trace_norm
-
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
     expand = (
@@ -97,7 +112,7 @@ def test_powers_stormer_chain_to_ozawa(rng):
     )
     rep = powers_stormer(*pfs(a, b))
     assert rep.lhs == pytest.approx(expand, abs=1e-10)
-    half = ozawa_s(*pfs(a, b), 0.5)
+    half = ozawa_at(*pfs(a, b), 0.5)
     bound = np.trace(a).real + np.trace(b).real - half.rhs
     assert rep.lhs <= bound + 1e-10
     assert bound == pytest.approx(trace_norm(a - b), abs=1e-10)
@@ -105,13 +120,13 @@ def test_powers_stormer_chain_to_ozawa(rng):
 
 def test_ozawa_equality_at_equal_inputs(rng):
     a = random_psd(rng, 3, trace_one=False)
-    rep = ozawa_s(*pfs(a, a), 0.5)
+    rep = ozawa_at(*pfs(a, a), 0.5)
     assert rep.lhs == pytest.approx(2 * np.trace(a).real, rel=1e-12)
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ozawa_commuting_scalar_oracle():
-    rep = ozawa_s(diag_pf(0.7, 0.3), diag_pf(0.4, 0.6), 0.5)
+    rep = ozawa_at(diag_pf(0.7, 0.3), diag_pf(0.4, 0.6), 0.5)
     # independent scalar computation on the diagonal
     lhs = 2 * (np.sqrt(0.4 * 0.7) + np.sqrt(0.6 * 0.3))
     rhs = 2 * (min(0.7, 0.4) + min(0.3, 0.6))
@@ -125,29 +140,21 @@ def test_ozawa_grid_campaign(rng):
     for _ in range(100):
         a = random_psd(rng, 4, trace_one=False)
         b = random_psd(rng, 4, trace_one=False)
-        a, b = pfs(a, b)
-        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert ozawa_s(a, b, s).passed
+        for rep in ozawa_s(*pfs(a, b)):
+            assert rep.passed
 
 
 def test_ozawa_endpoints_use_support(rng):
     # singular inputs: s = 0 reduces to 2 Tr(supp(B) A) >= Tr(A+B-|A-B|)
     a = np.diag([0.5, 0.0, 0.7])
     b = np.diag([0.2, 0.3, 0.0])
-    rep0 = ozawa_s(*pfs(a, b), 0.0)
+    rep0, *_, rep1 = ozawa_s(*pfs(a, b))
     lhs_oracle = 2 * np.trace(spectral_decomposition(b).power(0.0) @ a).real
     assert rep0.lhs == pytest.approx(lhs_oracle, abs=1e-12)
     assert rep0.passed
-    rep1 = ozawa_s(*pfs(a, b), 1.0)
     lhs_oracle1 = 2 * np.trace(b @ spectral_decomposition(a).power(0.0)).real
     assert rep1.lhs == pytest.approx(lhs_oracle1, abs=1e-12)
     assert rep1.passed
-
-
-def test_ozawa_bad_exponent(rng):
-    a = PositiveFunctional(random_psd(rng, 2))
-    with pytest.raises(BadExponent):
-        ozawa_s(a, a, 1.5)
 
 
 def test_ogata_equality_for_equal_states(rng):
@@ -202,8 +209,8 @@ def test_registry_functions_pass_hoa(rng):
     for _ in range(50):
         a = random_psd(rng, 4, trace_one=False)
         b = random_psd(rng, 4, trace_one=False)
-        for mf in MONOTONE_FUNCTIONS:
-            assert hoa_generalized(*pfs(a, b), mf).passed
+        for rep in hoa_generalized(*pfs(a, b)):
+            assert rep.passed
 
 
 def _monotone_spot_check(f) -> bool:
@@ -246,24 +253,25 @@ def test_monotone_functions_clip_rounding_noise():
 
 
 def test_hoa_identity_function_reduces_to_support(rng):
-    # f(t) = t gives g = supp(B): lhs = 2 Tr(sqrt(A) supp(B) sqrt(A))
+    # f(t) = t gives g = supp(B): 2 Tr(sqrt(f(A)) g(B) sqrt(f(A))) =
+    # 2 Tr(sqrt(A) supp(B) sqrt(A))
     mf = MonotoneFunction("t", lambda t: t)
-    a = random_psd(rng, 3, trace_one=False)
-    b = np.diag([0.5, 0.0, 0.25])
-    rep = hoa_generalized(*pfs(a, b), mf)
-    root = spectral_decomposition(a).power(0.5)
-    oracle = 2 * np.trace(root @ spectral_decomposition(b).power(0.0) @ root).real
-    assert rep.lhs == pytest.approx(oracle, abs=1e-10)
+    a = spectral_decomposition(random_psd(rng, 3, trace_one=False))
+    b = spectral_decomposition(np.diag([0.5, 0.0, 0.25]))
+    root = mf.apply_sqrt_f(a)
+    lhs = 2 * np.trace(root @ mf.apply_g(b) @ root).real
+    sqrt_a = a.power(0.5)
+    oracle = 2 * np.trace(sqrt_a @ b.power(0.0) @ sqrt_a).real
+    assert lhs == pytest.approx(oracle, abs=1e-10)
 
 
 def test_hoa_sqrt_reproduces_ozawa_half(rng):
     # f = t^(1/2): 2 Tr(A^(1/4) B^(1/2) A^(1/4)) = 2 Tr(B^(1/2) A^(1/2))
-    mf = shipped("t^0.5")
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
     a, b = pfs(a, b)
-    rep_hoa = hoa_generalized(a, b, mf)
-    rep_oz = ozawa_s(a, b, 0.5)
+    rep_hoa = hoa_at(a, b, "t^0.5")
+    rep_oz = ozawa_at(a, b, 0.5)
     assert rep_hoa.lhs == pytest.approx(rep_oz.lhs, rel=1e-10)
     assert rep_hoa.rhs == pytest.approx(rep_oz.rhs, rel=1e-12)
 
@@ -271,14 +279,14 @@ def test_hoa_sqrt_reproduces_ozawa_half(rng):
 def test_phillips_t_one_equality(rng):
     a = random_psd(rng, 3, trace_one=False)
     b = random_psd(rng, 3, trace_one=False)
-    rep = phillips(*pfs(a + b, b), 1.0)
+    rep = phillips_at(*pfs(a + b, b), 1.0)
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
 
 def test_phillips_frozen_scalar_case():
     # A = 2B with B = diag(1,2), t = 2:
     # ||sqrt(2B) - sqrt(B)||_2^2 = (sqrt2 - 1)^2 * Tr(B) = (sqrt2-1)^2 * 3
-    rep = phillips(diag_pf(2.0, 4.0), diag_pf(1.0, 2.0), 2.0)
+    rep = phillips_at(diag_pf(2.0, 4.0), diag_pf(1.0, 2.0), 2.0)
     assert rep.lhs == pytest.approx((np.sqrt(2) - 1) ** 2 * 3.0, rel=1e-12)
     assert rep.rhs == pytest.approx(3.0, rel=1e-12)
     assert rep.passed
@@ -288,18 +296,15 @@ def test_phillips_campaign(rng):
     for _ in range(100):
         b = random_psd(rng, 4, trace_one=False)
         a = b + random_psd(rng, 4, trace_one=False)
-        a, b = pfs(a, b)
-        for t in (1.0, 1.5, 2.0, 3.0):
-            assert phillips(a, b, t).passed
+        for rep in phillips(*pfs(a, b)):
+            assert rep.passed
 
 
 def test_phillips_order_violation(rng):
     b = random_psd(rng, 3, trace_one=False) + 0.5 * np.eye(3)
     a = random_psd(rng, 3, trace_one=False)
     with pytest.raises(OrderViolation):
-        phillips(*pfs(a, a + b @ b), 2.0)  # a < a + b^2, order reversed
-    with pytest.raises(BadExponent):
-        phillips(*pfs(a + b, b), 0.5)
+        phillips(*pfs(a, a + b @ b))  # a < a + b^2, order reversed
 
 
 def test_slack_scaling(rng):
@@ -307,18 +312,18 @@ def test_slack_scaling(rng):
     # squared-norm sandwich lower bound
     a = random_psd(rng, 3, trace_one=False)
     b = random_psd(rng, 3, trace_one=False)
-    base_oz = ozawa_s(*pfs(a, b), 0.5).slack
+    base_oz = ozawa_at(*pfs(a, b), 0.5).slack
     base_ps = powers_stormer(*pfs(a, b)).slack
-    base_ph = phillips(*pfs(a + b, b), 2.0).slack
+    base_ph = phillips_at(*pfs(a + b, b), 2.0).slack
     base_low, _ = norm_sandwich(*pfs(a, b))
     for c in (0.1, 10.0):
-        assert ozawa_s(*pfs(c * a, c * b), 0.5).slack == pytest.approx(
+        assert ozawa_at(*pfs(c * a, c * b), 0.5).slack == pytest.approx(
             c * base_oz, rel=1e-9
         )
         assert powers_stormer(*pfs(c * a, c * b)).slack == pytest.approx(
             c * base_ps, rel=1e-9
         )
-        assert phillips(*pfs(c * (a + b), c * b), 2.0).slack == pytest.approx(
+        assert phillips_at(*pfs(c * (a + b), c * b), 2.0).slack == pytest.approx(
             c * base_ph, rel=1e-9
         )
         low_c, _ = norm_sandwich(*pfs(c * a, c * b))
@@ -346,20 +351,19 @@ def test_commuting_inputs_reduce_to_scalars(rng):
     )
 
     for s in (0.25, 0.5, 0.75):
-        rep = ozawa_s(a, b, s)
+        rep = ozawa_at(a, b, s)
         assert rep.lhs == pytest.approx(
             2 * np.sum(diag_b**s * diag_a ** (1 - s)), abs=1e-12
         )
         assert rep.rhs == pytest.approx(2 * np.sum(np.minimum(diag_a, diag_b)), abs=1e-12)
 
-    mf = shipped("t/(1+t)")
-    rep = hoa_generalized(a, b, mf)
+    rep = hoa_at(a, b, "t/(1+t)")
     f_a = diag_a / (1 + diag_a)
     g_b = 1 + diag_b
     assert rep.lhs == pytest.approx(2 * np.sum(f_a * g_b), abs=1e-12)
 
     for t in (1.5, 2.0):
-        rep = phillips(big, b, t)
+        rep = phillips_at(big, b, t)
         assert rep.lhs == pytest.approx(
             np.sum(np.abs((diag_a + diag_b) ** (1 / t) - diag_b ** (1 / t)) ** t),
             abs=1e-12,
@@ -369,7 +373,6 @@ def test_commuting_inputs_reduce_to_scalars(rng):
 def test_checks_decompose_each_input_once(rng, monkeypatch):
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
-    mf = shipped("t/(1+t)")
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -385,9 +388,9 @@ def test_checks_decompose_each_input_once(rng, monkeypatch):
     for check, expected in (
         (lambda: norm_sandwich(*pfs(a, b)), 2),
         (lambda: powers_stormer(*pfs(a, b)), 2),
-        (lambda: ozawa_s(*pfs(a, b), 0.25), 2),
-        (lambda: hoa_generalized(*pfs(a, b), mf), 2),
-        (lambda: phillips(*pfs(a + b, b), 1.5), 3),
+        (lambda: ozawa_s(*pfs(a, b)), 2),
+        (lambda: hoa_generalized(*pfs(a, b)), 2),
+        (lambda: phillips(*pfs(a + b, b)), 3),
     ):
         calls.clear()
         check()
@@ -404,10 +407,10 @@ def test_psd_power_domain_error_survives_single_decomposition():
         diag_pf(-1e-9, 1.0, 1.0)
 
 
-def _count_eigensolves(monkeypatch) -> list[str]:
-    """Record the name of every numpy eigh/eigvalsh call from here on."""
+def _count_calls(monkeypatch, names=("eigh", "eigvalsh")) -> list[str]:
+    """Record the name of every numpy.linalg call among ``names`` from here on."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         real = getattr(np.linalg, name)
 
         def counted(m, *args, _real=real, _name=name, **kwargs):
@@ -418,14 +421,14 @@ def _count_eigensolves(monkeypatch) -> list[str]:
     return calls
 
 
-def _checks(mf):
+def _checks():
     """Each matrix check as a function of (A, B, A + B)."""
     return {
         "norm_sandwich": lambda a, b, ab: norm_sandwich(a, b),
         "powers_stormer": lambda a, b, ab: powers_stormer(a, b),
-        "ozawa_s": lambda a, b, ab: ozawa_s(a, b, 0.25),
-        "hoa_generalized": lambda a, b, ab: hoa_generalized(a, b, mf),
-        "phillips": lambda a, b, ab: phillips(ab, b, 1.5),
+        "ozawa_s": lambda a, b, ab: ozawa_s(a, b),
+        "hoa_generalized": lambda a, b, ab: hoa_generalized(a, b),
+        "phillips": lambda a, b, ab: phillips(ab, b),
     }
 
 
@@ -433,8 +436,8 @@ def test_functional_operands_are_not_decomposed_again(rng, monkeypatch):
     a = random_psd(rng, 4, trace_one=False)
     b = random_psd(rng, 4, trace_one=False)
     operands = [PositiveFunctional(m) for m in (a, b, a + b)]
-    calls = _count_eigensolves(monkeypatch)
-    # what is left is phillips' order check
+    calls = _count_calls(monkeypatch)
+    # what is left is phillips' order check, once for its whole grid
     expected = {
         "norm_sandwich": [],
         "powers_stormer": [],
@@ -442,7 +445,7 @@ def test_functional_operands_are_not_decomposed_again(rng, monkeypatch):
         "hoa_generalized": [],
         "phillips": ["eigvalsh"],
     }
-    for name, check in _checks(shipped("t/(1+t)")).items():
+    for name, check in _checks().items():
         calls.clear()
         check(*operands)
         assert calls == expected[name], name
@@ -450,7 +453,7 @@ def test_functional_operands_are_not_decomposed_again(rng, monkeypatch):
 
 def test_density_matrix_operands_are_accepted():
     a, b = DensityMatrix(np.diag([0.2, 0.8])), DensityMatrix(np.diag([0.6, 0.4]))
-    assert ozawa_s(a, b, 0.5) == ozawa_s(*pfs(a.matrix, b.matrix), 0.5)
+    assert ozawa_s(a, b) == ozawa_s(*pfs(a.matrix, b.matrix))
 
 
 def test_non_hermitian_matrix_operand_is_not_psd():
@@ -493,10 +496,49 @@ def test_ogata_routes_agree_near_the_support_floor(d):
 def test_inequality_suite_decomposes_each_instance_once(monkeypatch):
     from modkit.campaigns import run_suite
 
-    calls = _count_eigensolves(monkeypatch)
+    calls = _count_calls(monkeypatch, ("eigh", "eigvalsh", "svd"))
     samples = 3
     run_suite("inequalities", seed=5, dimension=4, samples=samples)
     # A, B and A + B once each and the Ogata pair; eigvalsh is phillips'
-    # A >= B check, 4 per instance
+    # A >= B check, once per instance; svd is one ||.||_1 per right-hand
+    # side (the norm sandwich's middle term, Powers-Stormer, the s-family,
+    # the monotone form, Phillips and Ogata) and Phillips' 4 Schatten norms
     assert calls.count("eigh") == 5 * samples
-    assert calls.count("eigvalsh") == 4 * samples
+    assert calls.count("eigvalsh") == 1 * samples
+    assert calls.count("svd") == 10 * samples
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_each_family_reports_its_table_in_order(rng):
+    # one report per table entry, in table order, all on one right-hand
+    # side; each equal bit for bit to its point's formula on the operands
+    b = random_psd(rng, 4, trace_one=False)
+    a = b + random_psd(rng, 4, trace_one=False)
+    a, b = pfs(a, b)
+    distance = trace_norm(a.matrix - b.matrix)
+    overlap = a.total() + b.total() - distance
+    roots = [mf.apply_sqrt_f(a.spectrum) for mf in MONOTONE_FUNCTIONS]
+    expected = {
+        ozawa_s: (
+            [2.0 * float(np.real(np.trace(b.power(s) @ a.power(1.0 - s)))) for s in S_GRID],
+            overlap,
+        ),
+        hoa_generalized: (
+            [2.0 * float(np.real(np.trace(r @ mf.apply_g(b.spectrum) @ r)))
+             for r, mf in zip(roots, MONOTONE_FUNCTIONS)],
+            overlap,
+        ),
+        phillips: (
+            [schatten_norm(a.power(1.0 / t) - b.power(1.0 / t), t) ** t for t in T_GRID],
+            distance,
+        ),
+    }
+    for family, (lhs, rhs) in expected.items():
+        reports = family(a, b)
+        assert isinstance(reports, tuple), family.__name__
+        assert _bits([r.lhs for r in reports]) == _bits(lhs), family.__name__
+        assert _bits([r.rhs for r in reports]) == _bits([rhs] * len(lhs)), family.__name__
+        assert all(r.passed for r in reports), family.__name__

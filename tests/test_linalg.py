@@ -9,6 +9,7 @@ from modkit.linalg import (
     spectral_decomposition,
     trace_norm,
 )
+from modkit.modular import relative_modular_power
 from modkit.sampling import complex_gaussian, random_hermitian, random_psd
 from modkit.states import PositiveFunctional
 
@@ -99,6 +100,21 @@ def test_schatten_monotone_in_p(rng):
 def test_schatten_bad_exponent():
     with pytest.raises(BadExponent):
         schatten_norm(np.eye(2), 0.5)
+
+
+def test_nan_exponent_raises_at_every_entry_point():
+    # a NaN exponent fails the guards written as "not p >= 1", "not s >= 0"
+    pf = PositiveFunctional(np.diag([0.25, 0.75]))
+    with pytest.raises(BadExponent):
+        schatten_norm(np.eye(2), np.nan)
+    for power in (
+        lambda s: psd_power_values(np.array([0.25, 0.75]), s),
+        lambda s: spectral_decomposition(pf.matrix).power(s),
+        pf.power,
+        lambda s: relative_modular_power(pf, pf, s),
+    ):
+        with pytest.raises(DomainError):
+            power(np.nan)
 
 
 def test_check_psd_identity():

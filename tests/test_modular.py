@@ -206,6 +206,19 @@ def test_planted_assembler_defect(d, defect, caught, monkeypatch):
         assert passed == [name not in caught] * len(passed), name
 
 
+@pytest.mark.parametrize("d", [2, 16])
+def test_s_inverse_reads_inf_when_j_is_linear(d, monkeypatch):
+    # J without K (the swap alone) makes S_(omega,phi) S_(phi,omega)
+    # antilinear, so it cannot be the identity: inf, as distance reads it
+    draw, families = campaigns.SUITES["modular"]
+    instance = draw(np.random.default_rng(3), d, 0)
+    monkeypatch.setattr(modular, "modular_conjugation", swap_operator)
+    relations = next(f for f in families if "modular.s_inverse" in f.names)
+    check = campaigns.evaluate(relations, instance)[relations.names.index("modular.s_inverse")]
+    assert check.value == np.inf
+    assert not check.passed
+
+
 def test_quadratic_form_identity(rng):
     # ||Delta^(1/2)_(phi,omega) vec(A sqrt(D_omega))||^2 = Tr(D_phi A A*)
     phi = random_faithful_density(rng, 3)

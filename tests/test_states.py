@@ -142,9 +142,9 @@ def test_functional_is_not_desynchronised_by_a_later_write():
     m = np.diag([1.0, 2.0]).astype(complex)
     pf = PositiveFunctional(m)
     eye = PositiveFunctional(np.eye(2))
-    before = ozawa_s(pf, eye, 0.5)
+    before = ozawa_s(pf, eye)
     m[0, 0] = -5  # the caller's array; pf keeps its own copy
-    after = ozawa_s(pf, eye, 0.5)
+    after = ozawa_s(pf, eye)
     assert after == before
     assert np.array_equal(pf.matrix, np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
