@@ -9,11 +9,11 @@ are neither); ``-`` reads the payload from stdin.
 Exit codes: 0 all checks pass, 1 checks ran but failed, 2 payload parse
 error (unreadable, undecodable, too deeply nested or malformed), 3 domain
 error (singular state, bad shapes, non-PSD input, a state file beyond
-16 x 16, a ``--beta`` whose energies overflow), 4 usage error (bad flags,
-unknown suite, a negative ``--seed``, a non-finite ``--t``, a flag the
-command would ignore: ``modular``'s ``--t``, ``--samples`` or ``--seed``
-without ``--verify``, ``kms-verify``'s ``--dim`` with a state file,
-``ineq``'s ``--tol``).
+16 x 16, a ``--beta`` that is not a finite number > 0 or whose energies
+overflow), 4 usage error (bad flags, unknown suite, a negative
+``--seed``, a non-finite ``--t``, a flag the command would ignore:
+``modular``'s ``--t``, ``--samples`` or ``--seed`` without ``--verify``,
+``kms-verify``'s ``--dim`` with a state file, ``ineq``'s ``--tol``).
 
 Every command judges each check family against its own bound, unless
 ``--tol`` or the environment variable ``MODKIT_TOL`` is given (the flag

@@ -23,8 +23,8 @@ class NotSquare(ModkitError):
 
 class DomainError(ModkitError):
     """An eigenvalue lies outside the declared domain of a scalar function,
-    or a time is not a number, or a physical (real) time has a non-zero
-    imaginary part."""
+    or a time is not a finite number, or a physical (real) time has a
+    non-zero imaginary part."""
 
 
 class BadExponent(ModkitError):

@@ -20,10 +20,11 @@ boundary, F(t + i beta) = omega(sigma_t(B) A).
 
 Every time argument is a 1-D array of times, one time being an array of
 length one; any other shape raises :class:`ShapeMismatch`, and an entry
-numpy cannot convert to a number, or a physical time with a non-zero
-imaginary part, raises :class:`DomainError`. It is evaluated from one
-change of basis per operator and one phase matrix per time, and gives
-the results stacked along a trailing time axis.
+numpy cannot convert to a number, a non-finite entry (NaN or infinite in
+either part), or a physical time with a non-zero imaginary part, raises
+:class:`DomainError`. It is evaluated from one change of basis per
+operator and one phase matrix per time, and gives the results stacked
+along a trailing time axis.
 
 Every operator argument is a (d, d) matrix or a stack of k of them,
 shape (k, d, d); the paired operators of :func:`kms_function` and
@@ -133,7 +134,8 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
     lambda_j A_jk B_kj are formed once for all z, and multiplied by the
     phases of every z in one broadcast product over a flat d^2 axis,
     which is summed. Raises :class:`OutsideStrip` unless
-    0 <= Im z <= beta for every z.
+    0 <= Im z <= beta for every z, after :class:`DomainError` for a
+    non-finite z.
     """
     z = _times(z, complex)
     outside = (z.imag < 0) | (z.imag > sys.beta)
@@ -329,14 +331,17 @@ def _operands(sys: GibbsSystem, a) -> np.ndarray:
 
 def _times(t, dtype) -> np.ndarray:
     """``t`` as a 1-D array of ``dtype``: ShapeMismatch for any other shape,
-    DomainError for an entry numpy cannot convert to a number, or one with
-    a non-zero imaginary part where ``dtype`` is float."""
+    DomainError for an entry numpy cannot convert to a number, a non-finite
+    one, or one with a non-zero imaginary part where ``dtype`` is float."""
     try:
         z = np.asarray(t, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"times must be numbers: {exc}") from exc
     if z.ndim != 1:
         raise ShapeMismatch(f"times must form a 1-D array, got shape {z.shape}")
+    finite = np.isfinite(z)
+    if not np.all(finite):
+        raise DomainError(f"times must be numbers: {z[~finite][0]} is not finite")
     if dtype is float and np.any(z.imag != 0):
         raise DomainError(f"physical time {z[z.imag != 0][0]} is not real")
     return z.real if dtype is float else z

@@ -133,7 +133,10 @@ class SpectralDecomposition:
         return self._synthesize(psd_power_values(self.eigenvalues, s))
 
     def unitary(self, t: float) -> np.ndarray:
-        """A^(it) = exp(it log A); needs a strictly positive spectrum."""
+        """A^(it) = exp(it log A); needs a finite t and a strictly positive
+        spectrum."""
+        if not math.isfinite(t):
+            raise DomainError(f"imaginary power needs a finite t, got {t}")
         self._require_positive("imaginary power")
         return self._synthesize(np.exp(1j * t * np.log(self.eigenvalues)))
 

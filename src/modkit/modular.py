@@ -203,8 +203,7 @@ def verify_tomita_takesaki(
     j = modular_conjugation(d)
     comm = []
     for m in mats:
-        factors = j.compose(pi_factored(m)).compose(j).factors
-        a, b = (np.eye(d) if f is None else f for f in factors)
+        a, b = j.compose(pi_factored(m)).compose(j).factors
         comm.append(_flow_residual(b, a, np.trace(a) / d * b))
 
     return np.array(comm), np.array(flow)

@@ -18,11 +18,13 @@ dimension dY * dX with the left factor of dimension dY.
 
 :class:`SuperOperator` is the one representation of operators on the
 square space H_d (x) H_d. Its factored form ``vec(X) -> vec(A tau(X) B^T)``,
-with tau one of X, conj(X), X^T, X*, applies and composes by reshape and
-forms the d^2 x d^2 matrix only on demand; its dense form holds operators
-assembled entry by entry. By the first identity above, the factored form
-with tau(X) = X is the Kronecker product A (x) B, and P vec(X) = vec(X^T)
-for the swap P gives the transposed forms; :func:`swap_operator` is P.
+with tau one of X, conj(X), X^T, X*, holds two d x d factors (an identity
+factor given as None is stored as the identity matrix), applies and
+composes by reshape and forms the d^2 x d^2 matrix only on demand; its
+dense form holds operators assembled entry by entry. By the first
+identity above, the factored form with tau(X) = X is the Kronecker
+product A (x) B, and P vec(X) = vec(X^T) for the swap P gives the
+transposed forms; :func:`swap_operator` is P.
 Composition has three rules (factored o factored, factored o dense,
 dense on the left), listed on :class:`SuperOperator`.
 
@@ -130,9 +132,11 @@ class SuperOperator:
 
     Factored form: ``vec(X) -> vec(A tau(X) B^T)`` with ``tau(X)`` one of
     X, conj(X), X^T, X* (``antilinear`` selects the conjugation,
-    ``transpose`` the transposition). A factor stored as None is the
-    identity. As a matrix this is (A (x) B) P^transpose acting on
-    conj^antilinear(v), with P the swap; :attr:`matrix` forms it on demand.
+    ``transpose`` the transposition). ``factors`` is always two (d, d)
+    arrays: a factor given as None is stored as the identity matrix, so
+    nothing past the constructor tests for None. As a matrix this is
+    (A (x) B) P^transpose acting on conj^antilinear(v), with P the swap;
+    :attr:`matrix` forms it on demand.
 
     Dense form: the d^2 x d^2 ``matrix``; ``antilinear`` operators apply as
     ``v -> matrix @ conj(v)``. Composing through an antilinear factor
@@ -175,10 +179,9 @@ class SuperOperator:
             return
         checked = []
         for f in factors:
-            if f is not None:
-                f = as_matrix(f)
-                if f.shape != (d, d):
-                    raise ShapeMismatch(f"Kronecker factor {f.shape} != ({d}, {d})")
+            f = np.eye(d, dtype=complex) if f is None else as_matrix(f)
+            if f.shape != (d, d):
+                raise ShapeMismatch(f"Kronecker factor {f.shape} != ({d}, {d})")
             checked.append(f)
         self.factors = tuple(checked)
         self._matrix = None
@@ -192,7 +195,8 @@ class SuperOperator:
         transpose: bool = False,
         antilinear: bool = False,
     ) -> "SuperOperator":
-        """vec(X) -> vec(left tau(X) right^T); None stands for the identity."""
+        """vec(X) -> vec(left tau(X) right^T); a None factor is stored as
+        the identity matrix."""
         return cls(d, None, antilinear, (left, right), transpose)
 
     @property
@@ -210,13 +214,13 @@ class SuperOperator:
     def _write_matrix(self, out: np.ndarray) -> np.ndarray:
         """Write the factored form's matrix into the d^2 x d^2 ``out``."""
         d = self.d
-        a, b = (np.eye(d) if f is None else f for f in self.factors)
+        a, b = self.factors
         # one product in the final index order (i, k, j, l)
         m = out.reshape(d, d, d, d)
         if self.transpose:  # (A (x) B) P: entry ((i, k), (j, l)) is A_il B_kj
-            np.multiply(a[:, None, None, :], b[None, :, :, None], out=m, dtype=complex)
+            np.multiply(a[:, None, None, :], b[None, :, :, None], out=m)
         else:  # A (x) B: entry ((i, k), (j, l)) is A_ij B_kl
-            np.multiply(a[:, None, :, None], b[None, :, None, :], out=m, dtype=complex)
+            np.multiply(a[:, None, :, None], b[None, :, None, :], out=m)
         return out
 
     def _apply_factors(self, n: np.ndarray) -> np.ndarray:
@@ -235,9 +239,10 @@ class SuperOperator:
         d = self.d
         left, right = self.factors
         if self.antilinear:  # (A (x) B) P conj(n) = conj((conj A (x) conj B) P n)
-            left, right = _conj(left), _conj(right)
+            left, right = np.conj(left), np.conj(right)
         out = np.empty((d * d, d * d), dtype=complex)
         image = out.reshape(d, d, d * d)
+        flat = out.reshape(d, d**3)
         work = _workspace("compose", d).reshape(d, d, d * d)
         rows = n.reshape(d, d, d * d)  # entry (i, k, c) is X_c[i, k]
         # by_k[k, i, c] = tau(X_c)[i, k], so the transposition needs no copy
@@ -246,9 +251,9 @@ class SuperOperator:
         else:
             by_k = work
             np.copyto(by_k, rows.transpose(1, 0, 2))
-        _contract_leading(right, by_k, image)  # (b, i, c)
+        np.matmul(right, by_k.reshape(d, d**3), out=flat)  # (b, i, c)
         np.copyto(work, image.transpose(1, 0, 2))  # (i, b, c)
-        _contract_leading(left, work, image)  # (a, b, c)
+        np.matmul(left, work.reshape(d, d**3), out=flat)  # (a, b, c)
         if self.antilinear:
             np.conj(out, out=out)
         return out
@@ -263,11 +268,7 @@ class SuperOperator:
         if self.transpose:
             x = x.T
         left, right = self.factors
-        if left is not None:
-            x = left @ x
-        if right is not None:
-            x = x @ right.T
-        return BipartiteVector(self.d, self.d, x.ravel())
+        return BipartiteVector(self.d, self.d, (left @ x @ right.T).ravel())
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         """self o other (other acts first)."""
@@ -279,8 +280,8 @@ class SuperOperator:
             # factors, a conjugation conjugates them
             inner = other.factors[::-1] if self.transpose else other.factors
             if self.antilinear:
-                inner = tuple(_conj(f) for f in inner)
-            left, right = (_mul(a, b) for a, b in zip(self.factors, inner))
+                inner = tuple(np.conj(f) for f in inner)
+            left, right = (a @ b for a, b in zip(self.factors, inner))
             return SuperOperator.factored(
                 self.d, left, right, self.transpose ^ other.transpose, antilinear
             )
@@ -299,7 +300,7 @@ class SuperOperator:
         # ((A (x) B) P)^T = (B^T (x) A^T) P: a transposition swaps the factors
         flip = (lambda f: f.T) if self.antilinear else (lambda f: np.conj(f).T)
         factors = self.factors[::-1] if self.transpose else self.factors
-        left, right = (None if f is None else flip(f) for f in factors)
+        left, right = (flip(f) for f in factors)
         return SuperOperator.factored(
             self.d, left, right, self.transpose, self.antilinear
         )
@@ -352,28 +353,6 @@ def _workspace(method: str, d: int) -> np.ndarray:
     if key not in buffers:
         buffers[key] = np.empty((d * d, d * d), dtype=complex)
     return buffers[key]
-
-
-def _conj(f: np.ndarray | None) -> np.ndarray | None:
-    return None if f is None else np.conj(f)
-
-
-def _contract_leading(f: np.ndarray | None, x: np.ndarray, out: np.ndarray) -> None:
-    """out[a, ...] = sum_i f[a, i] x[i, ...] for C-ordered (d, d, d^2) x and
-    out, one GEMM; a None factor (the identity) copies."""
-    if f is None:
-        np.copyto(out, x)
-    else:
-        np.matmul(f, x.reshape(f.shape[1], -1), out=out.reshape(f.shape[0], -1))
-
-
-def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Product of two Kronecker factors, None being the identity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a @ b
 
 
 def swap_operator(d: int) -> SuperOperator:

@@ -312,7 +312,7 @@ def test_times_that_are_not_real_numbers_raise_domain_error(rng):
             with pytest.raises(DomainError, match="is not real"):
                 call(t)
     for call in (*real_time, lambda z: kms_function(sys, a, b, z)):
-        for t in (["a"], [0.5, object()]):
+        for t in (["a"], [0.5, object()], [np.nan], [np.inf], [1j * np.nan]):
             with pytest.raises(DomainError, match="times must be numbers"):
                 call(t)
 

@@ -9,9 +9,14 @@ from modkit.linalg import (
     spectral_decomposition,
     trace_norm,
 )
-from modkit.modular import relative_modular_power
+from modkit.modular import (
+    connes_cocycle,
+    modular_flow,
+    relative_modular_power,
+    relative_modular_unitary,
+)
 from modkit.sampling import complex_gaussian, random_hermitian, random_psd
-from modkit.states import PositiveFunctional
+from modkit.states import DensityMatrix, PositiveFunctional
 
 
 def test_spectral_function_identity():
@@ -115,6 +120,20 @@ def test_nan_exponent_raises_at_every_entry_point():
     ):
         with pytest.raises(DomainError):
             power(np.nan)
+
+
+def test_non_finite_time_raises_at_every_unitary_entry_point():
+    # exp(i t log A) at t = nan or +-inf is a non-finite matrix, not a unitary
+    omega = DensityMatrix(np.diag([0.25, 0.75]))
+    for unitary in (
+        omega.spectrum.unitary,
+        lambda t: modular_flow(omega, np.eye(2), t),
+        lambda t: relative_modular_unitary(omega, omega, t),
+        lambda t: connes_cocycle(omega, omega, t),
+    ):
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="finite t"):
+                unitary(t)
 
 
 def test_check_psd_identity():

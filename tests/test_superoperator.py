@@ -308,7 +308,11 @@ def test_factored_matrix_is_the_kronecker_product_bit_for_bit(d, left_dense, rig
     expected = np.kron(a, b).astype(complex)
     if transpose:  # (A (x) B) P permutes the columns
         expected = expected.reshape(d * d, d, d).transpose(0, 2, 1).reshape(d * d, d * d)
-    m = SuperOperator.factored(d, left, right, transpose).matrix
+    op = SuperOperator.factored(d, left, right, transpose)
+    # a None factor is stored as the identity matrix, so no method sees None
+    for got, want in zip(op.factors, (a, b)):
+        assert got.dtype == complex and np.array_equal(got, want)
+    m = op.matrix
     assert m.dtype == complex and m.shape == (d * d, d * d)
     assert np.array_equal(m.view(np.uint64), expected.view(np.uint64))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modkit import campaigns, vecops
 from modkit.errors import ShapeMismatch
 from modkit.sampling import complex_gaussian
 from modkit.vecops import (
@@ -201,3 +202,28 @@ def test_antilinear_adjoint_pairing(rng):
 def test_bipartite_vector_validation():
     with pytest.raises(ShapeMismatch):
         BipartiteVector(2, 2, [1.0, 0.0])
+
+
+# A planted defect in the swap, the one operator behind vec.s_pk: without its
+# transposition it is the identity, so swap(conj(vec X)) = vec(conj X), which
+# is not vec(X*). The other two checks of the family do not use the swap.
+VEC_IDENTITIES = ("vec.kron", "vec.inner", "vec.s_pk")
+
+
+def _swap_not_transposed(d):
+    return SuperOperator.factored(d, None, None)
+
+
+@pytest.mark.parametrize(
+    "defect, caught",
+    [(swap_operator, ()), (_swap_not_transposed, ("vec.s_pk",))],
+)
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_planted_swap_defect(d, defect, caught, monkeypatch):
+    monkeypatch.setattr(vecops, "swap_operator", defect)
+    draw, families = campaigns.SUITES["vec"]
+    family = next(f for f in families if f.names == VEC_IDENTITIES)
+    rng = np.random.default_rng(3)
+    for k in range(6):
+        for check in campaigns.evaluate(family, draw(rng, d, k)):
+            assert check.passed == (check.name not in caught), check.name
