@@ -25,10 +25,14 @@ inequalities):
 define, ``modkit kms-verify`` kms.boundary and invariance plus its own
 kms.centralizer_routes, all judged by :func:`judge` against
 :meth:`Family.bound`: a family's own tolerance, or the one override a
-command is given, for every family it evaluates. A report family judges
-each inequality against its own relative floor, so an override leaves it
-unchanged. ``worst_slack`` is the least margin, so it can be slightly
-negative with no failures, from an inequality within its relative floor.
+command is given, for every family it evaluates. Only :func:`judge` sees
+that bound: a check function takes the instance alone, so an override
+moves residual and bound_below verdicts and every margin, but no yes/no
+value (a cone membership tests its fixed PSD floor). A report family
+judges each inequality against its own relative floor, so an override
+leaves it unchanged. ``worst_slack`` is the least margin, so it can be
+slightly negative with no failures, from an inequality within its
+relative floor.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class CampaignResult:
 
 @dataclasses.dataclass(frozen=True)
 class Family:
-    """Named checks of one kind: ``fn(instance, tol)`` returns one value per
-    name, and ``applies(instance)``, when given, says whether they run."""
+    """Named checks of one kind: ``fn(instance)`` returns one value per
+    name, judged against :meth:`bound`, and ``applies(instance)``, when
+    given, says whether they run."""
 
     names: tuple[str, ...]
     kind: str  # "residual", "bound_below", "boolean" or "report"
@@ -109,9 +114,10 @@ def judge(kind: str, value, tol: float) -> tuple[float, bool]:
 
 
 def evaluate(family: Family, instance, tol: float | None = None) -> list[Check]:
-    """The judged checks of ``family`` on ``instance``; ``tol`` beats its own."""
+    """The judged checks of ``family`` on ``instance``; ``tol`` beats its own
+    bound in :func:`judge` and never reaches ``family.fn``."""
     tol = family.bound(tol)
-    values = zip(family.names, family.fn(instance, tol), strict=True)
+    values = zip(family.names, family.fn(instance), strict=True)
     return [Check(name, value, *judge(family.kind, value, tol)) for name, value in values]
 
 
@@ -123,7 +129,7 @@ def _draw_vec(rng, d, k):
     return SimpleNamespace(a=a, b=b, x=x, density=density, u=u, faithful=faithful)
 
 
-def _vec_identities(v, tol):
+def _vec_identities(v):
     """Kronecker identity, isometry, and S = PK: swap(conj(vec X)) = vec(X*)."""
     d = v.a.shape[0]
     lhs = np.kron(v.a, v.b) @ vec(v.x).amplitudes
@@ -136,7 +142,7 @@ def _vec_identities(v, tol):
     )
 
 
-def _vec_schmidt(v, tol):
+def _vec_schmidt(v):
     """Purification marginal, Schmidt reconstruction and Schmidt spectrum."""
     reduced = vecops.partial_trace(states.purify(v.density))
     data = schmidt.schmidt_decompose(v.u)
@@ -155,7 +161,7 @@ VEC = (
     Family(("vec.purify", "vec.schmidt_reconstruct", "vec.schmidt_spectrum"),
            "residual", TOL_RESIDUAL, _vec_schmidt),
     Family(("vec.cyclic_separating",), "boolean", TOL_RESIDUAL,
-           lambda v, tol: (schmidt.is_cyclic_separating(states.purify(v.faithful)),)),
+           lambda v: (schmidt.is_cyclic_separating(states.purify(v.faithful)),)),
 )
 
 
@@ -180,7 +186,7 @@ def _draw_modular(rng, d, k):
     return modular_instance(phi, omega, probes, [0.7], a, t, s)
 
 
-def _modular_relations(m, tol):
+def _modular_relations(m):
     """S_(omega,phi) S_(phi,omega) = 1, Delta^(1/2) xi_omega = xi_phi and its
     expectation form, the cocycle identity, and the flow of phi chained
     through the cocycle. S_(omega,phi) is the closed form
@@ -212,7 +218,7 @@ def _modular_relations(m, tol):
 # S*S = Delta (basis assembly vs closed form) and S = J Delta^(1/2)
 MODULAR_CROSS_ROUTE = Family(
     ("modular.sstar_s", "modular.polar"), "residual", TOL_RESIDUAL,
-    lambda m, tol: (
+    lambda m: (
         m.s_op.adjoint().compose(m.s_op).distance(m.delta),
         modular.modular_conjugation(m.omega.dim).compose(m.half).distance(m.s_op),
     ),
@@ -220,8 +226,8 @@ MODULAR_CROSS_ROUTE = Family(
 # the largest residual of each kind (np.max propagates NaN)
 TOMITA_TAKESAKI = Family(
     ("modular.tt_commutant", "modular.tt_flow"), "residual", TOL_RESIDUAL,
-    lambda m, tol: tuple(float(np.max(residuals)) for residuals in
-                         modular.verify_tomita_takesaki(m.omega, m.probes, m.flow_times)),
+    lambda m: tuple(float(np.max(residuals)) for residuals in
+                    modular.verify_tomita_takesaki(m.omega, m.probes, m.flow_times)),
 )
 MODULAR = (
     MODULAR_CROSS_ROUTE,
@@ -249,7 +255,7 @@ def _draw_kms(rng, d, k):
     return SimpleNamespace(sys=sys, a=a, b=b, t=t, s=s, degenerate=deg, blocks=blocks)
 
 
-def _kms_dynamics(inst, tol):
+def _kms_dynamics(inst):
     """D is a fixed point of the flow (it commutes with H), and the time
     bridge: the modular flow at s is the physical flow at -beta s."""
     sys, density, a, s = inst.sys, inst.sys.density, inst.a, inst.s
@@ -260,19 +266,19 @@ def _kms_dynamics(inst, tol):
 
 
 # on stacked probes (k, d, d) and an array of times t, the largest defect
-KMS_BOUNDARY = Family(("kms.boundary",), "residual", TOL_RESIDUAL, lambda i, tol: (
+KMS_BOUNDARY = Family(("kms.boundary",), "residual", TOL_RESIDUAL, lambda i: (
     float(np.max(kms_mod.kms_boundary_defect(i.sys, i.a, i.b, i.t))),))
-KMS_INVARIANCE = Family(("kms.invariance",), "residual", TOL_STRICT, lambda i, tol: (
+KMS_INVARIANCE = Family(("kms.invariance",), "residual", TOL_STRICT, lambda i: (
     float(np.max(kms_mod.state_invariance_defect(i.sys, i.a, i.t))),))
 # kms-verify's cross-check: the eigenblock count and the commutator-map
 # nullity of one density, both computed by the driver
 KMS_CENTRALIZER_ROUTES = Family(("kms.centralizer_routes",), "boolean", TOL_RESIDUAL,
-                                lambda i, tol: (i.centralizer == i.commutant,))
+                                lambda i: (i.centralizer == i.commutant,))
 KMS = (
     KMS_BOUNDARY,
     KMS_INVARIANCE,
     Family(("kms.fixed_point", "kms.time_bridge"), "residual", TOL_RESIDUAL, _kms_dynamics),
-    Family(("kms.centralizer",), "boolean", TOL_RESIDUAL, lambda i, tol: (
+    Family(("kms.centralizer",), "boolean", TOL_RESIDUAL, lambda i: (
         kms_mod.centralizer_dimension(i.degenerate) == sum(m * m for m in i.blocks),),
         applies=lambda i: i.degenerate is not None),
 )
@@ -285,7 +291,7 @@ def _draw_cone(rng, d, k):
     return SimpleNamespace(xi=xi, eta=eta, herm=herm, w=w, m=sampling.complex_gaussian(rng, d))
 
 
-def _cone_decompositions(c, tol):
+def _cone_decompositions(c):
     """J xi = xi; the Jordan split of a J-fixed vector into orthogonal cone
     elements, and the four-part split of a general one, sum back to it."""
     v = vec(c.herm)
@@ -300,18 +306,17 @@ def _cone_decompositions(c, tol):
     )
 
 
-def _cone_membership(c, tol):
+def _cone_membership(c):
     """-xi is outside the cone (pointedness); pi(M) j(pi(M)) xi is inside."""
     j = modular.modular_conjugation(c.xi.dim_left)
     pim = modular.pi_factored(c.m)
     invariance = pim.compose(j).compose(pim).compose(j)
-    inside = cone_mod.cone_contains(invariance.apply(c.xi), tol)
-    return not cone_mod.cone_contains(-c.xi), inside
+    return not cone_mod.cone_contains(-c.xi), cone_mod.cone_contains(invariance.apply(c.xi))
 
 
 CONE = (
     Family(("cone.self_dual",), "bound_below", TOL_STRICT,
-           lambda c, tol: (cone_mod.cone_pairing(c.xi, c.eta),)),
+           lambda c: (cone_mod.cone_pairing(c.xi, c.eta),)),
     Family(("cone.j_fixed", "cone.jordan_orthogonal", "cone.jordan_sum", "cone.four_part_sum"),
            "residual", TOL_STRICT, _cone_decompositions),
     Family(("cone.pointed", "cone.pi_j_invariance"), "boolean", TOL_RESIDUAL, _cone_membership),
@@ -328,7 +333,7 @@ def _draw_inequalities(rng, d, k):
                            s=ineq.S_GRID[k % 5])
 
 
-def _trace_inequalities(p, tol):
+def _trace_inequalities(p):
     a, b = p.a, p.b
     return (
         *ineq.norm_sandwich(a, b),
@@ -347,7 +352,7 @@ INEQUALITIES = (
             *(f"ineq.phillips[{t}]" for t in ineq.T_GRID)),
            "report", TOL_RESIDUAL, _trace_inequalities),
     Family(("ineq.ogata_modular",), "report", TOL_RESIDUAL,
-           lambda p, tol: (ineq.ogata_modular(p.phi1, p.phi2, p.s),)),
+           lambda p: (ineq.ogata_modular(p.phi1, p.phi2, p.s),)),
 )
 
 

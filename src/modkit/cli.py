@@ -18,8 +18,12 @@ overflow), 4 usage error (bad flags, unknown suite, a negative
 Every command judges each check family against its own bound, unless
 ``--tol`` or the environment variable ``MODKIT_TOL`` is given (the flag
 beats the environment): that value then replaces the bound of every
-residual and yes/no family the command evaluates. An inequality report
-keeps its own relative floor, which is why ``ineq`` takes no ``--tol``.
+residual and yes/no family the command evaluates. It moves residual
+verdicts and every such margin, but no yes/no verdict: a passing yes/no
+check reports the bound in use as its margin, and the value it judges
+(a cone membership, say) is computed at a fixed floor. An inequality
+report keeps its own relative floor, which is why ``ineq`` takes no
+``--tol``.
 The override must be a finite number > 0, else the run is a usage
 error.
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotJFixed, NotPSD
 from .linalg import (
     HERMITICITY_RTOL,
-    PSD_TOL,
     adjoint,
     check_psd,
     hermiticity_defect,
@@ -33,11 +32,12 @@ def cone_element(x: np.ndarray) -> BipartiteVector:
     return vec(x)
 
 
-def cone_contains(v: BipartiteVector, tol: float = PSD_TOL) -> bool:
-    """True iff unvec(v) is PSD within tol (i.e. v = vec(X) for some X >= 0)."""
+def cone_contains(v: BipartiteVector) -> bool:
+    """True iff v = vec(X) for some X >= 0: :func:`linalg.check_psd` of
+    unvec(v), at its fixed Hermiticity tolerance and PSD floor."""
     if v.dim_left != v.dim_right:
         raise DimensionMismatch(f"cone lives on square bipartitions, got {v.dims}")
-    return check_psd(unvec(v), tol)
+    return check_psd(unvec(v))
 
 
 def decompose_j_fixed(v: BipartiteVector) -> tuple[BipartiteVector, BipartiteVector]:

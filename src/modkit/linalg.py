@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * one PSD floor, ``-PSD_TOL * max(1, lambda_max)`` (:func:`psd_floor`),
   decides "PSD up to rounding" everywhere: :func:`check_psd`, the
   ``PositiveFunctional`` validator and :func:`psd_power_values` share it,
-  and the support cut at ``s = 0`` is its mirror image,
+  and the support cut at ``s = 0`` is its mirror image; neither it nor
+  the Hermiticity test takes a tolerance from the caller,
 * :class:`SpectralDecomposition` is the one spectral calculus: its
   ``power``, ``apply``, ``unitary`` and ``jordan`` (and, on a validated
   operand, ``PositiveFunctional.power``) are the only ways to form
@@ -123,8 +124,11 @@ class SpectralDecomposition:
         :class:`DomainError`, noise above it is clipped, and at ``s = 0``
         the support convention holds. ``s < 0`` needs a strictly positive
         spectrum but applies no floor, so a faithful state with a tiny
-        eigenvalue keeps its inverse powers.
+        eigenvalue keeps its inverse powers. A NaN or infinite ``s`` raises
+        :class:`DomainError`.
         """
+        if not math.isfinite(s):
+            raise DomainError(f"power needs a finite s, got {s}")
         if s < 0:
             self._require_positive("negative power")
             # exp(s log lambda) as a complex power: the modular cross-route
@@ -154,8 +158,8 @@ class SpectralDecomposition:
             )
 
 
-def psd_floor(vals: np.ndarray, tol: float = PSD_TOL) -> float:
-    """The PSD floor ``-tol * max(1, lambda_max)`` of a spectrum.
+def psd_floor(vals: np.ndarray) -> float:
+    """The PSD floor ``-PSD_TOL * max(1, lambda_max)`` of a spectrum.
 
     Eigenvalues at or above it are PSD up to rounding. ``vals`` may have
     any shape and order. A spectrum holding NaN or inf has floor NaN, which
@@ -163,7 +167,7 @@ def psd_floor(vals: np.ndarray, tol: float = PSD_TOL) -> float:
     """
     if not np.isfinite(vals).all():
         return math.nan
-    return -tol * max(1.0, float(np.max(vals)))
+    return -PSD_TOL * max(1.0, float(np.max(vals)))
 
 
 def _support(vals: np.ndarray) -> np.ndarray:
@@ -187,14 +191,14 @@ def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
     :class:`DomainError`; noise above it is clipped to zero. At ``s = 0``
     the support convention holds (eigenvalues at or below
     ``PSD_TOL * max(1, lambda_max)`` map to 0, the rest to 1), the
-    operator-monotone limit of ``t^s``. ``s < 0`` and a NaN ``s`` raise
-    :class:`DomainError`: inverse powers are taken on faithful states only,
-    through :meth:`SpectralDecomposition.power`.
+    operator-monotone limit of ``t^s``. ``s < 0`` and a NaN or infinite
+    ``s`` raise :class:`DomainError`: inverse powers are taken on faithful
+    states only, through :meth:`SpectralDecomposition.power`.
     """
     # written so that NaN fails too: nan >= 0 is False
-    if not s >= 0:
+    if not 0 <= s < math.inf:
         raise DomainError(
-            f"psd_power_values takes s >= 0, got {s}; inverse powers of a "
+            f"psd_power_values takes a finite s >= 0, got {s}; inverse powers of a "
             f"faithful state come from SpectralDecomposition.power"
         )
     low = float(np.min(vals))
@@ -228,16 +232,17 @@ def trace_norm(a: np.ndarray) -> float:
     return schatten_norm(a, 1)
 
 
-def check_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff A is Hermitian within ``tol`` and its spectrum is PSD.
+def check_psd(a: np.ndarray) -> bool:
+    """True iff A is Hermitian within ``HERMITICITY_RTOL`` and its spectrum
+    is at or above :func:`psd_floor`.
 
-    The eigenvalue floor is :func:`psd_floor` at ``tol``; non-Hermitian
-    input, NaN or inf included, returns False rather than raising.
+    Non-Hermitian input, NaN or inf included, returns False rather than
+    raising; a non-square or empty matrix raises :class:`NotSquare`.
     """
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > tol:
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise NotSquare(f"expected a non-empty square matrix, got shape {m.shape}")
+    if hermiticity_defect(m) > HERMITICITY_RTOL:
         return False
     vals = np.linalg.eigvalsh(0.5 * (m + adjoint(m)))
-    return bool(vals[0] >= psd_floor(vals, tol))
+    return bool(vals[0] >= psd_floor(vals))

@@ -33,14 +33,15 @@ class PositiveFunctional:
     quantities clipped at zero. ``matrix`` is a read-only copy of the
     input, so a later write to the caller's array cannot desynchronise it
     from the spectrum. A matrix that is not Hermitian, holds NaN or inf, or
-    has an eigenvalue below :func:`linalg.psd_floor` raises NotPSD.
+    has an eigenvalue below :func:`linalg.psd_floor` raises NotPSD; one that
+    is not square, or is empty, raises ShapeMismatch.
     """
 
     def __init__(self, matrix):
         m = as_matrix(matrix).copy()
         m.flags.writeable = False
-        if m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"expected square matrix, got {m.shape}")
+        if m.shape[0] != m.shape[1] or m.size == 0:
+            raise ShapeMismatch(f"expected a non-empty square matrix, got {m.shape}")
         try:
             spectrum = spectral_decomposition(m)
         except NotHermitian as exc:

@@ -99,8 +99,8 @@ def test_every_check_fails_closed(suite, index, position, bad, monkeypatch, caps
     draw, families = SUITES[suite]
     family = families[index]
 
-    def poisoned(instance, tol):
-        values = list(family.fn(instance, tol))
+    def poisoned(instance):
+        values = list(family.fn(instance))
         value = values[position]
         values[position] = (
             dataclasses.replace(value, slack=bad, passed=True)

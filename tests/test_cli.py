@@ -544,7 +544,7 @@ def test_campaign_json_is_strict_with_nan_margins(monkeypatch, capsys):
     # the first vec check passes; the second yields NaN
     draw, (first, *rest) = campaigns.SUITES["vec"]
     nan_family = dataclasses.replace(
-        first, names=first.names[:2], fn=lambda inst, tol: (0.0, float("nan"))
+        first, names=first.names[:2], fn=lambda inst: (0.0, float("nan"))
     )
     monkeypatch.setitem(campaigns.SUITES, "vec", (draw, (nan_family,)))
     for suite in ("vec", "all"):

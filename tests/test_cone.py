@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modkit import campaigns, modular
+from modkit.cli import main
 from modkit.cone import (
     cone_contains,
     cone_element,
@@ -201,3 +203,37 @@ def test_purification_lies_in_cone(rng):
             omega = purify(density)
             assert cone_contains(omega)
             assert omega.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def _j_right_factor_off(d):
+    """A planted defect: J with right factor I + 1e-5 E_01, so J pi(M) J is
+    no longer in the commutant and the cone's image leaves the cone."""
+    right = np.eye(d, dtype=complex)
+    right[0, 1] = 1e-5
+    return SuperOperator.factored(d, None, right, transpose=True, antilinear=True)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_a_tolerance_override_does_not_loosen_cone_membership(d, monkeypatch, capsys):
+    # --tol and MODKIT_TOL set the bounds judge() applies; cone membership
+    # is a yes/no value at the fixed PSD floor, so a loose override still
+    # fails the planted J on every instance
+    monkeypatch.delenv("MODKIT_TOL", raising=False)
+    monkeypatch.setattr(modular, "modular_conjugation", _j_right_factor_off)
+    real_evaluate, verdicts = campaigns.evaluate, []
+
+    def evaluate(family, instance, tol=None):
+        checks = real_evaluate(family, instance, tol)
+        verdicts.extend(c.passed for c in checks if c.name == "cone.pi_j_invariance")
+        return checks
+
+    monkeypatch.setattr(campaigns, "evaluate", evaluate)
+    argv = ["campaign", "--suite", "cone", "--dim", str(d), "--seed", "3", "--samples", "10"]
+    for flag, env in ((["--tol", "1e-3"], None), ([], "1e-3")):
+        with monkeypatch.context() as m:
+            if env is not None:
+                m.setenv("MODKIT_TOL", env)
+            assert main([*argv, *flag, "--json"]) == 1
+        capsys.readouterr()
+        assert verdicts == [False] * 10
+        verdicts.clear()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modkit import inequalities
 from modkit.errors import NotPSD, OrderViolation, SingularState
 from modkit.inequalities import (
     MONOTONE_FUNCTIONS,
@@ -15,7 +16,7 @@ from modkit.inequalities import (
     powers_stormer,
 )
 from modkit.linalg import check_psd, schatten_norm, spectral_decomposition, trace_norm
-from modkit.sampling import random_psd
+from modkit.sampling import random_psd, random_unitary
 from modkit.states import DensityMatrix, PositiveFunctional
 
 
@@ -229,7 +230,7 @@ def _monotone_spot_check(f) -> bool:
             spectral_decomposition(m).apply(lambda lam: f(np.maximum(lam, 0.0)))
             for m in (a, b)
         )
-        if not check_psd(f_b - f_a, 1e-10):
+        if not check_psd(f_b - f_a):
             return False
     return True
 
@@ -542,3 +543,35 @@ def test_each_family_reports_its_table_in_order(rng):
         assert _bits([r.lhs for r in reports]) == _bits(lhs), family.__name__
         assert _bits([r.rhs for r in reports]) == _bits([rhs] * len(lhs)), family.__name__
         assert all(r.passed for r in reports), family.__name__
+
+
+def _witness_pair(rng, d):
+    """A = U diag(a) U*, B = U diag(b) U* with a_i in [0.1, 1] and b_i in
+    {0, a_i}, at least one zero: an equality case of Powers-Stormer, of
+    every s, of every Hoa f (each has f(0) = 0) and of Phillips at every t."""
+    u = random_unitary(rng, d)
+    a = rng.uniform(0.1, 1.0, d)
+    b = np.where(rng.integers(0, 2, d) == 1, a, 0.0)
+    b[rng.integers(d)] = 0.0
+    return pfs(*((u * x) @ np.conj(u).T for x in (a, b)))
+
+
+def _pair_reports(a, b):
+    """The 13 pair reports the witnesses make tight, in table order."""
+    return (powers_stormer(a, b), *ozawa_s(a, b), *hoa_generalized(a, b), *phillips(a, b))
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("scale", [1.0, 0.99], ids=["unpatched", "distance-1pct-low"])
+def test_equality_witnesses_catch_a_one_percent_trace_distance_error(d, scale, monkeypatch):
+    # campaign draws sit far from equality, so they pass a 10% error in
+    # ||A - B||_1; on a witness every one of the 13 families is tight, so
+    # 1% fails them all. Slack is not zero, though: B's rounding-level null
+    # eigenvalues raised to small powers leave up to ~1e-4 relative slack
+    distance = inequalities.functional_distance
+    monkeypatch.setattr(inequalities, "functional_distance", lambda x, y: scale * distance(x, y))
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        reports = _pair_reports(*_witness_pair(rng, d))
+        assert len(reports) == 13
+        assert [r.passed for r in reports] == [scale == 1.0] * 13

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modkit import campaigns, cli, kms
+from modkit import campaigns, cli, kms, linalg
 from modkit.cli import dump_matrix, main
 from modkit.errors import BadBeta, DomainError, OutsideStrip, ShapeMismatch, SingularState
 from modkit.kms import (
@@ -576,6 +576,29 @@ def test_planted_defects_split_the_kms_verify_routes(tmp_path, capsys, monkeypat
         (good_code, good), (bad_code, bad) = reports
         assert good_code == 0 and good["centralizer_dimension"] == good["commutant_dimension"]
         assert bad_code == 1 and bad["centralizer_dimension"] != bad["commutant_dimension"]
+
+
+# A planted defect in the direction of the modular flow: unitary(t) gives
+# A^(-it). Only kms.time_bridge compares the modular flow with an
+# independent one, the physical flow at -beta s; the other families
+# either do not flow or take every phase from the same unitary.
+_UNITARY = linalg.SpectralDecomposition.unitary
+
+
+@pytest.mark.parametrize("d, samples", [(2, 12), (4, 12), (16, 3)])
+@pytest.mark.parametrize("patched", [False, True], ids=["unpatched", "reversed-flow"])
+def test_planted_flow_direction_defect(d, samples, patched, monkeypatch):
+    if patched:
+        monkeypatch.setattr(
+            linalg.SpectralDecomposition, "unitary", lambda self, t: _UNITARY(self, -t)
+        )
+    draw, families = campaigns.SUITES["kms"]
+    family = next(f for f in families if "kms.time_bridge" in f.names)
+    rng = np.random.default_rng(3)
+    for k in range(samples):
+        checks = campaigns.evaluate(family, draw(rng, d, k))
+        bridge = next(check for check in checks if check.name == "kms.time_bridge")
+        assert bridge.passed is not patched, (k, bridge.value)
 
 
 def test_gibbs_system_invariants_hold(rng):

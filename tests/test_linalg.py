@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from modkit.errors import BadExponent, DomainError, NotHermitian, NotPSD
+from modkit.errors import (
+    BadExponent,
+    DomainError,
+    NotHermitian,
+    NotPSD,
+    NotSquare,
+    ShapeMismatch,
+)
 from modkit.linalg import (
     check_psd,
     psd_power_values,
@@ -108,18 +115,32 @@ def test_schatten_bad_exponent():
 
 
 def test_nan_exponent_raises_at_every_entry_point():
-    # a NaN exponent fails the guards written as "not p >= 1", "not s >= 0"
+    # a NaN exponent fails the guards written as "not p >= 1" and
+    # "not 0 <= s < inf"; an infinite power is no matrix either: lambda^inf
+    # is 0 or inf, and its synthesis NaN. p = inf is the operator norm
     pf = PositiveFunctional(np.diag([0.25, 0.75]))
     with pytest.raises(BadExponent):
         schatten_norm(np.eye(2), np.nan)
+    assert schatten_norm(np.diag([0.5, -2.0]), np.inf) == 2.0
     for power in (
         lambda s: psd_power_values(np.array([0.25, 0.75]), s),
         lambda s: spectral_decomposition(pf.matrix).power(s),
         pf.power,
         lambda s: relative_modular_power(pf, pf, s),
     ):
-        with pytest.raises(DomainError):
-            power(np.nan)
+        for s in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                power(s)
+
+
+def test_empty_matrix_raises_a_modkit_error():
+    # the square checks reject size 0 before numpy's min or [0] does
+    empty = np.zeros((0, 0))
+    for cls in (PositiveFunctional, DensityMatrix):
+        with pytest.raises(ShapeMismatch):
+            cls(empty)
+    with pytest.raises(NotSquare):
+        check_psd(empty)
 
 
 def test_non_finite_time_raises_at_every_unitary_entry_point():
@@ -141,7 +162,7 @@ def test_check_psd_identity():
 
 
 def test_check_psd_negative_eigenvalue():
-    assert not check_psd(np.diag([1.0, -1e-6]), tol=1e-12)
+    assert not check_psd(np.diag([1.0, -1e-6]))
 
 
 def test_check_psd_gram(rng):
