@@ -136,9 +136,9 @@ def _vec_identities(v):
     rhs = vecops.SuperOperator.factored(d, v.a, v.b).apply(vec(v.x)).amplitudes
     s_image = vecops.swap_operator(d).apply(vecops.conjugate_vec(vec(v.x)))
     return (
-        float(np.linalg.norm(lhs - rhs)),
+        hs_norm(lhs - rhs),
         abs(vec(v.a).inner(vec(v.b)) - np.trace(adjoint(v.a) @ v.b)),
-        float(np.linalg.norm(s_image.amplitudes - vec(adjoint(v.x)).amplitudes)),
+        hs_norm(s_image.amplitudes - vec(adjoint(v.x)).amplitudes),
     )
 
 
@@ -151,7 +151,7 @@ def _vec_schmidt(v):
     coeff_sq[: data.rank] = data.coefficients**2
     return (
         hs_norm(reduced - v.density.matrix),
-        float(np.linalg.norm(data.reconstruct().amplitudes - v.u.amplitudes)),
+        hs_norm(data.reconstruct().amplitudes - v.u.amplitudes),
         float(np.max(np.abs(eigs - coeff_sq))),
     )
 
@@ -199,7 +199,7 @@ def _modular_relations(m):
         modular.relative_modular_power(omega, phi, 0.5))
     product = s_reverse.compose(m.s_op)
     product.matrix[np.diag_indices(omega.dim**2)] -= 1
-    s_inverse = math.inf if product.antilinear else float(np.linalg.norm(product.matrix))
+    s_inverse = math.inf if product.antilinear else hs_norm(product.matrix)
     image = m.half.apply(states.purify(omega))
     lhs = m.half.apply(vec(a @ omega.sqrt())).norm() ** 2
     rhs = float(np.real(np.trace(phi.matrix @ a @ adjoint(a))))
@@ -208,7 +208,7 @@ def _modular_relations(m):
     chained = u_t @ modular.modular_flow(omega, a, t) @ adjoint(u_t)
     return (
         s_inverse,
-        float(np.linalg.norm(image.amplitudes - states.purify(phi).amplitudes)),
+        hs_norm(image.amplitudes - states.purify(phi).amplitudes),
         abs(lhs - rhs) / max(1.0, abs(rhs)),
         hs_norm(u_ts - u_t @ modular.modular_flow(omega, u_s, t)),
         hs_norm(evolved - chained) / max(1.0, hs_norm(evolved)),
@@ -299,10 +299,10 @@ def _cone_decompositions(c):
     c1, c2, c3, c4 = (e.amplitudes for e in cone_mod.decompose_general(c.w))
     j_xi = modular.modular_conjugation(c.xi.dim_left).apply(c.xi)
     return (
-        float(np.linalg.norm(j_xi.amplitudes - c.xi.amplitudes)),
+        hs_norm(j_xi.amplitudes - c.xi.amplitudes),
         abs(plus.inner(minus)),
-        float(np.linalg.norm((plus - minus).amplitudes - v.amplitudes)),
-        float(np.linalg.norm(c1 - c2 + 1j * c3 - 1j * c4 - c.w.amplitudes)),
+        hs_norm((plus - minus).amplitudes - v.amplitudes),
+        hs_norm(c1 - c2 + 1j * c3 - 1j * c4 - c.w.amplitudes),
     )
 
 

@@ -186,7 +186,7 @@ def ogata_modular(
         image = np.broadcast_to(support, ratios.shape) * coeffs
     else:
         image = psd_power_values(ratios, s / 2.0) * coeffs
-    lhs_superop = 2.0 * float(np.real(np.vdot(image, image)))
+    lhs_superop = 2.0 * hs_norm(image) ** 2
     lhs_trace = 2.0 * float(np.real(np.trace(phi2.power(s) @ phi1.power(1.0 - s))))
     rhs = _overlap(phi1, phi2)
     residual = abs(lhs_superop - lhs_trace)

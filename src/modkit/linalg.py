@@ -3,6 +3,11 @@
 Conventions used throughout the package:
 
 * matrices are dense ``numpy`` arrays of ``complex128``,
+* :func:`hs_norm` is the one reduction behind every reported
+  Hilbert-Schmidt norm and sum of squared moduli. It does not call BLAS:
+  ``np.linalg.norm`` and ``np.vdot`` sum with BLAS ``ddot``/``zdotc``,
+  whose summation order follows the BLAS thread count on long vectors, so
+  a report's bytes would depend on it,
 * eigenvalues are returned in ascending order (``numpy.linalg.eigh`` order),
   which makes decompositions reproducible run to run,
 * Hermiticity is tested with the scale-free criterion
@@ -51,8 +56,15 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
+    """Hilbert-Schmidt (Frobenius) norm, the root of sum_i |a_i|^2.
+
+    The sum is numpy's own einsum loop over the real view of the entries,
+    in an order fixed by their number alone; a contiguous complex ``a`` is
+    read in place. Every reported HS norm and sum of squared moduli comes
+    from here, so x and -x give the same bits.
+    """
+    r = np.ravel(np.asarray(a, dtype=complex)).view(float)
+    return math.sqrt(np.einsum("i,i->", r, r))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -163,8 +175,11 @@ def psd_floor(vals: np.ndarray) -> float:
 
     Eigenvalues at or above it are PSD up to rounding. ``vals`` may have
     any shape and order. A spectrum holding NaN or inf has floor NaN, which
-    no eigenvalue is at or above, so callers test ``not min >= floor``.
+    no eigenvalue is at or above, so callers test ``not min >= floor``; an
+    empty one raises :class:`ShapeMismatch`.
     """
+    if vals.size == 0:
+        raise ShapeMismatch("an empty spectrum has no PSD floor")
     if not np.isfinite(vals).all():
         return math.nan
     return -PSD_TOL * max(1.0, float(np.max(vals)))
@@ -193,7 +208,8 @@ def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
     ``PSD_TOL * max(1, lambda_max)`` map to 0, the rest to 1), the
     operator-monotone limit of ``t^s``. ``s < 0`` and a NaN or infinite
     ``s`` raise :class:`DomainError`: inverse powers are taken on faithful
-    states only, through :meth:`SpectralDecomposition.power`.
+    states only, through :meth:`SpectralDecomposition.power`. An empty
+    spectrum raises :class:`ShapeMismatch`.
     """
     # written so that NaN fails too: nan >= 0 is False
     if not 0 <= s < math.inf:
@@ -201,8 +217,9 @@ def psd_power_values(vals: np.ndarray, s: float) -> np.ndarray:
             f"psd_power_values takes a finite s >= 0, got {s}; inverse powers of a "
             f"faithful state come from SpectralDecomposition.power"
         )
+    floor = psd_floor(vals)
     low = float(np.min(vals))
-    if not low >= psd_floor(vals):
+    if not low >= floor:
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {low:.3e}); refusing "
             f"fractional power of negative spectrum"

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix
+from .linalg import adjoint, as_matrix, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
 from .vecops import SuperOperator
 
@@ -52,10 +52,12 @@ def _assemble_antilinear(left: np.ndarray, right: np.ndarray) -> SuperOperator:
     E_mu_nu* = E_nu_mu, so column (mu, nu) is the outer product of column
     nu of ``left`` with row mu of ``right``: entry ((a, b), (mu, nu)) is
     left[a, nu] * right[mu, b]. The operator is antilinear, applied as
-    v -> M conj(v).
+    v -> M conj(v). The product is written in C order into its one
+    d^2 x d^2 array, so the reshape is a view and no second array is formed.
     """
     d = left.shape[0]
-    m = left[:, None, None, :] * right.T[None, :, :, None]
+    m = np.empty((d, d, d, d), dtype=complex)
+    np.multiply(left[:, None, None, :], right.T[None, :, :, None], out=m)
     return SuperOperator(d, m.reshape(d * d, d * d), antilinear=True)
 
 
@@ -147,19 +149,14 @@ def _flow_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """||A (x) B - C (x) 1||_HS from the d x d factors, in O(d^3).
 
     Entry ((i, k), (j, l)) of the difference is A_ij B_kl for k != l and
-    A_ij B_kk - C_ij for k = l, so its squared norm is
-    ||A||^2 sum_(k != l) |B_kl|^2 + sum_(i, j, k) |A_ij B_kk - C_ij|^2: the
+    A_ij B_kk - C_ij for k = l, so its norm is the hypotenuse of
+    ||A|| ||(B_kl)_(k != l)|| and ||(A_ij B_kk - C_ij)_(i, j, k)||: the
     squares of the dense difference, each a non-negative term, none
     subtracted from another. A NaN or inf entry gives a non-finite value.
     """
     off = b[~np.eye(b.shape[0], dtype=bool)]
     on = a[:, :, None] * np.diagonal(b) - c[:, :, None]
-    return math.sqrt(_squares(a) * _squares(off) + _squares(on))
-
-
-def _squares(x: np.ndarray) -> float:
-    """Sum of |x_i|^2 over all entries."""
-    return float(np.vdot(x, x).real)
+    return math.hypot(hs_norm(a) * hs_norm(off), hs_norm(on))
 
 
 def verify_tomita_takesaki(

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .linalg import as_matrix
+from .linalg import as_matrix, hs_norm
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,13 @@ class BipartiteVector:
         return (self.dim_left, self.dim_right)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return hs_norm(self.amplitudes)
 
     def inner(self, other: "BipartiteVector") -> complex:
-        """<self, other>, conjugate-linear in self."""
+        """<self, other>, conjugate-linear in self; summed, like
+        :func:`hs_norm`, by numpy's einsum loop rather than BLAS."""
         self._require_same_dims(other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.einsum("i,i->", np.conj(self.amplitudes), other.amplitudes))
 
     def _require_same_dims(self, other: "BipartiteVector") -> None:
         if self.dims != other.dims:
@@ -308,23 +309,20 @@ class SuperOperator:
     def distance(self, other: "SuperOperator") -> float:
         """HS distance between matrices; infinite if linearity types differ.
 
-        The difference is formed in the workspace: an uncached factored
-        side is written there by the writer of :attr:`matrix`, and the
-        other side subtracted in place, so the value is that of
-        ``norm(self.matrix - other.matrix)`` bit for bit.
+        The difference is formed in the workspace: a side whose matrix is
+        not formed yet (self's first) is written there by the writer of
+        :attr:`matrix`, and the other side subtracted in place. x - y is
+        -(y - x) exactly and :func:`hs_norm` is even, so either order gives
+        ``hs_norm(self.matrix - other.matrix)`` bit for bit.
         """
         if self.d != other.d:
             raise ShapeMismatch(f"dimensions {self.d} != {other.d}")
         if self.antilinear != other.antilinear:
             return float("inf")
         diff = _workspace("distance", self.d)
-        if self._matrix is None:
-            np.subtract(self._write_matrix(diff), other.matrix, out=diff)
-        elif other._matrix is None:
-            np.subtract(self._matrix, other._write_matrix(diff), out=diff)
-        else:
-            np.subtract(self._matrix, other._matrix, out=diff)
-        return float(np.linalg.norm(diff))
+        first, second = (self, other) if self._matrix is None else (other, self)
+        written = first._write_matrix(diff) if first._matrix is None else first._matrix
+        return hs_norm(np.subtract(written, second.matrix, out=diff))
 
 
 class _Workspace(threading.local):
@@ -347,10 +345,19 @@ def _workspace(method: str, d: int) -> np.ndarray:
     the allocator serving each op's fresh 1 MiB products from memory it
     already holds. Sharing one buffer gave the same bits but raised a warm
     campaign-d16 op from about 0.3 to 513 minor page faults (2 BLAS threads).
+
+    That holds only for a buffer on the heap. glibc gives a block above
+    its mmap threshold (128 KiB at start) a mapping of its own, and raises
+    the threshold to a mapped block's size when that block is freed. A
+    mapped buffer holds no heap pages, so the heap shrinks after each op
+    and faults its pages back in on the next. A block of the buffer's size
+    is therefore allocated and freed first. Without it a warm statepair-d16
+    ``modular --verify`` read about 720 minor faults per op, with it about 1.
     """
     buffers = _WORKSPACE.buffers
     key = (method, d)
     if key not in buffers:
+        np.empty((d * d, d * d), dtype=complex)  # freed at once; see above
         buffers[key] = np.empty((d * d, d * d), dtype=complex)
     return buffers[key]
 

@@ -1,7 +1,12 @@
+import itertools
 import json
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 GATE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "gate.py"))
 
@@ -88,3 +93,20 @@ def test_gate_compare_fails_on_a_dump_present_on_one_side(tmp_path, capsys):
     assert GATE["main"](["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out
     assert out.startswith("0001 campaign --suite all") and f"only in {tmp_path / 'a'}" in out
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # statepair-d16's first op at bench seed 0: its S*S and polar residuals
+    # sum d^4 squares, which a threaded BLAS dot would order by thread count
+    env, argv = next(itertools.islice(GATE["commands"](tmp_path), 366, None))
+    assert not env and argv[0] == "modular" and "--verify" in argv
+    outs = []
+    for threads in ("1", "2"):
+        child = subprocess.run(
+            [sys.executable, "-m", "modkit", *argv], capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, check=True,
+        )
+        outs.append(GATE["WALL_TIME"].sub("", child.stdout))
+    assert "cross_route_residual" in outs[0]
+    assert outs[0] == outs[1]

@@ -10,7 +10,9 @@ from modkit.errors import (
     ShapeMismatch,
 )
 from modkit.linalg import (
+    SpectralDecomposition,
     check_psd,
+    psd_floor,
     psd_power_values,
     schatten_norm,
     spectral_decomposition,
@@ -141,6 +143,18 @@ def test_empty_matrix_raises_a_modkit_error():
             cls(empty)
     with pytest.raises(NotSquare):
         check_psd(empty)
+
+
+def test_empty_spectrum_raises_a_modkit_error():
+    # numpy's min and max have no value on size 0; the floor refuses first
+    empty = np.array([])
+    for call in (
+        lambda: psd_power_values(empty, 0.5),
+        lambda: psd_floor(empty),
+        lambda: SpectralDecomposition(empty, np.zeros((0, 0))).power(0.5),
+    ):
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_non_finite_time_raises_at_every_unitary_entry_point():

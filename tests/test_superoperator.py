@@ -7,6 +7,9 @@ definitions, Ogata's route (a) against the dense 256^2-eigh route it
 replaced, and the Tomita-Takesaki residuals against the all-dense formula.
 """
 
+import json
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modkit.cli import dump_matrix
 from modkit.errors import ShapeMismatch
 from modkit.inequalities import ogata_modular
 from modkit.linalg import hs_norm, spectral_decomposition
@@ -340,7 +344,7 @@ def operand(d, kind, antilinear, seed):
 @pytest.mark.parametrize("antilinear", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 16])
 def test_distance_is_the_fresh_difference_norm_bit_for_bit(d, antilinear, left, right):
-    want = np.linalg.norm(
+    want = hs_norm(
         operand(d, left, antilinear, 1).matrix - operand(d, right, antilinear, 2).matrix
     )
     a, b = operand(d, left, antilinear, 1), operand(d, right, antilinear, 2)
@@ -432,6 +436,49 @@ def traced_peak(fn):
 def test_warm_distance_allocates_no_d2_array(left, right):
     a, b = operand(16, left, True, 30), operand(16, right, True, 31)
     assert traced_peak(lambda: a.distance(b)) < ARRAY_BYTES
+
+
+def test_warm_s_assembly_allocates_only_its_matrix():
+    # the broadcast product is written in C order into S's own array, so the
+    # reshape is a view and no second d^2 x d^2 array is alive
+    rng = np.random.default_rng(45)
+    phi, omega = random_faithful_density(rng, 16), random_faithful_density(rng, 16)
+    assert ARRAY_BYTES <= traced_peak(lambda: relative_s_matrix(phi, omega)) < 1.5 * ARRAY_BYTES
+
+
+# a fresh interpreter, so the allocator starts from its defaults
+FAULTS_PER_WARM_RUN = """
+import contextlib, io, resource, sys
+from modkit.cli import main
+
+def run():
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+
+for _ in range(3):
+    run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    run()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap pages")
+def test_warm_modular_verify_maps_no_fresh_pages(tmp_path):
+    # the workspace buffers sit on the heap and keep its pages, so each
+    # run's fresh S and S*S arrays reuse them (about 720 faults otherwise)
+    rng = np.random.default_rng(46)
+    paths = []
+    for name in ("phi", "omega"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump_matrix(random_faithful_density(rng, 16).matrix)))
+        paths.append(str(path))
+    child = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_WARM_RUN, "modular", *paths, "--verify", "--json"],
+        capture_output=True, text=True, check=True,
+    )
+    assert float(child.stdout) < 50
 
 
 @pytest.mark.parametrize("left", ["dense", "factored", "transposed"])

@@ -7,7 +7,8 @@ whatever ``modkit`` is first on ``PYTHONPATH``, and prints for each
 
 where stdout is hashed with its ``wall_time`` line removed and the argv
 shows the scratch directory of the run as ``$TMP``. Two trees agree when
-their outputs are identical, at the same BLAS thread count:
+their outputs are identical. The BLAS thread count is not an input of any
+report, so the lines of one tree are the same at any thread count:
 
     PYTHONPATH=src python3 tools/gate.py > new.txt
     PYTHONPATH=../parent/src python3 tools/gate.py > old.txt
