@@ -45,9 +45,12 @@ The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
 :func:`centralizer_window`): :func:`centralizer_dimension` groups D's
 eigenvalues, and :func:`commutant_dimension` counts the null space of the
-real commutator map of D's Householder tridiagonal form from the singular
-values of its swap-antisymmetric block, without an eigenvalue or
-eigenvector of D.
+real commutator map of D's Householder tridiagonal form from its
+swap-antisymmetric block C, without an eigenvalue or eigenvector of D.
+A Cholesky factorization of C C^T, shifted by a bound that covers its own
+rounding, certifies that no singular value of C is null; only when it
+fails (an eigenvalue gap of D near or below 1e-6) are C's singular values
+computed and counted.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBeta, DomainError, OutsideStrip, ShapeMismatch, SingularState
-from .linalg import adjoint
+from .linalg import adjoint, as_operators, hs_norm
 from .states import DensityMatrix, is_faithful
 
 GAP_RTOL = 1e-9
@@ -66,6 +69,10 @@ GAP_RTOL = 1e-9
 # max(1, largest modulus)), i.e. singular values of its antisymmetric
 # block, count toward the commutant dimension
 COMMUTANT_NULL_RTOL = 1e-8
+# a Cholesky factorization of the antisymmetric block's Gram matrix, shifted
+# by (this times the null cutoff)^2 plus its rounding bound, certifies that
+# no singular value is null (see commutant_dimension)
+CERTIFICATE_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     every probe and time at once. Energy is conserved ([A, H] = 0 implies a
     fixed point) and the Gibbs state is invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
-    a = _operands(sys, a)
+    a = as_operators(a, sys.dim)
     t = _times(t, float)
     v = sys.density.spectrum.eigenvectors
     phases = np.exp(np.multiply.outer(1j * t, sys.energies))
@@ -144,8 +151,8 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
             f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
             f"with beta = {sys.beta:g}"
         )
-    a = _operands(sys, a)
-    b = _operands(sys, b)
+    a = as_operators(a, sys.dim)
+    b = as_operators(b, sys.dim)
     if a.shape != b.shape:
         raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
     v = sys.density.spectrum.eigenvectors
@@ -210,19 +217,76 @@ def commutant_dimension(density: DensityMatrix) -> int:
     K anticommutes with the swap X -> X^T (T^T = T), so it maps symmetric
     matrices to antisymmetric ones and back: on the symmetric and
     antisymmetric orthonormal bases it is [[0, C^T], [C, 0]], with the
-    d(d-1)/2 x d(d+1)/2 block C of :func:`_antisymmetric_block`. Its
-    eigenvalues are +-sigma for each singular value sigma of C, and d
-    zeros (the surplus of columns over rows), so the nullity is d plus
-    twice the number of singular values at or below the cutoff (Golub
-    and Van Loan, Matrix Computations, 4th ed., 8.6.1). Cutoff is
-    absolute at density-matrix scale, so a numerically zero map (flat
-    spectrum) counts as fully null; a 1 x 1 density has an empty C and
-    nullity 1.
+    m x n block C of :func:`_antisymmetric_block`, m = d(d-1)/2 and
+    n = d(d+1)/2. Its eigenvalues are +-sigma for each singular value
+    sigma of C, and d zeros (the surplus of columns over rows), so the
+    nullity is d plus twice the number of singular values at or below the
+    cutoff (Golub and Van Loan, Matrix Computations, 4th ed., 8.6.1).
+    Cutoff is absolute at density-matrix scale, so a numerically zero map
+    (flat spectrum) counts as fully null; a 1 x 1 density has an empty C
+    and nullity 1.
+
+    A simple spectrum is certified without the SVD: a Cholesky
+    factorization of C C^T - tau^2 I (:func:`_certificate_shift`) that runs
+    to completion proves that every singular value of C is at least
+    ``CERTIFICATE_MARGIN`` times a cutoff no smaller than the SVD count's,
+    so the SVD would count none and the nullity is d. Only when the
+    factorization fails, i.e. for a gap of D's spectrum near or below
+    ``CERTIFICATE_MARGIN`` times the cutoff (about 1e-6), are the singular
+    values computed and counted.
     """
     t = _householder_tridiagonal(density.matrix)
-    sigma = np.linalg.svd(_antisymmetric_block(_commutator_map(t)), compute_uv=False)
-    cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma.max(initial=0.0)))
-    return density.dim + 2 * int(np.count_nonzero(sigma <= cutoff))
+    c = _antisymmetric_block(_commutator_map(t))
+    if c.size == 0:
+        return density.dim
+    gram = c @ c.T
+    gram[np.diag_indices_from(gram)] -= _certificate_shift(c)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:  # no certificate: count the singular values
+        sigma = np.linalg.svd(c, compute_uv=False)
+        cutoff = COMMUTANT_NULL_RTOL * max(1.0, float(sigma.max()))
+        return density.dim + 2 * int(np.count_nonzero(sigma <= cutoff))
+    return density.dim
+
+
+def _certificate_shift(c: np.ndarray) -> float:
+    """tau^2 = (``CERTIFICATE_MARGIN`` * cutoff)^2 + rho for the m x n block
+    C, m <= n, with cutoff = ``COMMUTANT_NULL_RTOL`` * max(1, ||C||_F) and rho
+    the rounding bound below.
+
+    ||C||_F >= sigma_max, so this cutoff is at least the SVD count's, and a
+    certificate errs toward refusing. Write u = 2^-53, s = ||C||_F^2 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002):
+
+    * the computed Gram matrix is G = C C^T + E with |E| <= gamma_n |C| |C|^T
+      (section 3.5), so ||E||_2 <= gamma_n || |C| ||_2^2 <= gamma_n s;
+    * subtracting tau^2 from G's diagonal rounds each entry by at most
+      u G_ii <= u (1 + gamma_n) s;
+    * if Cholesky runs to completion on the result A, its computed factor
+      R satisfies R^T R = A + dA with |dA| <= gamma_(m+1) |R^T| |R|
+      (section 10.1; the bound needs no definiteness, only completion).
+      The diagonal of that bound gives ||r_i||^2 <= A_ii / (1 - gamma_(m+1))
+      for column r_i of R, and tr A <= tr G <= (1 + gamma_n) s, so
+      ||dA||_2 <= gamma_(m+1) ||R||_F^2 <= gamma_(m+1) (1 + gamma_n) s /
+      (1 - gamma_(m+1)).
+
+    R^T R is positive semidefinite, so lambda_min(C C^T) >= tau^2 minus
+    the three bounds, whose sum is (n + m + 2) u s to first order. rho =
+    2 (n + m + 2) u s covers it, with room for the second-order terms and
+    for the rounding of s itself. A success then gives lambda_min(C C^T) >=
+    (``CERTIFICATE_MARGIN`` * cutoff)^2, up to the few-u rounding of tau^2.
+    C has m <= n rows, so the eigenvalues of C C^T are its squared singular
+    values, and sigma_min(C) >= ``CERTIFICATE_MARGIN`` * cutoff, at least
+    2 cutoff. The SVD computes each singular value to within a modest
+    multiple of u sigma_max, far below the cutoff, so it too would count
+    none at or below its own cutoff.
+    """
+    norm = hs_norm(c)
+    cutoff = COMMUTANT_NULL_RTOL * max(1.0, norm)
+    rounding = 2.0 * (c.shape[0] + c.shape[1] + 2) * 2.0**-53 * norm**2
+    return (CERTIFICATE_MARGIN * cutoff) ** 2 + rounding
 
 
 def _householder_tridiagonal(d: np.ndarray) -> np.ndarray:
@@ -296,7 +360,7 @@ def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> n
     probes, then the times.
     """
     d = sys.density.matrix
-    a = _operands(sys, a)
+    a = as_operators(a, sys.dim)
     initial = _trace_of_products(a[..., None, :, :], d)
     return np.abs(_trace_of_products(heisenberg_evolve(sys, a, t), d) - initial)
 
@@ -311,22 +375,11 @@ def kms_boundary_defect(
     standard basis, as sum_jk sigma_t(B)_jk (A D)_kj. An array over the
     times, or for (k, d, d) stacks over the probes, then the times.
     """
-    a = _operands(sys, a)
+    a = as_operators(a, sys.dim)
     t = _times(t, float)
     lhs = kms_function(sys, a, b, t + 1j * sys.beta)
     rhs = _trace_of_products(heisenberg_evolve(sys, b, t), a @ sys.density.matrix)
     return np.abs(lhs - rhs)
-
-
-def _operands(sys: GibbsSystem, a) -> np.ndarray:
-    """``a`` as a complex (d, d) matrix or (k, d, d) stack, else ShapeMismatch."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-2:] != (sys.dim, sys.dim):
-        raise ShapeMismatch(
-            f"operator shape {a.shape} is neither ({sys.dim}, {sys.dim}) "
-            f"nor (k, {sys.dim}, {sys.dim})"
-        )
-    return a
 
 
 def _times(t, dtype) -> np.ndarray:

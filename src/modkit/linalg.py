@@ -50,6 +50,19 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_operators(a, d: int | None = None) -> np.ndarray:
+    """Coerce input to a complex (d, d) matrix or (k, d, d) stack of them,
+    else ShapeMismatch; d defaults to the size of the last axis."""
+    m = np.asarray(a, dtype=complex)
+    if d is None and m.ndim:
+        d = m.shape[-1]
+    if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):
+        raise ShapeMismatch(
+            f"operator shape {m.shape} is neither ({d}, {d}) nor (k, {d}, {d})"
+        )
+    return m
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(a).T

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix, hs_norm
+from .linalg import adjoint, as_matrix, as_operators, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
 from .vecops import SuperOperator
 
@@ -119,11 +119,14 @@ def modular_conjugation(d: int) -> SuperOperator:
 
 
 def modular_flow(omega: DensityMatrix, a: np.ndarray, t: float) -> np.ndarray:
-    """Modular automorphism sigma_t(A) = D^(it) A D^(-it) in closed form."""
+    """Modular automorphism sigma_t(A) = D^(it) A D^(-it) in closed form.
+
+    ``a`` is a (d, d) matrix or a (k, d, d) stack; a stack is evolved by
+    the same two matrix products per probe, so it gives the per-probe
+    results bit for bit.
+    """
     _require_faithful(omega, "reference")
-    a = as_matrix(a)
-    if a.shape != omega.matrix.shape:
-        raise ShapeMismatch(f"operator shape {a.shape} != {omega.matrix.shape}")
+    a = as_operators(a, omega.dim)
     u = omega.spectrum.unitary(t)
     return u @ a @ adjoint(u)
 
@@ -140,23 +143,31 @@ def connes_cocycle(phi: DensityMatrix, omega: DensityMatrix, t: float) -> np.nda
 
 
 def pi_factored(m: np.ndarray) -> SuperOperator:
-    """pi(M) = M (x) 1 in factored form, vec(X) -> vec(M X); M is d x d."""
-    m = as_matrix(m)
-    return SuperOperator.factored(m.shape[0], m, None)
+    """pi(M) = M (x) 1 in factored form, vec(X) -> vec(M X); M is a d x d
+    matrix, or a (k, d, d) stack giving the stack of the pi(M_i)."""
+    m = as_operators(m)
+    return SuperOperator.factored(m.shape[-1], m, None)
 
 
-def _flow_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """||A (x) B - C (x) 1||_HS from the d x d factors, in O(d^3).
+def _flow_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """||A (x) B - C (x) 1||_HS from the d x d factors, in O(d^3) per probe.
 
-    Entry ((i, k), (j, l)) of the difference is A_ij B_kl for k != l and
-    A_ij B_kk - C_ij for k = l, so its norm is the hypotenuse of
-    ||A|| ||(B_kl)_(k != l)|| and ||(A_ij B_kk - C_ij)_(i, j, k)||: the
-    squares of the dense difference, each a non-negative term, none
-    subtracted from another. A NaN or inf entry gives a non-finite value.
+    Each argument is a (d, d) matrix or a (k, d, d) stack, a matrix
+    standing for every probe; the result holds one value per probe (one
+    for three matrices). Entry ((i, k), (j, l)) of the difference is
+    A_ij B_kl for k != l and A_ij B_kk - C_ij for k = l, so its norm is the
+    hypotenuse of ||A|| ||(B_kl)_(k != l)|| and ||(A_ij B_kk - C_ij)_(i, j, k)||:
+    the squares of the dense difference, each a non-negative term, none
+    subtracted from another. Each probe is reduced alone, as one matrix
+    would be. A NaN or inf entry gives a non-finite value.
     """
-    off = b[~np.eye(b.shape[0], dtype=bool)]
-    on = a[:, :, None] * np.diagonal(b) - c[:, :, None]
-    return math.hypot(hs_norm(a) * hs_norm(off), hs_norm(on))
+    a, b, c = np.broadcast_arrays(*(np.reshape(x, (-1, *np.shape(x)[-2:])) for x in (a, b, c)))
+    off = b[:, ~np.eye(b.shape[-1], dtype=bool)]
+    residuals = []
+    for ak, bk, ck, off_k in zip(a, b, c, off):
+        on = ak[:, :, None] * np.diagonal(bk) - ck[:, :, None]
+        residuals.append(math.hypot(hs_norm(ak) * hs_norm(off_k), hs_norm(on)))
+    return np.array(residuals, dtype=float)
 
 
 def verify_tomita_takesaki(
@@ -167,12 +178,16 @@ def verify_tomita_takesaki(
     """Residuals of the two Tomita-Takesaki conclusions on concrete samples.
 
     Returns (commutant_residuals, flow_residuals), one per sample and one
-    per (t, sample), unjudged: :mod:`modkit.campaigns` reduces them.
-    Every sample must be d x d (``ShapeMismatch`` before any product).
+    per (t, sample), time-major, unjudged: :mod:`modkit.campaigns` reduces
+    them. Every sample must be d x d (``ShapeMismatch`` before any product).
 
-    Both are membership residuals of a factored A (x) B, composed by
-    :meth:`SuperOperator.compose` at O(d^3) and measured by
-    :func:`_flow_residual` without a d^2 x d^2 array:
+    The samples run as one (k, d, d) stack: :func:`pi_factored` of the
+    stack is composed once per time, and once with J, by
+    :meth:`SuperOperator.compose` at O(d^3) per probe, and
+    :func:`_flow_residual` measures each probe's membership residual of a
+    factored A (x) B without a d^2 x d^2 array. Every probe goes through
+    the same products and reductions as it would alone, so the residuals
+    are those of a loop over the samples, bit for bit:
 
     * flow: Delta^(it) pi(M) Delta^(-it) against the closed form
       pi(sigma_t(M)) = C (x) 1, C from :func:`modular_flow`;
@@ -186,21 +201,20 @@ def verify_tomita_takesaki(
     for m in mats:
         if m.shape != (d, d):
             raise ShapeMismatch(f"sample shape {m.shape} != ({d}, {d})")
+    stack = np.array(mats).reshape(len(mats), d, d)
+    probes = pi_factored(stack)
 
     flow = []
     for t in t_grid:
         u = relative_modular_unitary(omega, omega, t)
         u_inv = relative_modular_unitary(omega, omega, -t)
-        for m in mats:
-            left, right = u.compose(pi_factored(m)).compose(u_inv).factors
-            flow.append(_flow_residual(left, right, modular_flow(omega, m, t)))
+        left, right = u.compose(probes).compose(u_inv).factors
+        flow.append(_flow_residual(left, right, modular_flow(omega, stack, t)))
 
     # J on both sides: its transposition and conjugation cancel, so the
     # product is a plain A (x) B
     j = modular_conjugation(d)
-    comm = []
-    for m in mats:
-        a, b = j.compose(pi_factored(m)).compose(j).factors
-        comm.append(_flow_residual(b, a, np.trace(a) / d * b))
-
-    return np.array(comm), np.array(flow)
+    a, b = j.compose(probes).compose(j).factors
+    scale = np.trace(a, axis1=-2, axis2=-1) / d
+    comm = _flow_residual(b, a, scale[..., None, None] * b)
+    return comm, np.array(flow).reshape(-1)

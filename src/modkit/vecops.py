@@ -20,11 +20,13 @@ dimension dY * dX with the left factor of dimension dY.
 square space H_d (x) H_d. Its factored form ``vec(X) -> vec(A tau(X) B^T)``,
 with tau one of X, conj(X), X^T, X*, holds two d x d factors (an identity
 factor given as None is stored as the identity matrix), applies and
-composes by reshape and forms the d^2 x d^2 matrix only on demand; its
-dense form holds operators assembled entry by entry. By the first
-identity above, the factored form with tau(X) = X is the Kronecker
-product A (x) B, and P vec(X) = vec(X^T) for the swap P gives the
-transposed forms; :func:`swap_operator` is P.
+composes by reshape and forms the d^2 x d^2 matrix only on demand; a
+(k, d, d) factor makes it a stack of k such operators, which only
+compose with factored operators. Its dense form holds operators
+assembled entry by entry. By the first identity above, the factored
+form with tau(X) = X is the Kronecker product A (x) B, and
+P vec(X) = vec(X^T) for the swap P gives the transposed forms;
+:func:`swap_operator` is P.
 Composition has three rules (factored o factored, factored o dense,
 dense on the left), listed on :class:`SuperOperator`.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .linalg import as_matrix, hs_norm
+from .linalg import as_matrix, as_operators, hs_norm
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,20 @@ class SuperOperator:
 
     Factored form: ``vec(X) -> vec(A tau(X) B^T)`` with ``tau(X)`` one of
     X, conj(X), X^T, X* (``antilinear`` selects the conjugation,
-    ``transpose`` the transposition). ``factors`` is always two (d, d)
-    arrays: a factor given as None is stored as the identity matrix, so
-    nothing past the constructor tests for None. As a matrix this is
-    (A (x) B) P^transpose acting on conj^antilinear(v), with P the swap;
-    :attr:`matrix` forms it on demand.
+    ``transpose`` the transposition). ``factors`` is always two arrays,
+    (d, d) for one operator: a factor given as None is stored as the
+    identity matrix, so nothing past the constructor tests for None. As a
+    matrix this is (A (x) B) P^transpose acting on conj^antilinear(v),
+    with P the swap; :attr:`matrix` forms it on demand.
+
+    A factor may also be a (k, d, d) stack, and the operator is then a
+    stack of k factored operators that share their flags (the other factor
+    a (d, d) matrix shared by all, or a stack of the same k). Factored o
+    factored broadcasts over the stack, one product per probe, so each
+    probe's factors are those of its own compose bit for bit; ``factors``
+    returns the stacks. Everything that needs one operator's matrix or
+    action (:attr:`matrix`, :meth:`apply`, :meth:`distance`,
+    :meth:`adjoint`, factored o dense) raises ``ShapeMismatch`` on a stack.
 
     Dense form: the d^2 x d^2 ``matrix``; ``antilinear`` operators apply as
     ``v -> matrix @ conj(v)``. Composing through an antilinear factor
@@ -178,13 +189,12 @@ class SuperOperator:
             self.factors = None
             self._matrix = m
             return
-        checked = []
-        for f in factors:
-            f = np.eye(d, dtype=complex) if f is None else as_matrix(f)
-            if f.shape != (d, d):
-                raise ShapeMismatch(f"Kronecker factor {f.shape} != ({d}, {d})")
-            checked.append(f)
-        self.factors = tuple(checked)
+        checked = tuple(
+            np.eye(d, dtype=complex) if f is None else as_operators(f, d) for f in factors
+        )
+        if len({f.shape for f in checked if f.ndim == 3}) > 1:
+            raise ShapeMismatch(f"factor stacks {[f.shape for f in checked]} differ")
+        self.factors = checked
         self._matrix = None
 
     @classmethod
@@ -205,8 +215,18 @@ class SuperOperator:
         return self.factors is not None
 
     @property
+    def is_stack(self) -> bool:
+        """True for a stack of factored operators (a (k, d, d) factor)."""
+        return self.is_factored and any(f.ndim == 3 for f in self.factors)
+
+    def _require_single(self, method: str) -> None:
+        if self.is_stack:
+            raise ShapeMismatch(f"{method} takes one operator, not a stack")
+
+    @property
     def matrix(self) -> np.ndarray:
         """The dense d^2 x d^2 matrix, formed on first use for factored forms."""
+        self._require_single("matrix")
         if self._matrix is None:
             n = self.d * self.d
             self._matrix = self._write_matrix(np.empty((n, n), dtype=complex))
@@ -260,6 +280,7 @@ class SuperOperator:
         return out
 
     def apply(self, v: BipartiteVector) -> BipartiteVector:
+        self._require_single("apply")
         if v.dims != (self.d, self.d):
             raise ShapeMismatch(f"vector dims {v.dims} != ({self.d}, {self.d})")
         arr = np.conj(v.amplitudes) if self.antilinear else v.amplitudes
@@ -287,6 +308,7 @@ class SuperOperator:
                 self.d, left, right, self.transpose ^ other.transpose, antilinear
             )
         if self.is_factored:
+            self._require_single("factored o dense compose")
             return SuperOperator(self.d, self._apply_factors(other.matrix), antilinear)
         rhs = other.matrix
         if self.antilinear:
@@ -295,6 +317,7 @@ class SuperOperator:
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint; for antilinear F this is the F* with <F*u, v> = <Fv, u>."""
+        self._require_single("adjoint")
         if not self.is_factored:
             m = self.matrix.T if self.antilinear else np.conj(self.matrix).T
             return SuperOperator(self.d, m, self.antilinear)
@@ -317,6 +340,8 @@ class SuperOperator:
         """
         if self.d != other.d:
             raise ShapeMismatch(f"dimensions {self.d} != {other.d}")
+        self._require_single("distance")
+        other._require_single("distance")
         if self.antilinear != other.antilinear:
             return float("inf")
         diff = _workspace("distance", self.d)
@@ -343,8 +368,10 @@ def _workspace(method: str, d: int) -> np.ndarray:
     another call that takes it. One buffer per method, not one shared
     buffer per thread and d, is load-bearing: the resident buffers keep
     the allocator serving each op's fresh 1 MiB products from memory it
-    already holds. Sharing one buffer gave the same bits but raised a warm
-    campaign-d16 op from about 0.3 to 513 minor page faults (2 BLAS threads).
+    already holds. Sharing one buffer gives the same bits, and a warm
+    campaign-d16 op stays under one minor page fault, but a warm
+    statepair-d16 op (``modular --verify``, then ``kms-verify``) rises from
+    about 0.3 to 710-740 (200 ops, 2 BLAS threads).
 
     That holds only for a buffer on the heap. glibc gives a block above
     its mmap threshold (128 KiB at start) a mapping of its own, and raises

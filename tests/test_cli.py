@@ -516,21 +516,28 @@ def test_modular_fails_closed_on_non_finite_residual(
     from modkit.vecops import SuperOperator
 
     owner = SuperOperator if target == "distance" else modular
-    calls = []
+    residuals = []
     real = getattr(owner, target)
 
     def poisoned(*args):
-        calls.append(None)
-        # one bad value among finite ones; with 2 samples and 3 flow times
-        # _flow_residual gives the 6 flow residuals, then the 2 commutant ones
-        return bad if len(calls) == call else real(*args)
+        # one bad value among finite ones, by residual index: distance gives
+        # one residual per call; with 2 samples and 3 flow times
+        # _flow_residual gives the 6 flow residuals, one row per time, then
+        # the 2 commutant ones
+        value = real(*args)
+        rows = np.array(value, dtype=float).reshape(-1)
+        for i in range(rows.size):
+            residuals.append(None)
+            if len(residuals) == call:
+                rows[i] = bad
+        return rows if np.ndim(value) else float(rows[0])
 
     monkeypatch.setattr(owner, target, poisoned)
     phi = write_matrix(tmp_path / "phi.json", np.diag([0.6, 0.4]))
     omega = write_matrix(tmp_path / "omega.json", np.diag([0.3, 0.7]))
     code = main(["modular", phi, omega, "--verify", "--samples", "2", "--json"])
     out = _strict_json(capsys.readouterr().out)
-    assert len(calls) >= call
+    assert len(residuals) >= call
     assert code == 1
     assert out["passed"] is False
     assert out[field] is None  # strict JSON: NaN and inf print as null

@@ -511,6 +511,88 @@ def test_commutant_dimension_matches_the_complex_route_across_the_window(d, gap)
     assert commutant_dimension(density) == _complex_commutant_count(density)
 
 
+# The certificate: a Cholesky factorization of the antisymmetric block's
+# shifted Gram matrix stands in for the SVD whenever it proves that no
+# singular value is null. The oracle is the SVD count the certificate skips.
+_SVD = np.linalg.svd
+SWEEP_DIMS = (2, 3, 4, 8, 16)
+SWEEP_GAPS = (1e-2, 1e-4, 1e-5, 1e-6, 3e-7, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 0.0)
+
+
+def _svd_block_count(density: DensityMatrix) -> int:
+    """d plus twice the singular values of the antisymmetric block at or
+    below the module's cutoff, all computed by the SVD."""
+    block = _antisymmetric_block(_commutator_map(_householder_tridiagonal(density.matrix)))
+    sigma = _SVD(block, compute_uv=False)
+    cutoff = kms.COMMUTANT_NULL_RTOL * max(1.0, float(sigma.max(initial=0.0)))
+    return density.dim + 2 * int(np.count_nonzero(sigma <= cutoff))
+
+
+def _sweep(dims=SWEEP_DIMS):
+    """Rotated densities with random spectra, two of whose eigenvalues lie
+    ``gap`` apart: 40 seeds per dimension and gap."""
+    for d in dims:
+        for gap in SWEEP_GAPS:
+            for seed in range(40):
+                rng = np.random.default_rng(seed)
+                vals = rng.uniform(1.0, 2.0, d)
+                vals /= vals.sum()
+                mid = (vals[0] + vals[1]) / 2
+                vals[0], vals[1] = mid - gap / 2, mid + gap / 2
+                u = random_unitary(rng, d)
+                yield DensityMatrix((u * vals) @ np.conj(u).T)
+
+
+def _counting_svd(monkeypatch):
+    """Patch np.linalg.svd to count its calls; returns the list of calls."""
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(None)
+        return _SVD(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("d", SWEEP_DIMS)
+def test_certified_count_matches_the_svd_oracle_across_gaps(d, monkeypatch):
+    # every count, certified or not, equals the SVD count; gaps of 1e-5 and
+    # more certify, gaps of 1e-8 and less take the SVD
+    calls = _counting_svd(monkeypatch)
+    certified = 0
+    for density in _sweep((d,)):
+        before = len(calls)
+        assert commutant_dimension(density) == _svd_block_count(density)
+        certified += len(calls) == before
+    assert certified >= 3 * 40
+
+
+def test_a_certificate_without_its_shift_fails_the_sweep(monkeypatch):
+    # tau^2 = 0 certifies any numerically positive Gram matrix, so gaps at
+    # or below the cutoff count as simple
+    monkeypatch.setattr(kms, "_certificate_shift", lambda block: 0.0)
+    assert any(commutant_dimension(den) != _svd_block_count(den) for den in _sweep())
+
+
+def test_statepair_densities_are_certified_without_an_svd(monkeypatch):
+    calls = _counting_svd(monkeypatch)
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        assert commutant_dimension(random_faithful_density(rng, 16)) == 16
+    assert len(calls) == 0
+    density = _gapped_density((1,) * 16, 1e-10)
+    assert commutant_dimension(density) == _svd_block_count(density)
+    assert len(calls) == 1
+
+
+def test_one_level_takes_neither_factorization(monkeypatch):
+    calls = _counting_svd(monkeypatch)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *args: pytest.fail("Cholesky at d = 1"))
+    assert commutant_dimension(DensityMatrix(np.eye(1))) == 1
+    assert len(calls) == 0
+
+
 def _left_reflections_only(d: np.ndarray) -> np.ndarray:
     """The Householder reduction with its right-hand reflections left out,
     so that T is no longer similar to D."""

@@ -47,7 +47,7 @@ def _j_without_transposition(mp):
 
 
 def _pi_transposed(mp):
-    mp.setattr(modular, "pi_factored", lambda m: _PI(np.transpose(m)))
+    mp.setattr(modular, "pi_factored", lambda m: _PI(np.swapaxes(m, -1, -2)))
 
 
 def _delta_right_not_transposed(mp):

@@ -5,6 +5,7 @@ both linearities, identity factors and mixed dense/factored compositions
 at d = 2, 3 and 16. The dense builders are checked against their loop
 definitions, Ogata's route (a) against the dense 256^2-eigh route it
 replaced, and the Tomita-Takesaki residuals against the all-dense formula.
+Stacks of factored operators compose as their probes do, bit for bit.
 """
 
 import json
@@ -36,6 +37,7 @@ from modkit.modular import (
 )
 from modkit.sampling import (
     complex_gaussian,
+    complex_gaussian_stack,
     random_faithful_density,
     random_positive_functional,
 )
@@ -485,3 +487,86 @@ def test_warm_modular_verify_maps_no_fresh_pages(tmp_path):
 def test_warm_antilinear_compose_allocates_only_its_product(left):
     a, b = operand(16, left, True, 40), operand(16, "dense", True, 41)
     assert ARRAY_BYTES <= traced_peak(lambda: a.compose(b)) < 2 * ARRAY_BYTES
+
+
+# Stacks: a (k, d, d) factor holds k operators that share their flags.
+# Factored o factored broadcasts over the stack; nothing that needs one
+# operator's matrix takes a stack.
+FLAGS = [(t, a) for t in (False, True) for a in (False, True)]
+
+
+def stack_and_probes(rng, d, k, stacked, flags):
+    """A stack of k factored operators and the same k operators one by one;
+    ``stacked`` names the factors that vary over the stack."""
+    left = complex_gaussian_stack(rng, k, d) if stacked in ("left", "both") else complex_gaussian(rng, d)
+    right = complex_gaussian_stack(rng, k, d) if stacked in ("right", "both") else None
+    stack = SuperOperator.factored(d, left, right, *flags)
+    probes = [
+        SuperOperator.factored(
+            d, left[i] if left.ndim == 3 else left, None if right is None else right[i], *flags
+        )
+        for i in range(k)
+    ]
+    return stack, probes
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+@pytest.mark.parametrize("stacked", ["left", "right", "both"])
+@pytest.mark.parametrize("stack_first", [False, True])
+def test_stacked_compose_equals_the_per_probe_composes_bit_for_bit(d, stacked, stack_first):
+    rng = np.random.default_rng(120 + d)
+    for stack_flags in FLAGS:
+        for other_flags in FLAGS:
+            stack, probes = stack_and_probes(rng, d, 3, stacked, stack_flags)
+            other = SuperOperator.factored(
+                d, complex_gaussian(rng, d), complex_gaussian(rng, d), *other_flags
+            )
+            pair = (lambda x: x.compose(other)) if stack_first else other.compose
+            got = pair(stack)
+            assert got.is_stack
+            for i, probe in enumerate(probes):
+                want = pair(probe)
+                assert (got.transpose, got.antilinear) == (want.transpose, want.antilinear)
+                for g, w in zip(got.factors, want.factors):
+                    g = np.broadcast_to(g, (3, d, d))[i]
+                    assert g.tobytes() == w.tobytes()
+
+
+def test_a_stack_is_composed_only_with_factored_operators():
+    d = 3
+    rng = np.random.default_rng(130)
+    stack = pi_factored(complex_gaussian_stack(rng, 2, d))
+    single = pi_factored(complex_gaussian(rng, d))
+    dense = SuperOperator(d, complex_gaussian(rng, d * d))
+    assert stack.is_stack and not single.is_stack and not dense.is_stack
+    for call in (
+        lambda: stack.matrix,
+        lambda: stack.apply(random_vector(d, 0)),
+        lambda: stack.distance(single),
+        lambda: single.distance(stack),
+        lambda: stack.adjoint(),
+        lambda: stack.compose(dense),
+        lambda: dense.compose(stack),
+        # stacks of unequal lengths
+        lambda: SuperOperator.factored(
+            d, complex_gaussian_stack(rng, 2, d), complex_gaussian_stack(rng, 3, d)
+        ),
+        lambda: SuperOperator.factored(d, np.ones((2, 2, d, d)), None),
+    ):
+        with pytest.raises(ShapeMismatch):
+            call()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_modular_flow_and_pi_of_a_stack_are_per_probe_bit_for_bit(d):
+    rng = np.random.default_rng(140 + d)
+    omega = random_faithful_density(rng, d)
+    probes = complex_gaussian_stack(rng, 4, d)
+    for t in (0.3, -2.7):
+        got = modular_flow(omega, probes, t)
+        for i in range(4):
+            assert got[i].tobytes() == modular_flow(omega, probes[i], t).tobytes()
+    stack = pi_factored(probes)
+    assert stack.factors[0] is probes and stack.factors[1].shape == (d, d)
+    with pytest.raises(ShapeMismatch):
+        modular_flow(omega, np.ones((4, d, d + 1)), 0.3)
