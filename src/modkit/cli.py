@@ -50,7 +50,7 @@ from .errors import ModkitError, ParseError, ShapeMismatch, UsageError
 from .kms import centralizer_dimension, centralizer_window, commutant_dimension, gibbs_hamiltonian
 from .sampling import complex_gaussian, complex_gaussian_stack, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
-from .states import DensityMatrix
+from .states import FAITHFUL_RTOL, DensityMatrix
 from .vecops import vec
 
 EXIT_OK = 0
@@ -191,15 +191,20 @@ def cmd_schmidt(args) -> int:
     m = load_matrix(args.input)
     u = vec(m)
     data = schmidt_decompose(u, rank_tol=args.rank_tol)
-    square = u.dim_left == u.dim_right
+    verdict = bool(is_cyclic_separating(u)) if u.dim_left == u.dim_right else None
     out = {
         "dims": [u.dim_left, u.dim_right],
         "rank": data.rank,
         "coefficients": [round(float(c), 12) for c in data.coefficients],
-        "cyclic_separating": bool(is_cyclic_separating(u))
-        if square
-        else None,
+        "cyclic_separating": verdict,
     }
+    if verdict is not None and (data.rank == u.dim_left) != verdict:
+        # the rank cuts s at rank_tol * s_max, faithfulness s^2 at FAITHFUL_RTOL * s_max^2
+        sigma = np.linalg.svd(m, compute_uv=False)
+        print(f"modkit: Schmidt rank {data.rank} of {u.dim_left} but cyclic_separating "
+              f"{str(verdict).lower()}: smallest Schmidt ratio {sigma[-1] / sigma[0]:.3g}, rank "
+              f"cutoff {args.rank_tol:.3g}, faithfulness cutoff {math.sqrt(FAITHFUL_RTOL):.3g}, "
+              "each relative to the largest coefficient", file=sys.stderr)
     _emit(out, args.json)
     return EXIT_OK
 

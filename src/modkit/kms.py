@@ -3,7 +3,9 @@
 A faithful density D and inverse temperature beta > 0 fix the Hamiltonian
 through D = exp(-beta H) taken literally, i.e. H = -(1/beta) log D with no
 partition-function division: since Tr D = 1, the additive constant
-(1/beta) log Z is already absorbed into H.
+(1/beta) log Z is already absorbed into H. H is never formed as a matrix:
+it enters every function here through its energies -log(lambda_j) / beta
+in D's eigenbasis.
 
 Physical (Heisenberg) time is used here: A evolves as
 exp(iHt) A exp(-iHt). The modular flow of :mod:`modkit.modular` runs in
@@ -46,7 +48,8 @@ by two independent routes, each with its own cutoff (see
 :func:`centralizer_window`): :func:`centralizer_dimension` groups D's
 eigenvalues, and :func:`commutant_dimension` counts the null space of the
 real commutator map of D's Householder tridiagonal form from its
-swap-antisymmetric block C, without an eigenvalue or eigenvector of D.
+swap-antisymmetric block C, built from the tridiagonal form's entries
+without forming the map, and without an eigenvalue or eigenvector of D.
 A Cholesky factorization of C C^T, shifted by a bound that covers its own
 rounding, certifies that no singular value of C is null; only when it
 fails (an eigenvalue gap of D near or below 1e-6) are C's singular values
@@ -77,15 +80,16 @@ CERTIFICATE_MARGIN = 100.0
 
 @dataclass(frozen=True)
 class GibbsSystem:
-    """Inverse temperature, faithful density, and the Hamiltonian they fix.
+    """Inverse temperature, faithful density, and the energies of the
+    Hamiltonian they fix.
 
-    Invariants: exp(-beta H) = D and [D, H] = 0; both hold by construction
-    when built through :func:`gibbs_hamiltonian`.
+    Invariant: exp(-beta E_j) = lambda_j for the eigenvalues lambda_j of D,
+    so H = sum_j E_j |v_j><v_j| on D's eigenvectors v_j; it holds by
+    construction when built through :func:`gibbs_hamiltonian`.
     """
 
     beta: float
     density: DensityMatrix
-    hamiltonian: np.ndarray
     energies: np.ndarray  # -log(lambda) / beta, in the density's eigenbasis
 
     @property
@@ -94,8 +98,8 @@ class GibbsSystem:
 
 
 def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
-    """H = -(1/beta) log D; requires a finite beta > 0, a faithful D and
-    finite energies."""
+    """The energies of H = -(1/beta) log D in D's eigenbasis; requires a
+    finite beta > 0, a faithful D and finite energies."""
     # written so that NaN fails too: nan <= 0 is False
     if not (math.isfinite(beta) and beta > 0):
         raise BadBeta(f"inverse temperature must be finite and positive, got {beta}")
@@ -106,8 +110,7 @@ def gibbs_hamiltonian(density: DensityMatrix, beta: float) -> GibbsSystem:
         energies = -np.log(density.spectrum.eigenvalues) / beta
     if not np.all(np.isfinite(energies)):
         raise BadBeta(f"energies -log(lambda) / beta overflow at beta = {beta}")
-    h = density.spectrum.apply(lambda lam: -np.log(lam) / beta)
-    return GibbsSystem(float(beta), density, h, energies)
+    return GibbsSystem(float(beta), density, energies)
 
 
 def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -204,21 +207,23 @@ def centralizer_window(density: DensityMatrix) -> tuple[float, float, float]:
 
 
 def commutant_dimension(density: DensityMatrix) -> int:
-    """Nullity of B -> BD - DB, counted from the commutator map of D's
-    real tridiagonal form.
+    """Nullity of B -> BD - DB, counted from one block of the commutator
+    map of D's real tridiagonal form.
 
     The brute-force route to :func:`centralizer_dimension`, from the
     density's matrix rather than its spectrum. Householder reflections
     (:func:`_householder_tridiagonal`) take D to a real symmetric
     tridiagonal T = Q* D Q without computing an eigenvalue, and the map's
     spectrum {lambda_i - lambda_j} is invariant under that similarity, so
-    the nullity is that of the real symmetric d^2 x d^2 map K of T.
+    the nullity is that of the real symmetric d^2 x d^2 map K of T, which
+    is never formed.
 
     K anticommutes with the swap X -> X^T (T^T = T), so it maps symmetric
     matrices to antisymmetric ones and back: on the symmetric and
     antisymmetric orthonormal bases it is [[0, C^T], [C, 0]], with the
-    m x n block C of :func:`_antisymmetric_block`, m = d(d-1)/2 and
-    n = d(d+1)/2. Its eigenvalues are +-sigma for each singular value
+    m x n block C, m = d(d-1)/2 and n = d(d+1)/2, which
+    :func:`_antisymmetric_block` builds from T's entries, its m rows of K
+    only. Its eigenvalues are +-sigma for each singular value
     sigma of C, and d zeros (the surplus of columns over rows), so the
     nullity is d plus twice the number of singular values at or below the
     cutoff (Golub and Van Loan, Matrix Computations, 4th ed., 8.6.1).
@@ -235,8 +240,7 @@ def commutant_dimension(density: DensityMatrix) -> int:
     ``CERTIFICATE_MARGIN`` times the cutoff (about 1e-6), are the singular
     values computed and counted.
     """
-    t = _householder_tridiagonal(density.matrix)
-    c = _antisymmetric_block(_commutator_map(t))
+    c = _antisymmetric_block(_householder_tridiagonal(density.matrix))
     if c.size == 0:
         return density.dim
     gram = c @ c.T
@@ -317,37 +321,28 @@ def _householder_tridiagonal(d: np.ndarray) -> np.ndarray:
     return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
 
 
-def _commutator_map(d: np.ndarray) -> np.ndarray:
-    """K = 1 (x) D^T - D (x) 1, the row-major matrix of B -> BD - DB.
-
-    Entry ((i, j), (k, l)) is delta_ik D[l, j] - D[i, k] delta_jl: D^T and
-    -D are assigned to a zeroed (d, d, d, d) array of D's dtype, the same
-    entries as the two Kronecker products without their d^4
-    multiplications; a real D gives a real map.
-    """
-    n = d.shape[0]
-    k = np.zeros((n, n, n, n), dtype=d.dtype)
-    diag = np.arange(n)
-    k[diag, :, diag, :] = d.T
-    k[:, diag, :, diag] -= d
-    return k.reshape(n * n, n * n)
-
-
-def _antisymmetric_block(k: np.ndarray) -> np.ndarray:
-    """C, the block of the swap-anticommuting n^2 x n^2 map ``k`` from
-    symmetric to antisymmetric matrices, on orthonormal bases.
+def _antisymmetric_block(t: np.ndarray) -> np.ndarray:
+    """C, the block of the commutator map K of ``t`` (B -> Bt - tB) from
+    symmetric to antisymmetric matrices, on orthonormal bases, without K.
 
     Rows are (E_ij - E_ji)/sqrt(2) for i < j, columns E_kk and
     (E_kl + E_lk)/sqrt(2) for k < l, both in ``np.triu_indices`` order.
-    Anticommuting with the swap means k[(j, i), (l, k)] = -k[(i, j), (k, l)],
-    so C is read from the rows (i, j), i < j, alone: entry (ij, kl) is
-    k[ij, kl] + k[ij, lk], and sqrt(2) k[ij, kk] on the diagonal columns.
-    A map that does not anticommute with the swap is not projected onto
-    one that does: its block is read all the same, and miscounts.
+    K's row (i, j) has entry (k, l) delta_ik t[l, j] - t[i, k] delta_jl, so
+    only the d(d-1)/2 rows i < j are formed: column j of ``t`` is assigned
+    to row i of a zeroed (d, d) slice, and row i of ``t`` subtracted from
+    its column j. For a symmetric ``t``, K anticommutes with the swap,
+    K[(j, i), (l, k)] = -K[(i, j), (k, l)], so C is read from those rows
+    alone: entry (ij, kl) is K[ij, kl] + K[ij, lk], and sqrt(2) K[ij, kk]
+    on the diagonal columns. A ``t`` whose map does not anticommute with
+    the swap is not projected onto one that does: its block is read all
+    the same, and miscounts.
     """
-    n = math.isqrt(k.shape[0])
+    n = t.shape[0]
     i, j = np.triu_indices(n, 1)
-    rows = k.reshape(n, n, n, n)[i, j]
+    r = np.arange(len(i))
+    rows = np.zeros((len(i), n, n), dtype=t.dtype)
+    rows[r, i, :] = t.T[j]
+    rows[r, :, j] -= t[i]
     p, q = np.triu_indices(n)
     return (rows[:, p, q] + rows[:, q, p]) * np.where(p == q, math.sqrt(0.5), 1.0)
 

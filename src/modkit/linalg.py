@@ -52,8 +52,13 @@ def as_matrix(a) -> np.ndarray:
 
 def as_operators(a, d: int | None = None) -> np.ndarray:
     """Coerce input to a complex (d, d) matrix or (k, d, d) stack of them,
-    else ShapeMismatch; d defaults to the size of the last axis."""
-    m = np.asarray(a, dtype=complex)
+    else ShapeMismatch, a ragged stack included; d defaults to the size of
+    the last axis. Any other conversion error keeps its type."""
+    try:
+        m = np.asarray(a)
+    except ValueError as exc:  # numpy refuses a ragged nesting
+        raise ShapeMismatch(f"operators of unequal shapes: {exc}") from exc
+    m = m.astype(complex, copy=False)
     if d is None and m.ndim:
         d = m.shape[-1]
     if m.ndim not in (2, 3) or m.shape[-2:] != (d, d):

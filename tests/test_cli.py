@@ -640,6 +640,28 @@ def test_schmidt_rank_tol_does_not_govern_cyclic_separating(tmp_path, capsys):
     assert (out["rank"], out["cyclic_separating"]) == (1, True)
 
 
+def test_schmidt_names_the_two_cutoffs_when_rank_and_verdict_disagree(tmp_path, capsys):
+    # Schmidt ratio 1e-7: above the rank cutoff 1e-10, below the
+    # faithfulness cutoff sqrt(1e-12) = 1e-6; stdout and the exit code
+    # stay those of a plain report
+    path = write_matrix(tmp_path / "thin.json", np.diag([1.0, 1e-7]))
+    assert main(["schmidt", path, "--json"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert (out["rank"], out["cyclic_separating"]) == (2, False)
+    (line,) = captured.err.splitlines()
+    assert "Schmidt rank 2 of 2 but cyclic_separating false" in line
+    assert "smallest Schmidt ratio 1e-07" in line
+    assert "rank cutoff 1e-10" in line
+    assert "faithfulness cutoff 1e-06" in line
+    # full rank and faithful: nothing on stderr
+    path = write_matrix(tmp_path / "phi.json", np.diag([0.75, 0.25]))
+    assert main(["schmidt", path, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["cyclic_separating"] is True
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-1", "0", "1"])
 def test_schmidt_bad_rank_tol_is_usage_error(bad, tmp_path, capsys):
     path = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.5]))

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from modkit.kms import (
     GAP_RTOL,
     GibbsSystem,
     _antisymmetric_block,
-    _commutator_map,
     _householder_tridiagonal,
     centralizer_dimension,
     commutant_dimension,
@@ -33,6 +33,12 @@ from modkit.states import DensityMatrix
 from modkit.vecops import BipartiteVector, unvec, vec
 
 
+def kronecker_commutator_map(d: np.ndarray) -> np.ndarray:
+    """The row-major matrix of B -> BD - DB, 1 (x) D^T - D (x) 1."""
+    eye = np.eye(d.shape[0])
+    return np.kron(eye, d.T) - np.kron(d, eye)
+
+
 def commutant_nullity(d: np.ndarray, tol: float = 1e-8) -> int:
     """Independent oracle: nullity of the dense commutator map B -> BD - DB.
 
@@ -40,32 +46,38 @@ def commutant_nullity(d: np.ndarray, tol: float = 1e-8) -> int:
     of the map are eigenvalue gaps, all <= 1), so a numerically zero map
     counts as fully null.
     """
-    n = d.shape[0]
-    eye = np.eye(n)
-    k = np.kron(eye, d.T) - np.kron(d, eye)
-    sigma = np.linalg.svd(k, compute_uv=False)
+    sigma = np.linalg.svd(kronecker_commutator_map(d), compute_uv=False)
     return int(np.count_nonzero(sigma <= tol * max(1.0, float(sigma[0]))))
+
+
+def gibbs_oracle(density: DensityMatrix, beta: float) -> np.ndarray:
+    """H = -log(D) / beta by scipy's Schur-based logm, independent of the
+    eigenbasis energies the module carries."""
+    return -scipy.linalg.logm(density.matrix) / beta
 
 
 def test_gibbs_flat_spectrum():
     sys = gibbs_hamiltonian(DensityMatrix(np.eye(3) / 3), beta=1.0)
-    assert np.allclose(sys.hamiltonian, np.log(3) * np.eye(3))
+    assert np.allclose(sys.energies, np.log(3))
 
 
 def test_gibbs_diagonal_logs():
     sys = gibbs_hamiltonian(DensityMatrix(np.diag([0.75, 0.25])), beta=1.0)
-    assert np.allclose(sys.hamiltonian, np.diag([-np.log(0.75), -np.log(0.25)]))
+    # ascending eigenvalues 0.25, 0.75
+    assert np.allclose(sys.energies, [-np.log(0.25), -np.log(0.75)])
 
 
-def test_gibbs_round_trip(rng):
+def test_gibbs_energies_are_the_logm_hamiltonian(rng):
+    # the energies on D's eigenvectors synthesize -log(D) / beta, whose
+    # exponential gives D back
     for beta in (0.5, 1.0, 2.0):
         density = random_faithful_density(rng, 4)
         sys = gibbs_hamiltonian(density, beta)
-        back = scipy.linalg.expm(-beta * sys.hamiltonian)
+        v = density.spectrum.eigenvectors
+        h = gibbs_oracle(density, beta)
+        assert np.linalg.norm((v * sys.energies) @ np.conj(v).T - h) < 1e-10
+        back = scipy.linalg.expm(-beta * h)
         assert np.linalg.norm(back - density.matrix) < 1e-10
-        assert np.linalg.norm(
-            density.matrix @ sys.hamiltonian - sys.hamiltonian @ density.matrix
-        ) < 1e-12
 
 
 def test_gibbs_rejects_bad_beta(rng):
@@ -94,9 +106,8 @@ def test_evolve_time_zero(rng):
 
 def test_evolve_conserves_energy(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.3)
-    assert np.linalg.norm(
-        heisenberg_evolve(sys, sys.hamiltonian, [2.1])[0] - sys.hamiltonian
-    ) < 1e-12
+    h = gibbs_oracle(sys.density, sys.beta)
+    assert np.linalg.norm(heisenberg_evolve(sys, h, [2.1])[0] - h) < 1e-12
 
 
 def test_evolve_dense_exponential_oracle(rng):
@@ -105,7 +116,7 @@ def test_evolve_dense_exponential_oracle(rng):
     a = complex_gaussian(rng, 3)
     t = 0.4
     # X -> HX - XH as the dense matrix H (x) 1 - 1 (x) H^T (row-major vec)
-    h, eye = sys.hamiltonian, np.eye(3)
+    h, eye = gibbs_oracle(sys.density, sys.beta), np.eye(3)
     gen = np.kron(h, eye) - np.kron(eye, h.T)
     propagator = scipy.linalg.expm(1j * t * gen)
     dense = unvec(BipartiteVector(3, 3, propagator @ vec(a).amplitudes))
@@ -124,7 +135,7 @@ def test_kms_function_real_time(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
     a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
     t = 0.9
-    u = scipy.linalg.expm(1j * t * sys.hamiltonian)
+    u = scipy.linalg.expm(1j * t * gibbs_oracle(sys.density, sys.beta))
     oracle = complex(
         np.trace(sys.density.matrix @ a @ u @ b @ np.conj(u).T)
     )
@@ -278,6 +289,29 @@ def test_stacked_operands_are_validated(rng):
         kms_boundary_defect(sys, a, a[:3], [0.5])
     with pytest.raises(ShapeMismatch):
         kms_function(sys, a, a[0], [0.5])
+
+
+# a ragged stack, which numpy refuses to convert to one array
+RAGGED = [np.eye(2), np.eye(3)]
+
+
+def test_heisenberg_evolve_rejects_a_ragged_stack(rng):
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 2), 1.0)
+    with pytest.raises(ShapeMismatch, match="unequal shapes"):
+        heisenberg_evolve(sys, RAGGED, [0.0])
+
+
+def test_kms_function_rejects_a_ragged_stack(rng):
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 2), 1.0)
+    with pytest.raises(ShapeMismatch, match="unequal shapes"):
+        kms_function(sys, RAGGED, np.eye(2), [0.0])
+
+
+def test_an_operator_numpy_cannot_convert_keeps_its_error_type(rng):
+    # only a ragged stack becomes a ShapeMismatch, which is no ValueError
+    sys = gibbs_hamiltonian(random_faithful_density(rng, 2), 1.0)
+    with pytest.raises(ValueError, match="complex"):
+        heisenberg_evolve(sys, [["1", "x"], ["0", "1"]], [0.0])
 
 
 @pytest.mark.parametrize(
@@ -436,16 +470,20 @@ def test_commutant_dimension_matches_the_svd_oracle(rng, d):
         assert commutant_dimension(density) == commutant_nullity(density.matrix)
 
 
-@pytest.mark.parametrize("d", [2, 5, 16])
-def test_commutator_map_matches_the_kronecker_form(rng, d):
-    m = random_faithful_density(rng, d).matrix
-    eye = np.eye(d)
-    assert np.array_equal(_commutator_map(m), np.kron(eye, m.T) - np.kron(m, eye))
+def _block_of_map(k: np.ndarray) -> np.ndarray:
+    """The symmetric-to-antisymmetric block of an n^2 x n^2 map ``k``, read
+    from its rows (i, j), i < j, and folded as the module folds the rows it
+    builds."""
+    n = math.isqrt(k.shape[0])
+    i, j = np.triu_indices(n, 1)
+    rows = k.reshape(n, n, n, n)[i, j]
+    p, q = np.triu_indices(n)
+    return (rows[:, p, q] + rows[:, q, p]) * np.where(p == q, math.sqrt(0.5), 1.0)
 
 
 def _complex_commutant_count(density: DensityMatrix) -> int:
     """The commutant count from the complex map of D itself, at the module's cutoff."""
-    size = np.abs(np.linalg.eigvalsh(_commutator_map(density.matrix)))
+    size = np.abs(np.linalg.eigvalsh(kronecker_commutator_map(density.matrix)))
     return int(np.count_nonzero(size <= kms.COMMUTANT_NULL_RTOL * max(1.0, float(size.max()))))
 
 
@@ -472,12 +510,28 @@ def test_householder_tridiagonal_is_similar_to_d(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_antisymmetric_block_is_the_kronecker_maps_block_bit_for_bit(d):
+    # the rows built from T's entries are the Kronecker form's rows (i, j),
+    # i < j, to the bit apart from the sign of a zero, for the real
+    # tridiagonal form and for a complex Hermitian matrix alike
+    rng = np.random.default_rng(d)
+    for density in _route_cases(d):
+        g = complex_gaussian(rng, d)
+        for m in (_householder_tridiagonal(density.matrix), g + np.conj(g).T):
+            block = _antisymmetric_block(m)
+            expected = _block_of_map(kronecker_commutator_map(m))
+            assert block.dtype == expected.dtype and block.shape == expected.shape
+            # np.kron's products 0 * x may carry the sign of x; + 0.0 clears it
+            assert (block + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
 def test_commutator_map_of_the_tridiagonal_form_keeps_the_moduli(d):
     # {lambda_i - lambda_j} is invariant under the similarity; the real map
     # of T has the moduli of the complex map of D
     for density in _route_cases(d):
         t = _householder_tridiagonal(density.matrix)
-        k_t, k_d = _commutator_map(t), _commutator_map(density.matrix)
+        k_t, k_d = kronecker_commutator_map(t), kronecker_commutator_map(density.matrix)
         assert k_t.dtype == np.float64 and k_d.dtype == complex
         real = np.sort(np.abs(np.linalg.eigvalsh(k_t)))
         dense = np.sort(np.abs(np.linalg.eigvalsh(k_d)))
@@ -490,8 +544,9 @@ def test_antisymmetric_block_singular_values_are_the_map_moduli(d):
     # singular value of B is the modulus of two eigenvalues of K, and the
     # d columns B has beyond its rows add d zeros
     for density in _route_cases(d):
-        k = _commutator_map(_householder_tridiagonal(density.matrix))
-        block = _antisymmetric_block(k)
+        t = _householder_tridiagonal(density.matrix)
+        k = kronecker_commutator_map(t)
+        block = _antisymmetric_block(t)
         assert block.dtype == np.float64
         assert block.shape == (d * (d - 1) // 2, d * (d + 1) // 2)
         sigma = np.linalg.svd(block, compute_uv=False)
@@ -522,7 +577,7 @@ SWEEP_GAPS = (1e-2, 1e-4, 1e-5, 1e-6, 3e-7, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 0.0)
 def _svd_block_count(density: DensityMatrix) -> int:
     """d plus twice the singular values of the antisymmetric block at or
     below the module's cutoff, all computed by the SVD."""
-    block = _antisymmetric_block(_commutator_map(_householder_tridiagonal(density.matrix)))
+    block = _antisymmetric_block(_householder_tridiagonal(density.matrix))
     sigma = _SVD(block, compute_uv=False)
     cutoff = kms.COMMUTANT_NULL_RTOL * max(1.0, float(sigma.max(initial=0.0)))
     return density.dim + 2 * int(np.count_nonzero(sigma <= cutoff))
@@ -611,11 +666,11 @@ def _left_reflections_only(d: np.ndarray) -> np.ndarray:
     return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
 
 
-def _anticommutator_map(d: np.ndarray) -> np.ndarray:
-    """B -> BD + DB: the commutator map with its sign flipped, which commutes
-    with the swap instead of anticommuting with it."""
-    eye = np.eye(d.shape[0])
-    return np.kron(eye, d.T) + np.kron(d, eye)
+def _anticommutator_block(t: np.ndarray) -> np.ndarray:
+    """The block of B -> Bt + tB: the commutator map with its sign flipped,
+    which commutes with the swap instead of anticommuting with it."""
+    eye = np.eye(t.shape[0])
+    return _block_of_map(np.kron(eye, t.T) + np.kron(t, eye))
 
 
 _CENTRALIZER_WINDOW = kms.centralizer_window
@@ -633,7 +688,7 @@ def _window_without_grouping(density):
     [
         ("_householder_tridiagonal", _left_reflections_only),
         ("centralizer_window", _window_without_grouping),
-        ("_commutator_map", _anticommutator_map),
+        ("_antisymmetric_block", _anticommutator_block),
     ],
     ids=["no-right-reflection", "zero-grouping-threshold", "anticommutator"],
 )

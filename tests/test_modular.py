@@ -361,6 +361,11 @@ def test_pi_rejects_a_non_square_matrix(shape):
         pi_factored(np.ones(shape))
 
 
+def test_pi_rejects_a_ragged_stack():
+    with pytest.raises(ShapeMismatch, match="unequal shapes"):
+        pi_factored([np.eye(2), np.eye(3)])
+
+
 def test_dimension_mismatch(rng):
     with pytest.raises(ShapeMismatch):
         relative_modular_operator(

@@ -367,6 +367,11 @@ def test_distance_rejects_unequal_dimensions():
             b.distance(a)
 
 
+def test_factored_rejects_a_ragged_stack():
+    with pytest.raises(ShapeMismatch, match="unequal shapes"):
+        SuperOperator.factored(2, [np.eye(2), np.eye(3)], None)
+
+
 def test_returned_arrays_survive_later_workspace_use():
     d = 16
     rng = np.random.default_rng(70)
