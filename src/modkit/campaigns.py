@@ -27,12 +27,11 @@ kms.centralizer_routes, all judged by :func:`judge` against
 :meth:`Family.bound`: a family's own tolerance, or the one override a
 command is given, for every family it evaluates. Only :func:`judge` sees
 that bound: a check function takes the instance alone, so an override
-moves residual and bound_below verdicts and every margin, but no yes/no
-value (a cone membership tests its fixed PSD floor). A report family
-judges each inequality against its own relative floor, so an override
-leaves it unchanged. ``worst_slack`` is the least margin, so it can be
-slightly negative with no failures, from an inequality within its
-relative floor.
+moves residual verdicts and every margin, but no yes/no value (a cone
+membership tests its fixed PSD floor). A report family judges each
+inequality against its own relative floor, so an override leaves it
+unchanged. ``worst_slack`` is the least margin, so it can be slightly
+negative with no failures, from an inequality within its relative floor.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class Family:
     given, says whether they run."""
 
     names: tuple[str, ...]
-    kind: str  # "residual", "bound_below", "boolean" or "report"
+    kind: str  # "residual", "boolean" or "report"
     tol: float
     fn: Callable
     applies: Callable | None = None
@@ -95,14 +94,12 @@ Check = collections.namedtuple("Check", "name value margin passed")
 
 def judge(kind: str, value, tol: float) -> tuple[float, bool]:
     """(margin, passed) of one value: residual value < tol, margin tol - value;
-    bound_below value >= -tol, margin value + tol; report its verdict and
-    slack; boolean margin tol if True, -1 if False. Fails closed: a NaN or
-    infinite value, or a yes/no value that is not a bool, gives a non-finite
-    margin, which fails and is recorded as NaN (so is its suite's worst)."""
+    report its verdict and slack; boolean margin tol if True, -1 if False.
+    Fails closed: a NaN or infinite value, or a yes/no value that is not a
+    bool, gives a non-finite margin, which fails and is recorded as NaN (so
+    is its suite's worst)."""
     if kind == "residual":
         margin, ok = tol - value, value < tol
-    elif kind == "bound_below":
-        margin, ok = value + tol, value >= -tol
     elif kind == "report":
         margin, ok = value.slack, value.passed
     elif isinstance(value, (bool, np.bool_)):
@@ -146,7 +143,7 @@ def _vec_schmidt(v):
     """Purification marginal, Schmidt reconstruction and Schmidt spectrum."""
     reduced = vecops.partial_trace(states.purify(v.density))
     data = schmidt.schmidt_decompose(v.u)
-    eigs = np.sort(np.linalg.eigvalsh(vecops.partial_trace(v.u)))[::-1]
+    eigs = np.linalg.eigvalsh(vecops.partial_trace(v.u))[::-1]
     coeff_sq = np.zeros(len(eigs))
     coeff_sq[: data.rank] = data.coefficients**2
     return (
@@ -182,7 +179,7 @@ def _draw_modular(rng, d, k):
     omega = sampling.random_faithful_density(rng, d)
     a = sampling.complex_gaussian(rng, d)
     t, s = rng.uniform(-2, 2, size=2)
-    probes = [sampling.complex_gaussian(rng, d) for _ in range(2)]
+    probes = sampling.complex_gaussian_stack(rng, 2, d)
     return modular_instance(phi, omega, probes, [0.7], a, t, s)
 
 
@@ -314,9 +311,10 @@ def _cone_membership(c):
     return not cone_mod.cone_contains(-c.xi), cone_mod.cone_contains(invariance.apply(c.xi))
 
 
+# self-duality <xi, eta> >= 0 as a residual on -<xi, eta>: margin tol + <xi, eta>
 CONE = (
-    Family(("cone.self_dual",), "bound_below", TOL_STRICT,
-           lambda c: (cone_mod.cone_pairing(c.xi, c.eta),)),
+    Family(("cone.self_dual",), "residual", TOL_STRICT,
+           lambda c: (-cone_mod.cone_pairing(c.xi, c.eta),)),
     Family(("cone.j_fixed", "cone.jordan_orthogonal", "cone.jordan_sum", "cone.four_part_sum"),
            "residual", TOL_STRICT, _cone_decompositions),
     Family(("cone.pointed", "cone.pi_j_invariance"), "boolean", TOL_RESIDUAL, _cone_membership),

@@ -45,10 +45,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import campaigns
+from . import campaigns, schmidt
 from .errors import ModkitError, ParseError, ShapeMismatch, UsageError
 from .kms import centralizer_dimension, centralizer_window, commutant_dimension, gibbs_hamiltonian
-from .sampling import complex_gaussian, complex_gaussian_stack, random_faithful_density
+from .sampling import complex_gaussian_stack, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import FAITHFUL_RTOL, DensityMatrix
 from .vecops import vec
@@ -221,7 +221,7 @@ def cmd_modular(args) -> int:
     if args.verify:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         count = 8 if args.samples is None else args.samples
-        probes = [complex_gaussian(rng, omega.dim) for _ in range(count)]
+        probes = complex_gaussian_stack(rng, count, omega.dim)
         times = args.t if args.t else [0.3, 1.0, 2.7]
     pair = campaigns.modular_instance(phi, omega, probes, times)
     # spec(A (x) B) = {a_i b_j}: Delta's spectrum from its two d x d factors
@@ -361,7 +361,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("schmidt", parents=[], help="Schmidt data of vec(input)")
     p.add_argument("input", help="matrix JSON file, or - for stdin")
     p.add_argument(
-        "--rank-tol", type=float, default=1e-10, help="cutoff for rank, coefficients"
+        "--rank-tol", type=float, default=schmidt.RANK_RTOL, help="cutoff for rank, coefficients"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_schmidt)

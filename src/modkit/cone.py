@@ -32,12 +32,18 @@ def cone_element(x: np.ndarray) -> BipartiteVector:
     return vec(x)
 
 
+def _witness(v: BipartiteVector) -> np.ndarray:
+    """unvec(v); the cone lives on square bipartitions, so any other v
+    raises :class:`DimensionMismatch`."""
+    if v.dim_left != v.dim_right:
+        raise DimensionMismatch(f"cone lives on square bipartitions, got {v.dims}")
+    return unvec(v)
+
+
 def cone_contains(v: BipartiteVector) -> bool:
     """True iff v = vec(X) for some X >= 0: :func:`linalg.check_psd` of
     unvec(v), at its fixed Hermiticity tolerance and PSD floor."""
-    if v.dim_left != v.dim_right:
-        raise DimensionMismatch(f"cone lives on square bipartitions, got {v.dims}")
-    return check_psd(unvec(v))
+    return check_psd(_witness(v))
 
 
 def decompose_j_fixed(v: BipartiteVector) -> tuple[BipartiteVector, BipartiteVector]:
@@ -47,9 +53,7 @@ def decompose_j_fixed(v: BipartiteVector) -> tuple[BipartiteVector, BipartiteVec
     T+, T- give v = vec(T+) - vec(T-) with <vec(T+), vec(T-)> =
     Tr(T+ T-) = 0.
     """
-    if v.dim_left != v.dim_right:
-        raise DimensionMismatch(f"expected square bipartition, got {v.dims}")
-    t = unvec(v)
+    t = _witness(v)
     if hermiticity_defect(t) > HERMITICITY_RTOL:
         raise NotJFixed(
             f"vector is not fixed by the modular conjugation "
@@ -65,9 +69,7 @@ def decompose_general(v: BipartiteVector) -> tuple[BipartiteVector, ...]:
     The witness splits into Hermitian and anti-Hermitian parts, each of
     which Jordan-decomposes into PSD witnesses.
     """
-    if v.dim_left != v.dim_right:
-        raise DimensionMismatch(f"expected square bipartition, got {v.dims}")
-    y = unvec(v)
+    y = _witness(v)
     herm = 0.5 * (y + adjoint(y))
     skew = (y - adjoint(y)) / 2j
     h_plus, h_minus = spectral_decomposition(herm).jordan()

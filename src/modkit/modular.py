@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, SingularState
-from .linalg import adjoint, as_matrix, as_operators, hs_norm
+from .linalg import adjoint, as_operators, hs_norm
 from .states import DensityMatrix, PositiveFunctional, is_faithful
 from .vecops import SuperOperator
 
@@ -172,14 +172,17 @@ def _flow_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def verify_tomita_takesaki(
     omega: DensityMatrix,
-    samples: Sequence[np.ndarray],
+    samples: Sequence[np.ndarray] | np.ndarray,
     t_grid: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the two Tomita-Takesaki conclusions on concrete samples.
 
     Returns (commutant_residuals, flow_residuals), one per sample and one
     per (t, sample), time-major, unjudged: :mod:`modkit.campaigns` reduces
-    them. Every sample must be d x d (``ShapeMismatch`` before any product).
+    them. The samples are a (k, d, d) stack, a sequence of d x d matrices,
+    or one d x d matrix (one sample), read by :func:`linalg.as_operators`
+    (``ShapeMismatch`` before any product); an empty sequence gives empty
+    residuals.
 
     The samples run as one (k, d, d) stack: :func:`pi_factored` of the
     stack is composed once per time, and once with J, by
@@ -197,11 +200,7 @@ def verify_tomita_takesaki(
     """
     _require_faithful(omega, "reference")
     d = omega.dim
-    mats = [as_matrix(m) for m in samples]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"sample shape {m.shape} != ({d}, {d})")
-    stack = np.array(mats).reshape(len(mats), d, d)
+    stack = as_operators(samples if len(samples) else np.empty((0, d, d)), d)
     probes = pi_factored(stack)
 
     flow = []

@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modkit import sampling
 from modkit.campaigns import SUITES, CampaignResult, judge, run_suite
 from modkit.cli import main
 from modkit.errors import UnknownSuite
+from modkit.schmidt import schmidt_decompose
+from modkit.vecops import partial_trace
 
 
 def _strict_json(text):
@@ -75,7 +78,6 @@ def test_judge_fails_closed_on_non_finite(bad):
 
     values = {
         "residual": bad,
-        "bound_below": bad,
         "report": InequalityReport(bad, 0.0, bad, True),
         "boolean": bad,
     }
@@ -145,3 +147,33 @@ def test_check_counts_per_suite(n):
 def test_check_names_are_unique():
     names = [n for _, families in SUITES.values() for f in families for n in f.names]
     assert len(names) == len(set(names)) == 44
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_modular_probes_are_the_one_at_a_time_draws_bit_for_bit(d):
+    # the suite draws its two Tomita-Takesaki probes as one stack
+    stacked, single = np.random.default_rng(d), np.random.default_rng(d)
+    instance = SUITES["modular"][0](stacked, d, 0)
+    # phi, omega, the probe a and the cocycle times come first
+    sampling.random_faithful_density(single, d)
+    sampling.random_faithful_density(single, d)
+    sampling.complex_gaussian(single, d)
+    single.uniform(-2, 2, size=2)
+    probes = np.array([sampling.complex_gaussian(single, d) for _ in range(2)])
+    assert instance.probes.tobytes() == probes.tobytes()
+    assert stacked.standard_normal() == single.standard_normal()
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_schmidt_spectrum_is_that_of_the_sorted_eigenvalues_bit_for_bit(d):
+    # eigvalsh returns the eigenvalues in ascending order: no sort is needed
+    draw, families = SUITES["vec"]
+    rng = np.random.default_rng(d)
+    for k in range(10):
+        v = draw(rng, d, k)
+        eigs = np.sort(np.linalg.eigvalsh(partial_trace(v.u)))[::-1]
+        data = schmidt_decompose(v.u)
+        coeff_sq = np.zeros(d)
+        coeff_sq[: data.rank] = data.coefficients**2
+        want = float(np.max(np.abs(eigs - coeff_sq)))
+        assert np.float64(families[1].fn(v)[2]).tobytes() == np.float64(want).tobytes()

@@ -671,6 +671,16 @@ def test_schmidt_bad_rank_tol_is_usage_error(bad, tmp_path, capsys):
     assert "--rank-tol must be a finite number in (0, 1)" in captured.err
 
 
+def test_rank_tol_default_is_read_from_schmidt_when_the_parser_is_built(monkeypatch):
+    # one constant for the library and the CLI: the parser copies no literal
+    import modkit.cli as cli
+    from modkit import schmidt
+
+    assert cli.build_parser().parse_args(["schmidt", "-"]).rank_tol == schmidt.RANK_RTOL
+    monkeypatch.setattr(schmidt, "RANK_RTOL", 1e-7)
+    assert cli.build_parser().parse_args(["schmidt", "-"]).rank_tol == 1e-7
+
+
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):
     # default_rng refuses a negative seed; the parser refuses it first

@@ -144,6 +144,21 @@ def test_self_duality_forward(rng):
             assert cone_pairing(xi, eta) >= -1e-12
 
 
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_self_dual_margin_is_the_pairing_plus_the_tolerance_bit_for_bit(d):
+    # judged as a residual on -<xi, eta>: tol - (-p) is the sum p + tol
+    draw, _ = campaigns.SUITES["cone"]
+    family = campaigns.CONE[0]
+    assert family.names == ("cone.self_dual",) and family.kind == "residual"
+    rng = np.random.default_rng(130 + d)
+    for k in range(10):
+        c = draw(rng, d, k)
+        (check,) = campaigns.evaluate(family, c)
+        want = cone_pairing(c.xi, c.eta) + campaigns.TOL_STRICT
+        assert check.passed
+        assert np.float64(check.margin).tobytes() == np.float64(want).tobytes()
+
+
 def test_self_duality_converse_extreme_rays(rng):
     # a vector pairing negatively against some ray vec(|u><u|) is outside
     t = random_hermitian(rng, 4)  # generically indefinite

@@ -5,8 +5,8 @@ Every suite of :data:`modkit.campaigns.SUITES` is drawn at seed 3, with 12,
 12 and 3 instances at d = 2, 4 and 16, and each family is judged by
 ``campaigns.evaluate`` at its own bound. Unpatched, no check fails. With a
 row's defect planted, the families the row lists at d fail, each on at
-least one instance, and no other family does. A residual, bound_below or
-yes/no family that no row lists has not been shown able to fail: those
+least one instance, and no other family does. A residual or yes/no
+family that no row lists has not been shown able to fail: those
 families are :data:`BLIND_SPOTS`, and a row that covers one must take it
 out of the set. The report families are held to their equality witnesses
 elsewhere.
@@ -229,7 +229,7 @@ ROWS = {
         "vec.kron", "modular.half_vector", "modular.half_expectation", "cone.pi_j_invariance")),
 }
 
-# the residual, bound_below and yes/no families no row fails
+# the residual and yes/no families no row fails
 BLIND_SPOTS = {"cone.self_dual", "vec.cyclic_separating"}
 
 

@@ -1,7 +1,8 @@
 """The Tomita-Takesaki flow residual: its O(d^3) norm against the dense one,
 and planted defects that the modular.tt_flow and modular.tt_commutant
 checks must catch; the commutant residual on a non-finite probe; the
-stacked verifier against the loop over probes and times, bit for bit."""
+stacked verifier against the loop over probes and times, and a stack of
+probes against the list of the same probes, bit for bit."""
 
 import math
 
@@ -192,3 +193,17 @@ def test_verifier_takes_no_probes_and_no_times():
     assert comm.shape == flow.shape == (0,)
     comm, flow = modular.verify_tomita_takesaki(omega, [np.eye(3)], [])
     assert comm.shape == (1,) and flow.shape == (0,)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_verifier_reads_a_stack_as_the_list_of_its_probes(d):
+    # a (k, d, d) array is k probes, one (d, d) array is one probe
+    rng = np.random.default_rng(120 + d)
+    omega = random_faithful_density(rng, d)
+    stack = complex_gaussian_stack(rng, 5, d)
+    t_grid = [0.3, -1.0, 2.7]
+    got = modular.verify_tomita_takesaki(omega, stack, t_grid)
+    want = modular.verify_tomita_takesaki(omega, [m.copy() for m in stack], t_grid)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    one = modular.verify_tomita_takesaki(omega, stack[2], t_grid)
+    assert [g.tobytes() for g in one] == [w.tobytes() for w in (want[0][2:3], want[1][2::5])]
