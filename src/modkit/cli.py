@@ -51,7 +51,7 @@ from .kms import centralizer_dimension, centralizer_window, commutant_dimension,
 from .sampling import complex_gaussian_stack, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import FAITHFUL_RTOL, DensityMatrix
-from .vecops import vec
+from .vecops import MAX_DIM, vec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,9 +67,6 @@ EXIT_USAGE = 4
 # intermediates at once, so they stay cache-sized for any --samples. The
 # block size never moves an output: stacked defects equal the per-probe ones
 KMS_BLOCK_BYTES = 256 * 1024
-# the largest --dim, and the largest state file modular and kms-verify
-# accept: their d^2 x d^2 complex operators take 16 d^4 bytes each
-MAX_DIM = 16
 
 
 class _Parser(argparse.ArgumentParser):

@@ -30,24 +30,33 @@ P vec(X) = vec(X^T) for the swap P gives the transposed forms;
 Composition has three rules (factored o factored, factored o dense,
 dense on the left), listed on :class:`SuperOperator`.
 
-Workspace: a d^2 x d^2 array that never leaves the call computing it (the
-difference inside :meth:`SuperOperator.distance`; a conjugated operand or
-an intermediate product inside :meth:`SuperOperator.compose`, which needs
-one of them at a time) is written into a private buffer of the calling
-thread, one per method and per d, so a warm call maps no fresh pages.
-Every array a call returns or caches (a product,
-:attr:`SuperOperator.matrix`, an assembly) is freshly allocated.
+Temporaries: a d^2 x d^2 array that never leaves the call computing it
+(the difference inside :meth:`SuperOperator.distance`; the conjugated
+right operand or the transposing intermediate inside
+:meth:`SuperOperator.compose`) is a fresh array, freed on return; every
+array a call returns or caches (a product, :attr:`SuperOperator.matrix`,
+an assembly) is fresh too. So that a warm call maps no fresh pages, the
+import lifts glibc's mmap threshold once (see :data:`MAX_DIM`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeMismatch
 from .linalg import as_matrix, as_operators, hs_norm
+
+# the largest --dim, and the largest state file modular and kms-verify
+# accept: their d^2 x d^2 complex operators take 16 d^4 bytes each.
+# glibc maps each block above its mmap threshold (128 KiB at start) apart
+# and, when one is freed, raises the threshold to its size, so a block of
+# two such arrays, allocated and freed here, keeps every later one on the
+# heap, whose pages a warm op reuses. A block of one array's size is not
+# enough: warm d = 16 CLI ops then fault in about 1,250 pages each.
+MAX_DIM = 16
+np.empty(2 * MAX_DIM**4, dtype=complex)  # freed at once
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,8 @@ class SuperOperator:
     factors at O(d^3); factored o dense applies the factors to the dense
     matrix's columns by reshape, two GEMMs of inner dimension d at O(d^5);
     dense o anything multiplies the d^2 x d^2 matrices at O(d^6), forming a
-    factored right operand's matrix first. The difference inside
-    :meth:`distance` and, inside :meth:`compose`, the conjugated right
-    operand of a dense o anything product or the factored o dense
-    intermediate live in this thread's workspace; every product is a
-    fresh array.
+    factored right operand's matrix first. Every array a call forms, a
+    temporary or a product, is a fresh array.
     """
 
     def __init__(
@@ -252,10 +258,10 @@ class SuperOperator:
         rows (i, k) and the column c as the axes of a (d, d, d^2) array, a
         factor contracts the leading axis in one GEMM of inner dimension d:
         B on k, then A on i, each after a copy that brings its index to the
-        front. The copies go to the workspace and the first GEMM's result to
-        the fresh output, which the second GEMM overwrites. An antilinear
-        self conjugates its d x d factors, and then the output in place,
-        instead of n.
+        front. The copies go to one fresh temporary and the first GEMM's
+        result to the fresh output, which the second GEMM overwrites. An
+        antilinear self conjugates its d x d factors, and then the output in
+        place, instead of n.
         """
         d = self.d
         left, right = self.factors
@@ -264,7 +270,7 @@ class SuperOperator:
         out = np.empty((d * d, d * d), dtype=complex)
         image = out.reshape(d, d, d * d)
         flat = out.reshape(d, d**3)
-        work = _workspace("compose", d).reshape(d, d, d * d)
+        work = np.empty((d, d, d * d), dtype=complex)
         rows = n.reshape(d, d, d * d)  # entry (i, k, c) is X_c[i, k]
         # by_k[k, i, c] = tau(X_c)[i, k], so the transposition needs no copy
         if self.transpose:
@@ -312,7 +318,7 @@ class SuperOperator:
             return SuperOperator(self.d, self._apply_factors(other.matrix), antilinear)
         rhs = other.matrix
         if self.antilinear:
-            rhs = np.conj(rhs, out=_workspace("compose", self.d))
+            rhs = np.conj(rhs)
         return SuperOperator(self.d, self.matrix @ rhs, antilinear)
 
     def adjoint(self) -> "SuperOperator":
@@ -332,8 +338,8 @@ class SuperOperator:
     def distance(self, other: "SuperOperator") -> float:
         """HS distance between matrices; infinite if linearity types differ.
 
-        The difference is formed in the workspace: a side whose matrix is
-        not formed yet (self's first) is written there by the writer of
+        The difference is one fresh array: a side whose matrix is not
+        formed yet (self's first) is written there by the writer of
         :attr:`matrix`, and the other side subtracted in place. x - y is
         -(y - x) exactly and :func:`hs_norm` is even, so either order gives
         ``hs_norm(self.matrix - other.matrix)`` bit for bit.
@@ -344,49 +350,10 @@ class SuperOperator:
         other._require_single("distance")
         if self.antilinear != other.antilinear:
             return float("inf")
-        diff = _workspace("distance", self.d)
+        diff = np.empty((self.d**2, self.d**2), dtype=complex)
         first, second = (self, other) if self._matrix is None else (other, self)
         written = first._write_matrix(diff) if first._matrix is None else first._matrix
         return hs_norm(np.subtract(written, second.matrix, out=diff))
-
-
-class _Workspace(threading.local):
-    """This thread's d^2 x d^2 complex buffers, keyed by (method, d)."""
-
-    def __init__(self):
-        self.buffers: dict[tuple[str, int], np.ndarray] = {}
-
-
-_WORKSPACE = _Workspace()
-
-
-def _workspace(method: str, d: int) -> np.ndarray:
-    """The calling thread's buffer for ``method`` at dimension d.
-
-    Its contents are valid only inside the call that filled it: nothing
-    written there is returned or kept, and no call holding it makes
-    another call that takes it. One buffer per method, not one shared
-    buffer per thread and d, is load-bearing: the resident buffers keep
-    the allocator serving each op's fresh 1 MiB products from memory it
-    already holds. Sharing one buffer gives the same bits, and a warm
-    campaign-d16 op stays under one minor page fault, but a warm
-    statepair-d16 op (``modular --verify``, then ``kms-verify``) rises from
-    about 0.3 to 710-740 (200 ops, 2 BLAS threads).
-
-    That holds only for a buffer on the heap. glibc gives a block above
-    its mmap threshold (128 KiB at start) a mapping of its own, and raises
-    the threshold to a mapped block's size when that block is freed. A
-    mapped buffer holds no heap pages, so the heap shrinks after each op
-    and faults its pages back in on the next. A block of the buffer's size
-    is therefore allocated and freed first. Without it a warm statepair-d16
-    ``modular --verify`` read about 720 minor faults per op, with it about 1.
-    """
-    buffers = _WORKSPACE.buffers
-    key = (method, d)
-    if key not in buffers:
-        np.empty((d * d, d * d), dtype=complex)  # freed at once; see above
-        buffers[key] = np.empty((d * d, d * d), dtype=complex)
-    return buffers[key]
 
 
 def swap_operator(d: int) -> SuperOperator:
