@@ -61,12 +61,15 @@ EXIT_USAGE = 4
 
 # kms-verify evaluates its probe pairs in blocks of as many as keep one
 # (probes, times, d, d) complex intermediate within this many bytes, at
-# least one: 12 at d = 16 and 204 at d = 4 on the 5 times of the grid.
-# The block is the one memory bound of the KMS path: modkit.kms takes the
-# probe and time axes of a block as array axes and holds a few such
-# intermediates at once, so they stay cache-sized for any --samples. The
-# block size never moves an output: stacked defects equal the per-probe ones
-KMS_BLOCK_BYTES = 256 * 1024
+# least one: 25 at d = 16, 409 at d = 4 and 1638 at d = 2 on the 5 times
+# of the grid. The block is the one memory bound of the KMS path:
+# modkit.kms takes the probe and time axes of a block as array axes and
+# holds a few such intermediates at once (under 2 MiB traced for one
+# block), so they stay cache-sized for any --samples. The default 50
+# pairs at d = 16 take 2 block calls; 1 MiB grows peak RSS for little
+# gain (ROADMAP, measured negatives). The block size never moves an
+# output: stacked defects equal the per-probe ones.
+KMS_BLOCK_BYTES = 512 * 1024
 
 
 class _Parser(argparse.ArgumentParser):

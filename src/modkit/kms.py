@@ -43,6 +43,17 @@ own memory: a call holds a few (probes, times, d, d) complex arrays at
 once, and the caller bounds them by the stack it passes, as
 ``kms-verify`` does with its probe blocks (``cli.KMS_BLOCK_BYTES``).
 
+The two defects take sigma_t's traces in D's eigenbasis V, where sigma_t
+acts entrywise: V* sigma_t(X) V = P_t o V* X V with the phases
+(P_t)_jk = exp(i t (E_j - E_k)), and by cyclicity
+
+    Tr(sigma_t(X) M) = sum_jk (P_t o V* X V)_jk (V* M V)_kj.
+
+M (A D on the boundary's right side, D for the invariance) is read as a
+matrix and transformed once per probe or once per call, never per time.
+Only :func:`heisenberg_evolve` takes sigma_t(X) back to the standard
+basis, from the same change of basis and phases.
+
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
 :func:`centralizer_window`): :func:`centralizer_dimension` groups D's
@@ -118,17 +129,16 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
 
     ``a`` is a (d, d) matrix or a (k, d, d) stack; the evolved matrices
     come stacked along a time axis after the probe axis, from one change
-    of basis of A, then one phase product and two matrix products over
-    every probe and time at once. Energy is conserved ([A, H] = 0 implies a
-    fixed point) and the Gibbs state is invariant: Tr(D sigma_t(A)) = Tr(D A).
+    of basis of A (:func:`_eigenbasis`), then one product with the phases
+    of every time (:func:`_phases`) and the two matrix products back to
+    the standard basis, over every probe and time at once. Energy is
+    conserved ([A, H] = 0 implies a fixed point) and the Gibbs state is
+    invariant: Tr(D sigma_t(A)) = Tr(D A).
     """
     a = as_operators(a, sys.dim)
     t = _times(t, float)
     v = sys.density.spectrum.eigenvectors
-    phases = np.exp(np.multiply.outer(1j * t, sys.energies))
-    a_eig = adjoint(v) @ a @ v
-    outer = phases[:, :, None] * np.conj(phases)[:, None, :]
-    evolved = outer * a_eig[..., None, :, :]
+    evolved = _phases(sys, t) * _eigenbasis(sys, a)[..., None, :, :]
     return v @ evolved @ adjoint(v)
 
 
@@ -154,20 +164,42 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
             f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
             f"with beta = {sys.beta:g}"
         )
+    a, b = _paired_operators(sys, a, b)
+    return _two_point(sys, _eigenbasis(sys, a), _eigenbasis(sys, b), z)
+
+
+def _paired_operators(sys: GibbsSystem, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as operators of one shape, else ShapeMismatch."""
     a = as_operators(a, sys.dim)
     b = as_operators(b, sys.dim)
     if a.shape != b.shape:
         raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
-    v = sys.density.spectrum.eigenvectors
+    return a, b
+
+
+def _two_point(sys: GibbsSystem, a_eig: np.ndarray, b_eig: np.ndarray, z: np.ndarray):
+    """The eigenbasis sum of :func:`kms_function` from V* A V and V* B V."""
     lam = sys.density.spectrum.eigenvalues
     energy = sys.energies
-    a_eig = adjoint(v) @ a @ v
-    b_eig = adjoint(v) @ b @ v
     weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
     phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
     d2 = sys.dim**2
     terms = weights.reshape(*weights.shape[:-2], 1, d2) * phase.reshape(len(z), d2)
     return terms.sum(axis=-1)
+
+
+def _eigenbasis(sys: GibbsSystem, x: np.ndarray) -> np.ndarray:
+    """V* X V for D's eigenvectors V: ``x``, (..., d, d), in the eigenbasis
+    of D and of H."""
+    v = sys.density.spectrum.eigenvectors
+    return adjoint(v) @ x @ v
+
+
+def _phases(sys: GibbsSystem, t: np.ndarray) -> np.ndarray:
+    """exp(i t (E_j - E_k)) at each time of ``t``, shape (times, d, d): the
+    entrywise factor that takes V* X V to V* sigma_t(X) V."""
+    phases = np.exp(np.multiply.outer(1j * t, sys.energies))
+    return phases[:, :, None] * np.conj(phases)[:, None, :]
 
 
 def centralizer_dimension(density: DensityMatrix) -> int:
@@ -350,14 +382,19 @@ def _antisymmetric_block(t: np.ndarray) -> np.ndarray:
 def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
-    omega(X) = Tr(D X) is taken as sum_jk X_jk D_kj, for sigma_t(A) and for
-    A alike. An array over the times, or for a (k, d, d) stack over the
+    omega(A) = Tr(D A) is taken in the standard basis as sum_jk A_jk D_kj.
+    omega(sigma_t(A)) is taken in D's eigenbasis, where sigma_t acts
+    entrywise: by cyclicity Tr(V E V* D) = sum_jk E_jk (V* D V)_kj for
+    E = V* sigma_t(A) V, with V* D V transformed from D's matrix once per
+    call. An array over the times, or for a (k, d, d) stack over the
     probes, then the times.
     """
-    d = sys.density.matrix
     a = as_operators(a, sys.dim)
+    t = _times(t, float)
+    d = sys.density.matrix
     initial = _trace_of_products(a[..., None, :, :], d)
-    return np.abs(_trace_of_products(heisenberg_evolve(sys, a, t), d) - initial)
+    evolved = _phases(sys, t) * _eigenbasis(sys, a)[..., None, :, :]
+    return np.abs(_trace_of_products(evolved, _eigenbasis(sys, d)) - initial)
 
 
 def kms_boundary_defect(
@@ -365,15 +402,19 @@ def kms_boundary_defect(
 ) -> np.ndarray:
     """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
 
-    The left side is the eigenbasis sum of :func:`kms_function`; the right
-    side forms sigma_t(B) as a matrix and takes Tr(D sigma_t(B) A) in the
-    standard basis, as sum_jk sigma_t(B)_jk (A D)_kj. An array over the
-    times, or for (k, d, d) stacks over the probes, then the times.
+    The left side is the eigenbasis sum of :func:`kms_function`. The right
+    side reads the state only through D's matrix: it takes
+    Tr(sigma_t(B) A D) in D's eigenbasis, where sigma_t acts entrywise, as
+    sum_jk E_jk (V* A D V)_kj for E = V* sigma_t(B) V. The two sides share
+    V, V* B V and the energies. An array over the times, or for
+    (k, d, d) stacks over the probes, then the times.
     """
-    a = as_operators(a, sys.dim)
+    a, b = _paired_operators(sys, a, b)
     t = _times(t, float)
-    lhs = kms_function(sys, a, b, t + 1j * sys.beta)
-    rhs = _trace_of_products(heisenberg_evolve(sys, b, t), a @ sys.density.matrix)
+    a_eig, b_eig = _eigenbasis(sys, a), _eigenbasis(sys, b)
+    lhs = _two_point(sys, a_eig, b_eig, t + 1j * sys.beta)
+    evolved = _phases(sys, t) * b_eig[..., None, :, :]
+    rhs = _trace_of_products(evolved, _eigenbasis(sys, a @ sys.density.matrix))
     return np.abs(lhs - rhs)
 
 

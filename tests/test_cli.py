@@ -823,8 +823,8 @@ def test_kms_verify_judges_the_centralizer_routes_as_a_family(tmp_path, monkeypa
 
 
 def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypatch, capsys):
-    # one probe pair per block, the default byte bound (12 pairs at d = 16,
-    # a partial last block of 2), and all 50 pairs in one block
+    # one probe pair per block, the default byte bound (25 pairs at d = 16,
+    # two full blocks), and all 50 pairs in one block
     import modkit.cli as cli
 
     density = random_faithful_density(np.random.default_rng(16), 16)
@@ -844,7 +844,7 @@ def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypat
         assert main(["kms-verify", path, "--samples", "50", "--json"]) == 0
         outputs.append(capsys.readouterr().out)
         blocks.append(list(draws))
-    assert blocks == [[2] * 50, [24] * 4 + [4], [100]]
+    assert blocks == [[2] * 50, [50] * 2, [100]]
     assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -150,6 +150,33 @@ def test_kms_boundary_condition(rng):
             assert kms_boundary_defect(sys, a, b, [t])[0] < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_eigenbasis_traces_agree_with_the_evolved_matrix_route(d, beta):
+    # both defects take Tr(sigma_t(X) M) in D's eigenbasis; the oracle forms
+    # sigma_t(X) as a matrix and traces it against M in the standard basis
+    rng = np.random.default_rng(40 + d + int(10 * beta))
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), beta)
+    density = sys.density.matrix
+    t_grid = np.array(campaigns.KMS_TIMES)
+    probes = np.array([complex_gaussian(rng, d) for _ in range(2 * 6)])
+    a, b = probes[0::2], probes[1::2]
+
+    lhs = kms_function(sys, a, b, t_grid + 1j * beta)
+    rhs = kms._trace_of_products(heisenberg_evolve(sys, b, t_grid), a @ density)
+    boundary = np.abs(lhs - rhs)
+    initial = kms._trace_of_products(a[:, None], density)
+    evolved = kms._trace_of_products(heisenberg_evolve(sys, a, t_grid), density)
+    invariance = np.abs(evolved - initial)
+
+    for k in range(len(a)):
+        norm_a, norm_b = linalg.hs_norm(a[k]), linalg.hs_norm(b[k])
+        bound = 1e-14 * max(1.0, norm_a * norm_b)
+        assert np.max(np.abs(kms_boundary_defect(sys, a[k], b[k], t_grid) - boundary[k])) <= bound
+        bound = 1e-14 * max(1.0, norm_a)
+        assert np.max(np.abs(state_invariance_defect(sys, a[k], t_grid) - invariance[k])) <= bound
+
+
 def test_kms_function_strip_contract(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 2), 1.0)
     a, b = complex_gaussian(rng, 2), complex_gaussian(rng, 2)
@@ -239,6 +266,17 @@ def test_stacked_probes_match_the_per_probe_loop(d):
     ):
         assert whole.shape == single.shape
         assert np.array_equal(whole.view(np.uint64), single.view(np.uint64))
+
+
+def test_kms_verify_takes_no_evolved_matrix_back_to_the_standard_basis(monkeypatch, capsys):
+    # both defects trace sigma_t in D's eigenbasis: heisenberg_evolve, the
+    # one route back to the standard basis, serves only the campaign checks
+    def refuse(*args):
+        raise AssertionError("kms-verify called heisenberg_evolve")
+
+    monkeypatch.setattr(kms, "heisenberg_evolve", refuse)
+    assert main(["kms-verify", "--dim", "16", "--samples", "30", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 @pytest.mark.parametrize("d", [2, 4, 16])

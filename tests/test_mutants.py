@@ -120,25 +120,22 @@ def _cocycle_swapped(mp):
     mp.setattr(modular, "connes_cocycle", lambda phi, omega, t: _COCYCLE(omega, phi, t))
 
 
-def _evolve(basis, right_phase):
-    """heisenberg_evolve as kms computes it, with D's eigenvectors passed
-    through ``basis`` and, without ``right_phase``, the phase on the left only."""
-    def evolve(sys, a, t):
-        v = basis(sys.density.spectrum.eigenvectors)
-        phases = np.exp(np.multiply.outer(1j * np.asarray(t, dtype=float), sys.energies))
-        outer = phases[:, :, None] * (np.conj(phases)[:, None, :] if right_phase else 1.0)
-        a_eig = np.conj(v).T @ linalg.as_operators(a, sys.dim) @ v
-        return v @ (outer * a_eig[..., None, :, :]) @ np.conj(v).T
-
-    return evolve
-
-
 def _evolve_conjugated_basis(mp):
-    mp.setattr(kms, "heisenberg_evolve", _evolve(np.conj, right_phase=True))
+    # sigma_t's change of basis with conj(V) in place of D's eigenvectors V
+    def eigenbasis(sys, x):
+        w = np.conj(sys.density.spectrum.eigenvectors)
+        return np.conj(w).T @ x @ w
+
+    mp.setattr(kms, "_eigenbasis", eigenbasis)
 
 
 def _evolve_one_sided_phase(mp):
-    mp.setattr(kms, "heisenberg_evolve", _evolve(lambda v: v, right_phase=False))
+    # exp(i t E_j) on the left only, in place of exp(i t (E_j - E_k))
+    def phases(sys, t):
+        left = np.exp(np.multiply.outer(1j * t, sys.energies))[:, :, None]
+        return np.broadcast_to(left, (len(t), sys.dim, sys.dim))
+
+    mp.setattr(kms, "_phases", phases)
 
 
 def _schmidt_with(field, f):
