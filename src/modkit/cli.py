@@ -47,7 +47,14 @@ import numpy as np
 
 from . import campaigns, schmidt
 from .errors import ModkitError, ParseError, ShapeMismatch, UsageError
-from .kms import centralizer_dimension, centralizer_window, commutant_dimension, gibbs_hamiltonian
+from .kms import (
+    centralizer_dimension,
+    centralizer_window,
+    commutant_dimension,
+    eigenbasis_stack,
+    gibbs_hamiltonian,
+    time_grid,
+)
 from .sampling import complex_gaussian_stack, random_faithful_density
 from .schmidt import is_cyclic_separating, schmidt_decompose
 from .states import FAITHFUL_RTOL, DensityMatrix
@@ -60,15 +67,14 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
 # kms-verify evaluates its probe pairs in blocks of as many as keep one
-# (probes, times, d, d) complex intermediate within this many bytes, at
-# least one: 25 at d = 16, 409 at d = 4 and 1638 at d = 2 on the 5 times
-# of the grid. The block is the one memory bound of the KMS path:
-# modkit.kms takes the probe and time axes of a block as array axes and
-# holds a few such intermediates at once (under 2 MiB traced for one
-# block), so they stay cache-sized for any --samples. The default 50
-# pairs at d = 16 take 2 block calls; 1 MiB grows peak RSS for little
-# gain (ROADMAP, measured negatives). The block size never moves an
-# output: stacked defects equal the per-probe ones.
+# (pairs, d, d) complex array within this many bytes, at least one: 128 at
+# d = 16, 2048 at d = 4 and 8192 at d = 2. The block is the one memory bound
+# of the KMS path: modkit.kms holds a few such arrays per block (V* A V,
+# V* B V and the weights of each trace) and the (pairs, times) results, and
+# takes each (probe, time) value as one dot product, so no array holds a
+# d x d matrix per pair and time. The default 50 pairs at d = 16 take one
+# block call. The block size never moves an output: stacked defects equal
+# the per-probe ones.
 KMS_BLOCK_BYTES = 512 * 1024
 
 
@@ -257,16 +263,23 @@ def cmd_kms_verify(args) -> int:
         density = random_faithful_density(rng, 4 if args.dim is None else args.dim)
     sys_ = gibbs_hamiltonian(density, args.beta)
 
-    t_grid = np.array(campaigns.KMS_TIMES)
-    pairs = max(1, KMS_BLOCK_BYTES // (16 * len(t_grid) * density.dim**2))
+    grid = time_grid(sys_, campaigns.KMS_TIMES)
+    pairs = max(1, KMS_BLOCK_BYTES // (16 * density.dim**2))
     boundaries, invariances = [], []
     for start in range(0, args.samples, pairs):
         count = min(pairs, args.samples - start)
         # drawn a_0, b_0, a_1, b_1, ... as one probe pair at a time would be
         probes = complex_gaussian_stack(rng, 2 * count, density.dim)
-        block = SimpleNamespace(sys=sys_, a=probes[0::2], b=probes[1::2], t=t_grid)
+        block = SimpleNamespace(sys=sys_, a=eigenbasis_stack(sys_, probes[0::2]),
+                                b=eigenbasis_stack(sys_, probes[1::2]), t=grid)
         boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
         invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block, tol)
+    if not all(c.passed for c in boundaries):
+        # the phases t (E_j - E_k) grow as 1 / beta, and so does their rounding
+        scale = float(np.max(np.abs(grid.t)) * np.ptp(sys_.energies))
+        print(f"modkit: KMS boundary defect at beta {args.beta:.3g}: largest phase "
+              f"|t (E_j - E_k)| over the time grid {scale:.3g}, times eps "
+              f"{scale * np.finfo(float).eps:.3g}", file=sys.stderr)
 
     counts = SimpleNamespace(
         centralizer=centralizer_dimension(density), commutant=commutant_dimension(density)

@@ -34,25 +34,35 @@ shape (k, d, d); the paired operators of :func:`kms_function` and
 axis first, ahead of the time axis, and evaluates every probe with the
 same matrix products as a single operator would, so stacked results
 equal the per-probe ones bit for bit. The time axis is an array axis
-like the probe axis: each sum over the d x d entries (the two-point
-function's eigenbasis sum, and the traces Tr(X M) taken as
-sum_jk X_jk M_kj) is one broadcast product over every probe and time,
-reduced over its contiguous trailing axis in the order one probe at one
-time would use, so it keeps the one-time bits. Nothing here bounds its
-own memory: a call holds a few (probes, times, d, d) complex arrays at
-once, and the caller bounds them by the stack it passes, as
-``kms-verify`` does with its probe blocks (``cli.KMS_BLOCK_BYTES``).
+like the probe axis. Each sum over the d x d entries (the two-point
+function's eigenbasis sum, and the traces of sigma_t below) is one dot
+product of length d^2 per probe and time, which numpy hands to BLAS
+(:func:`_contract`), so a probe at a time keeps its bits whatever else
+is stacked beside it. The standard-basis trace omega(A) keeps its
+per-row sums. Nothing here bounds its own memory, but no array grows
+with both the probes and the times beyond the (probes, times) results:
+a call holds a few (probes, d, d) complex arrays at once, and the
+caller bounds them by the stack it passes, as ``kms-verify`` does with
+its probe blocks (``cli.KMS_BLOCK_BYTES``).
 
 The two defects take sigma_t's traces in D's eigenbasis V, where sigma_t
 acts entrywise: V* sigma_t(X) V = P_t o V* X V with the phases
 (P_t)_jk = exp(i t (E_j - E_k)), and by cyclicity
 
-    Tr(sigma_t(X) M) = sum_jk (P_t o V* X V)_jk (V* M V)_kj.
+    Tr(sigma_t(X) M) = sum_jk (P_t o V* X V)_jk (V* M V)_kj,
 
-M (A D on the boundary's right side, D for the invariance) is read as a
-matrix and transformed once per probe or once per call, never per time.
-Only :func:`heisenberg_evolve` takes sigma_t(X) back to the standard
-basis, from the same change of basis and phases.
+the dot product of P_t with the weights (V* X V)_jk (V* M V)_kj, formed
+once for every time. M (A D on the boundary's right side, D for the
+invariance) is read through D's matrix: V* D V is transformed from it
+once per time grid, and V* A D V = (V* A V)(V* D V). A caller that
+evaluates many probe blocks on one grid forms the grid once
+(:func:`time_grid`: P_t, the two-point phases at t + i beta, V* D V),
+and each block's operators once for both defects
+(:func:`eigenbasis_stack`: V* X V), and passes them where the times
+and operators go; either one formed for another Gibbs system raises
+:class:`DomainError`. Only :func:`heisenberg_evolve` takes
+sigma_t(X) back to the standard basis, from the same change of basis
+and phases.
 
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
@@ -142,7 +152,7 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     return v @ evolved @ adjoint(v)
 
 
-def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def kms_function(sys: GibbsSystem, a, b, z: np.ndarray) -> np.ndarray:
     """Two-point function F(z) = omega(A sigma_z(B)) on the strip, at each z.
 
     In the eigenbasis of H (eigenvalues E_j, weights lambda_j of D):
@@ -150,10 +160,11 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
         F(z) = sum_jk lambda_j A_jk B_kj exp(i z (E_k - E_j)).
 
     ``a`` and ``b`` are (d, d) matrices, giving an array over z, or
-    (k, d, d) stacks, giving an array over the probes, then z. The weights
-    lambda_j A_jk B_kj are formed once for all z, and multiplied by the
-    phases of every z in one broadcast product over a flat d^2 axis,
-    which is summed. Raises :class:`OutsideStrip` unless
+    (k, d, d) stacks, giving an array over the probes, then z (either may
+    come formed by :func:`eigenbasis_stack`). The weights
+    lambda_j A_jk B_kj are formed once for all z, and each (probe, z)
+    value is their dot product with the phases of that z
+    (:func:`_contract`). Raises :class:`OutsideStrip` unless
     0 <= Im z <= beta for every z, after :class:`DomainError` for a
     non-finite z.
     """
@@ -164,28 +175,99 @@ def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) 
             f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
             f"with beta = {sys.beta:g}"
         )
-    a, b = _paired_operators(sys, a, b)
-    return _two_point(sys, _eigenbasis(sys, a), _eigenbasis(sys, b), z)
+    a, b = _paired_operands(sys, a, b)
+    return _two_point(sys, a.eig, b.eig, _strip_phases(sys, z))
 
 
-def _paired_operators(sys: GibbsSystem, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``b`` as operators of one shape, else ShapeMismatch."""
-    a = as_operators(a, sys.dim)
-    b = as_operators(b, sys.dim)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
+@dataclass(frozen=True)
+class EigenbasisStack:
+    """Operators with their form V* X V in D's eigenbasis, formed once by
+    :func:`eigenbasis_stack` for every function here that reads them."""
+
+    sys: GibbsSystem
+    matrix: np.ndarray  # (d, d) or (k, d, d), in the standard basis
+    eig: np.ndarray  # V* X V, of the same shape
+
+
+def eigenbasis_stack(sys: GibbsSystem, x) -> EigenbasisStack:
+    """``x``, a (d, d) matrix or (k, d, d) stack, with V* X V."""
+    x = as_operators(x, sys.dim)
+    return EigenbasisStack(sys, x, _eigenbasis(sys, x))
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """A 1-D grid of physical times with the factors every trace of sigma_t
+    over it reads, formed once by :func:`time_grid`."""
+
+    sys: GibbsSystem
+    t: np.ndarray
+    phases: np.ndarray  # P_t of :func:`_phases`, flattened to (times, d^2, 1)
+    strip: np.ndarray  # the phases of kms_function at t + i beta, alike
+    density: np.ndarray  # V* D V, from D's matrix
+
+
+def time_grid(sys: GibbsSystem, t) -> TimeGrid:
+    """The :class:`TimeGrid` of ``sys`` on the times ``t``."""
+    t = _times(t, float)
+    phases = _phases(sys, t).reshape(len(t), sys.dim**2, 1)
+    strip = _strip_phases(sys, t + 1j * sys.beta)
+    return TimeGrid(sys, t, phases, strip, _eigenbasis(sys, sys.density.matrix))
+
+
+def _operand(sys: GibbsSystem, x) -> EigenbasisStack:
+    """``x`` as given if :func:`eigenbasis_stack` formed it for ``sys``, else formed here."""
+    if not isinstance(x, EigenbasisStack):
+        return eigenbasis_stack(sys, x)
+    if x.sys is not sys:
+        raise DomainError("operators formed in the eigenbasis of another Gibbs system")
+    return x
+
+
+def _grid(sys: GibbsSystem, t) -> TimeGrid:
+    """``t`` as given if :func:`time_grid` formed it for ``sys``, else formed here."""
+    if not isinstance(t, TimeGrid):
+        return time_grid(sys, t)
+    if t.sys is not sys:
+        raise DomainError("time grid formed for another Gibbs system")
+    return t
+
+
+def _paired_operands(sys: GibbsSystem, a, b) -> tuple[EigenbasisStack, EigenbasisStack]:
+    """``a`` and ``b`` as operands of one shape, else ShapeMismatch."""
+    a, b = _operand(sys, a), _operand(sys, b)
+    if a.matrix.shape != b.matrix.shape:
+        raise ShapeMismatch(f"operator stacks {a.matrix.shape} and {b.matrix.shape} differ")
     return a, b
 
 
-def _two_point(sys: GibbsSystem, a_eig: np.ndarray, b_eig: np.ndarray, z: np.ndarray):
-    """The eigenbasis sum of :func:`kms_function` from V* A V and V* B V."""
-    lam = sys.density.spectrum.eigenvalues
+def _two_point(sys: GibbsSystem, a_eig: np.ndarray, b_eig: np.ndarray, phases: np.ndarray):
+    """The eigenbasis sum of :func:`kms_function` from V* A V, V* B V and
+    the phases of :func:`_strip_phases`."""
+    weights = sys.density.spectrum.eigenvalues[:, None] * a_eig
+    weights *= np.swapaxes(b_eig, -2, -1)
+    return _contract(weights, phases)
+
+
+def _strip_phases(sys: GibbsSystem, z: np.ndarray) -> np.ndarray:
+    """exp(i z (E_k - E_j)) at each z, flattened to (times, d^2, 1)."""
     energy = sys.energies
-    weights = lam[:, None] * a_eig * np.swapaxes(b_eig, -2, -1)
-    phase = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
-    d2 = sys.dim**2
-    terms = weights.reshape(*weights.shape[:-2], 1, d2) * phase.reshape(len(z), d2)
-    return terms.sum(axis=-1)
+    phases = np.exp(np.multiply.outer(1j * z, energy[None, :] - energy[:, None]))
+    return phases.reshape(len(z), sys.dim**2, 1)
+
+
+def _contract(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_jk W_jk (Q_t)_jk for each (d, d) slice W of ``weights`` and each
+    time t of ``phases``, Q_t flattened to (times, d^2, 1): shape
+    (..., times).
+
+    Each value is one (1, d^2) by (d^2, 1) product, which numpy (>= 1.24)
+    hands to BLAS as one dot product per (slice, time), so a slice at a
+    time keeps its bits whatever is stacked beside it. One GEMM of every
+    slice against every time would not: its bits move with the stack.
+    """
+    rows = weights.reshape(*weights.shape[:-2], 1, 1, phases.shape[-2])
+    return np.matmul(rows, phases)[..., 0, 0]
 
 
 def _eigenbasis(sys: GibbsSystem, x: np.ndarray) -> np.ndarray:
@@ -329,27 +411,35 @@ def _householder_tridiagonal(d: np.ndarray) -> np.ndarray:
     """Real symmetric tridiagonal T unitarily similar to the Hermitian ``d``.
 
     Step k takes the reflection H = 1 - 2 v v* that maps column k below the
-    diagonal onto its first coordinate, and applies it to a copy of ``d``
-    from the left (rows k+1:) and from the right (columns k+1:); Q, the
-    product of the reflections, is never formed (Golub and Van Loan,
-    Matrix Computations, 4th ed., 8.3.1). T keeps the real part of the
-    diagonal and the moduli of the subdiagonal: the diagonal unitary that
-    removes the subdiagonal's phases is one more similarity.
+    diagonal onto its first coordinate, of modulus |x| for that column x,
+    and applies it to the trailing block S of a copy of ``d`` from both
+    sides as one Hermitian rank-2 update: with p = S v and
+    w = p - (v* p) v, H S H = S - 2 (v w* + w v*). Q, the product of the
+    reflections, is never formed (Golub and Van Loan, Matrix Computations,
+    4th ed., 8.3.1). T keeps the real part of the diagonal and the moduli
+    of the subdiagonal: the diagonal unitary that removes the
+    subdiagonal's phases is one more similarity.
     """
     a = np.array(d, dtype=complex)
     n = a.shape[0]
+    off = np.zeros(max(n - 1, 0))
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        norm = np.linalg.norm(x)
+        off[k] = norm = np.linalg.norm(x)
         if norm == 0.0:
             continue
         v = x.copy()
         # the sign that adds to |x_0| and never cancels it
         v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
         v /= np.linalg.norm(v)
-        a[k + 1 :, k:] -= 2.0 * np.outer(v, np.conj(v) @ a[k + 1 :, k:])
-        a[k:, k + 1 :] -= 2.0 * np.outer(a[k:, k + 1 :] @ v, np.conj(v))
-    off = np.abs(np.diagonal(a, -1))
+        s = a[k + 1 :, k + 1 :]
+        p = s @ v
+        w = p - np.vdot(v, p) * v
+        update = np.outer(v, 2.0 * np.conj(w))
+        update += np.conj(update.T)
+        s -= update
+    if n > 1:
+        off[-1] = abs(a[-1, -2])
     return np.diag(np.real(np.diagonal(a))) + np.diag(off, -1) + np.diag(off, 1)
 
 
@@ -379,43 +469,45 @@ def _antisymmetric_block(t: np.ndarray) -> np.ndarray:
     return (rows[:, p, q] + rows[:, q, p]) * np.where(p == q, math.sqrt(0.5), 1.0)
 
 
-def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+def state_invariance_defect(sys: GibbsSystem, a, t) -> np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
     omega(A) = Tr(D A) is taken in the standard basis as sum_jk A_jk D_kj.
     omega(sigma_t(A)) is taken in D's eigenbasis, where sigma_t acts
     entrywise: by cyclicity Tr(V E V* D) = sum_jk E_jk (V* D V)_kj for
-    E = V* sigma_t(A) V, with V* D V transformed from D's matrix once per
-    call. An array over the times, or for a (k, d, d) stack over the
-    probes, then the times.
+    E = P_t o V* A V, one dot product per probe and time of the weights
+    (V* A V)_jk (V* D V)_kj with P_t. An array over the times, or for a
+    (k, d, d) stack over the probes, then the times. ``a`` may come formed
+    by :func:`eigenbasis_stack`, and ``t`` by :func:`time_grid`.
     """
-    a = as_operators(a, sys.dim)
-    t = _times(t, float)
-    d = sys.density.matrix
-    initial = _trace_of_products(a[..., None, :, :], d)
-    evolved = _phases(sys, t) * _eigenbasis(sys, a)[..., None, :, :]
-    return np.abs(_trace_of_products(evolved, _eigenbasis(sys, d)) - initial)
+    a = _operand(sys, a)
+    grid = _grid(sys, t)
+    initial = _trace_of_products(a.matrix[..., None, :, :], sys.density.matrix)
+    evolved = _contract(a.eig * grid.density.T, grid.phases)
+    return np.abs(evolved - initial)
 
 
-def kms_boundary_defect(
-    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: np.ndarray
-) -> np.ndarray:
+def kms_boundary_defect(sys: GibbsSystem, a, b, t) -> np.ndarray:
     """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
 
     The left side is the eigenbasis sum of :func:`kms_function`. The right
     side reads the state only through D's matrix: it takes
     Tr(sigma_t(B) A D) in D's eigenbasis, where sigma_t acts entrywise, as
-    sum_jk E_jk (V* A D V)_kj for E = V* sigma_t(B) V. The two sides share
-    V, V* B V and the energies. An array over the times, or for
-    (k, d, d) stacks over the probes, then the times.
+    sum_jk E_jk (V* A D V)_kj for E = P_t o V* B V, with
+    V* A D V = (V* A V)(V* D V) since V V* = 1: one dot product per probe
+    and time of the weights (V* B V)_jk (V* A D V)_kj with P_t. The two
+    sides share V, V* A V, V* B V and the energies. An array over the
+    times, or for (k, d, d) stacks over the probes, then the times. ``a``
+    and ``b`` may come formed by :func:`eigenbasis_stack`, and ``t`` by
+    :func:`time_grid`.
     """
-    a, b = _paired_operators(sys, a, b)
-    t = _times(t, float)
-    a_eig, b_eig = _eigenbasis(sys, a), _eigenbasis(sys, b)
-    lhs = _two_point(sys, a_eig, b_eig, t + 1j * sys.beta)
-    evolved = _phases(sys, t) * b_eig[..., None, :, :]
-    rhs = _trace_of_products(evolved, _eigenbasis(sys, a @ sys.density.matrix))
-    return np.abs(lhs - rhs)
+    a, b = _paired_operands(sys, a, b)
+    grid = _grid(sys, t)
+    lhs = _two_point(sys, a.eig, b.eig, grid.strip)
+    # (V* A D V)^T formed as such, so the weights take its one array
+    weights = grid.density.T @ np.swapaxes(a.eig, -2, -1)
+    weights *= b.eig
+    return np.abs(lhs - _contract(weights, grid.phases))
 
 
 def _times(t, dtype) -> np.ndarray:

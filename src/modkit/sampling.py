@@ -20,7 +20,8 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int | None = Non
     """Standard complex normal entries (unit variance overall)."""
     if cols is None:
         cols = rows
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    x = rng.standard_normal((rows, cols))
+    return _combine(x, rng.standard_normal((rows, cols)))
 
 
 def complex_gaussian_stack(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -31,7 +32,18 @@ def complex_gaussian_stack(rng: np.random.Generator, count: int, d: int) -> np.n
     stream, and the same arithmetic combines them: the same bits.
     """
     z = rng.standard_normal((count, 2, d, d))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    return _combine(z[:, 0], z[:, 1])
+
+
+def _combine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + 1j * y) / sqrt(2) with its bits, written plane by plane: numpy
+    divides a complex array by a real scalar as a product with the
+    reciprocal, so each plane is multiplied by 1 / sqrt(2) in place."""
+    z = np.empty(x.shape, dtype=complex)
+    scale = 1 / np.sqrt(2.0)
+    np.multiply(x, scale, out=z.real)
+    np.multiply(y, scale, out=z.imag)
+    return z
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from modkit import campaigns
 from modkit.cli import dump_matrix, load_matrix, main
 from modkit.errors import ParseError
+from modkit.kms import gibbs_hamiltonian
 from modkit.modular import relative_modular_operator
 from modkit.sampling import (
     complex_gaussian,
@@ -618,6 +619,28 @@ def test_kms_verify_names_the_centralizer_window(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_kms_verify_names_the_small_beta_window(capsys):
+    # the energies -log(lambda) / beta grow as 1 / beta, and the rounding of
+    # the phases t (E_j - E_k) with them; the verdict stays a failure, with
+    # that scale named on stderr
+    argv = ["kms-verify", "--dim", "4", "--samples", "20", "--seed", "1", "--json"]
+    assert main(argv + ["--beta", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    out = _strict_json(captured.out)
+    assert f"{out['max_boundary_defect']:.4e}" == "6.4035e-10"
+    assert out["passed"] is False
+    density = random_faithful_density(np.random.default_rng(1), 4)
+    energies = gibbs_hamiltonian(density, 1e-6).energies
+    scale = max(map(abs, campaigns.KMS_TIMES)) * float(np.ptp(energies))
+    (line,) = captured.err.splitlines()
+    assert "KMS boundary defect at beta 1e-06" in line
+    assert f"largest phase |t (E_j - E_k)| over the time grid {scale:.3g}" in line
+    assert f"times eps {scale * np.finfo(float).eps:.3g}" in line
+    # a passing run writes nothing to stderr
+    assert main(argv + ["--beta", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
 def test_kms_verify_non_finite_beta_exits_3(beta, capsys):
     assert main(["kms-verify", "--dim", "2", f"--beta={beta}", "--json"]) == 3
@@ -823,8 +846,8 @@ def test_kms_verify_judges_the_centralizer_routes_as_a_family(tmp_path, monkeypa
 
 
 def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypatch, capsys):
-    # one probe pair per block, the default byte bound (25 pairs at d = 16,
-    # two full blocks), and all 50 pairs in one block
+    # one probe pair per block, the default byte bound (128 pairs at d = 16,
+    # so all 50 in one block), and a larger bound
     import modkit.cli as cli
 
     density = random_faithful_density(np.random.default_rng(16), 16)
@@ -844,7 +867,7 @@ def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypat
         assert main(["kms-verify", path, "--samples", "50", "--json"]) == 0
         outputs.append(capsys.readouterr().out)
         blocks.append(list(draws))
-    assert blocks == [[2] * 50, [50] * 2, [100]]
+    assert blocks == [[2] * 50, [100], [100]]
     assert outputs[0] == outputs[1] == outputs[2]
 
 

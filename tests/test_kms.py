@@ -302,6 +302,55 @@ def test_one_default_probe_block_stays_within_four_block_bounds(d):
     assert peak < 4 * cli.KMS_BLOCK_BYTES
 
 
+def test_a_statepair_block_forms_no_array_per_probe_and_time():
+    # kms-verify's default 50 pairs at d = 16 on the 5 times: both defects
+    # trace below the size of one (pairs, times, d, d) complex array, since
+    # each (probe, time) value is one dot product
+    d, pairs, times = 16, 50, len(campaigns.KMS_TIMES)
+    rng = np.random.default_rng(116)
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), 1.0)
+    t_grid = np.array(campaigns.KMS_TIMES)
+    probes = np.array([complex_gaussian(rng, d) for _ in range(2 * pairs)])
+    a, b = probes[0::2], probes[1::2]
+    kms_boundary_defect(sys, a, b, t_grid)
+    state_invariance_defect(sys, a, t_grid)
+    tracemalloc.start()
+    try:
+        kms_boundary_defect(sys, a, b, t_grid)
+        state_invariance_defect(sys, a, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pairs * times * d * d
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_a_formed_grid_and_eigenbasis_stacks_give_the_bits_of_raw_arguments(d):
+    # kms-verify forms the time grid once per command and each block's
+    # eigenbasis stacks once for both defects
+    rng = np.random.default_rng(120 + d)
+    sys = gibbs_hamiltonian(random_faithful_density(rng, d), 0.8)
+    t_grid = np.array(campaigns.KMS_TIMES)
+    probes = np.array([complex_gaussian(rng, d) for _ in range(6)])
+    a, b = probes[0::2], probes[1::2]
+    grid = kms.time_grid(sys, t_grid)
+    a_eig, b_eig = kms.eigenbasis_stack(sys, a), kms.eigenbasis_stack(sys, b)
+    z = t_grid + 1j * sys.beta
+    for formed, raw in (
+        (kms_boundary_defect(sys, a_eig, b_eig, grid), kms_boundary_defect(sys, a, b, t_grid)),
+        (state_invariance_defect(sys, a_eig, grid), state_invariance_defect(sys, a, t_grid)),
+        (kms_function(sys, a_eig, b_eig, z), kms_function(sys, a, b, z)),
+    ):
+        assert formed.shape == raw.shape
+        assert np.array_equal(formed.view(np.uint64), raw.view(np.uint64))
+    # formed for an equal system is still formed for another one
+    other = gibbs_hamiltonian(sys.density, sys.beta)
+    with pytest.raises(DomainError):
+        kms_boundary_defect(other, a, b, grid)
+    with pytest.raises(DomainError):
+        state_invariance_defect(other, a_eig, t_grid)
+
+
 def test_an_empty_time_grid_or_probe_stack_gives_empty_results(rng):
     sys = gibbs_hamiltonian(random_faithful_density(rng, 3), 1.0)
     a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
@@ -545,6 +594,20 @@ def test_householder_tridiagonal_is_similar_to_d(d):
         assert not np.any(np.triu(t, 2))
         scale = max(1.0, float(np.linalg.norm(m, 2)))
         assert np.max(np.abs(np.linalg.eigvalsh(t) - np.linalg.eigvalsh(m))) <= 1e-13 * scale
+
+
+# eigvalsh of the tridiagonal form stays within this many d * eps * ||D||_2
+# of eigvalsh(D): backward-stable reflections, and two eigensolves
+TRIDIAGONAL_SPECTRUM_MULTIPLE = 4.0
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_householder_tridiagonal_keeps_the_spectrum_to_a_few_d_eps(d):
+    for density in _route_cases(d):
+        m = density.matrix
+        bound = TRIDIAGONAL_SPECTRUM_MULTIPLE * d * np.finfo(float).eps * np.linalg.norm(m, 2)
+        t = _householder_tridiagonal(m)
+        assert np.max(np.abs(np.linalg.eigvalsh(t) - np.linalg.eigvalsh(m))) <= bound
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
