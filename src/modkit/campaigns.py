@@ -239,34 +239,35 @@ KMS_TIMES = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def _draw_kms(rng, d, k):
-    """A Gibbs system, probes a, b, one time t (an array of length one) and a
-    modular time s; on every 5th instance also a degenerate density and its
-    block multiplicities."""
+    """A Gibbs system, probes a, b on one time t (kms.ProbePairs, formed once
+    for both defects) and a modular time s; on every 5th instance also a
+    degenerate density and its block multiplicities."""
     density = sampling.random_faithful_density(rng, d)
     sys = kms_mod.gibbs_hamiltonian(density, (0.5, 1.0, 2.0)[k % 3])
     a = sampling.complex_gaussian(rng, d)
     b = sampling.complex_gaussian(rng, d)
     s = float(rng.uniform(-1.5, 1.5))
     deg, blocks = sampling.random_degenerate_density(rng, d) if k % 5 == 0 else (None, ())
-    t = np.array([KMS_TIMES[k % 5]])
-    return SimpleNamespace(sys=sys, a=a, b=b, t=t, s=s, degenerate=deg, blocks=blocks)
+    pairs = kms_mod.probe_pairs(kms_mod.time_grid(sys, [KMS_TIMES[k % 5]]), a, b)
+    return SimpleNamespace(sys=sys, pairs=pairs, s=s, degenerate=deg, blocks=blocks)
 
 
 def _kms_dynamics(inst):
     """D is a fixed point of the flow (it commutes with H), and the time
     bridge: the modular flow at s is the physical flow at -beta s."""
-    sys, density, a, s = inst.sys, inst.sys.density, inst.a, inst.s
-    evolved = kms_mod.heisenberg_evolve(sys, density.matrix, inst.t)[0]
+    sys, density, a, s = inst.sys, inst.sys.density, inst.pairs.a, inst.s
+    evolved = kms_mod.heisenberg_evolve(sys, density.matrix, inst.pairs.grid.t)[0]
     physical = kms_mod.heisenberg_evolve(sys, a, np.array([-sys.beta * s]))[0]
     bridge = modular.modular_flow(density, a, s) - physical
     return hs_norm(density.matrix - evolved), hs_norm(bridge)
 
 
-# on stacked probes (k, d, d) and an array of times t, the largest defect
+# on probe pairs (kms.ProbePairs: one pair or a (k, d, d) stack of them, on
+# an array of times), the largest defect
 KMS_BOUNDARY = Family(("kms.boundary",), "residual", TOL_RESIDUAL, lambda i: (
-    float(np.max(kms_mod.kms_boundary_defect(i.sys, i.a, i.b, i.t))),))
+    float(np.max(i.pairs.boundary_defect())),))
 KMS_INVARIANCE = Family(("kms.invariance",), "residual", TOL_STRICT, lambda i: (
-    float(np.max(kms_mod.state_invariance_defect(i.sys, i.a, i.t))),))
+    float(np.max(i.pairs.invariance_defect())),))
 # kms-verify's cross-check: the eigenblock count and the commutator-map
 # nullity of one density, both computed by the driver
 KMS_CENTRALIZER_ROUTES = Family(("kms.centralizer_routes",), "boolean", TOL_RESIDUAL,

@@ -51,8 +51,8 @@ from .kms import (
     centralizer_dimension,
     centralizer_window,
     commutant_dimension,
-    eigenbasis_stack,
     gibbs_hamiltonian,
+    probe_pairs,
     time_grid,
 )
 from .sampling import complex_gaussian_stack, random_faithful_density
@@ -67,15 +67,21 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 
 # kms-verify evaluates its probe pairs in blocks of as many as keep one
-# (pairs, d, d) complex array within this many bytes, at least one: 128 at
-# d = 16, 2048 at d = 4 and 8192 at d = 2. The block is the one memory bound
-# of the KMS path: modkit.kms holds a few such arrays per block (V* A V,
-# V* B V and the weights of each trace) and the (pairs, times) results, and
-# takes each (probe, time) value as one dot product, so no array holds a
-# d x d matrix per pair and time. The default 50 pairs at d = 16 take one
-# block call. The block size never moves an output: stacked defects equal
-# the per-probe ones.
+# (pairs, d, d) and one (pairs, times) complex array together within this
+# many bytes, at least one (kms_block_pairs): on the 5 times, 125 at d = 16,
+# 1560 at d = 4 and 3640 at d = 2. The block is the one memory bound of the
+# KMS path: modkit.kms holds a few arrays of each shape per block (V* A V,
+# V* B V and the weights of each trace; the two sides and the difference of
+# each defect) and takes each (probe, time) value as one dot product, so no
+# array holds a d x d matrix per pair and time. The default 50 pairs at
+# d = 16 take one block call. The block size never moves an output: stacked
+# defects equal the per-probe ones.
 KMS_BLOCK_BYTES = 512 * 1024
+
+
+def kms_block_pairs(d: int, times: int) -> int:
+    """Probe pairs in one kms-verify block at dimension ``d`` on ``times`` times."""
+    return max(1, KMS_BLOCK_BYTES // (16 * (d * d + times)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,14 +270,13 @@ def cmd_kms_verify(args) -> int:
     sys_ = gibbs_hamiltonian(density, args.beta)
 
     grid = time_grid(sys_, campaigns.KMS_TIMES)
-    pairs = max(1, KMS_BLOCK_BYTES // (16 * density.dim**2))
+    per_block = kms_block_pairs(density.dim, len(grid.t))
     boundaries, invariances = [], []
-    for start in range(0, args.samples, pairs):
-        count = min(pairs, args.samples - start)
+    for start in range(0, args.samples, per_block):
+        count = min(per_block, args.samples - start)
         # drawn a_0, b_0, a_1, b_1, ... as one probe pair at a time would be
         probes = complex_gaussian_stack(rng, 2 * count, density.dim)
-        block = SimpleNamespace(sys=sys_, a=eigenbasis_stack(sys_, probes[0::2]),
-                                b=eigenbasis_stack(sys_, probes[1::2]), t=grid)
+        block = SimpleNamespace(pairs=probe_pairs(grid, probes[0::2], probes[1::2]))
         boundaries += campaigns.evaluate(campaigns.KMS_BOUNDARY, block, tol)
         invariances += campaigns.evaluate(campaigns.KMS_INVARIANCE, block, tol)
     if not all(c.passed for c in boundaries):

@@ -54,15 +54,16 @@ acts entrywise: V* sigma_t(X) V = P_t o V* X V with the phases
 the dot product of P_t with the weights (V* X V)_jk (V* M V)_kj, formed
 once for every time. M (A D on the boundary's right side, D for the
 invariance) is read through D's matrix: V* D V is transformed from it
-once per time grid, and V* A D V = (V* A V)(V* D V). A caller that
-evaluates many probe blocks on one grid forms the grid once
-(:func:`time_grid`: P_t, the two-point phases at t + i beta, V* D V),
-and each block's operators once for both defects
-(:func:`eigenbasis_stack`: V* X V), and passes them where the times
-and operators go; either one formed for another Gibbs system raises
-:class:`DomainError`. Only :func:`heisenberg_evolve` takes
-sigma_t(X) back to the standard basis, from the same change of basis
-and phases.
+once per time grid, and V* A D V = (V* A V)(V* D V). Both defects are
+evaluated on :class:`ProbePairs`: a :class:`TimeGrid` (P_t, the
+two-point phases at t + i beta and V* D V, formed by :func:`time_grid`)
+and the probes with V* A V and V* B V (formed by :func:`probe_pairs`
+from the grid's system). The public defects form both from their
+arguments; ``kms-verify`` forms its grid once per command and one
+:class:`ProbePairs` per probe block, and the kms campaign one of each
+per instance, so each is formed once for both defects. Only
+:func:`heisenberg_evolve` takes sigma_t(X) back to the standard basis,
+from the same change of basis and phases.
 
 The centralizer {B : [B, D] = 0}, fixed by the modular group, is counted
 by two independent routes, each with its own cutoff (see
@@ -152,7 +153,7 @@ def heisenberg_evolve(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndar
     return v @ evolved @ adjoint(v)
 
 
-def kms_function(sys: GibbsSystem, a, b, z: np.ndarray) -> np.ndarray:
+def kms_function(sys: GibbsSystem, a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Two-point function F(z) = omega(A sigma_z(B)) on the strip, at each z.
 
     In the eigenbasis of H (eigenvalues E_j, weights lambda_j of D):
@@ -160,8 +161,7 @@ def kms_function(sys: GibbsSystem, a, b, z: np.ndarray) -> np.ndarray:
         F(z) = sum_jk lambda_j A_jk B_kj exp(i z (E_k - E_j)).
 
     ``a`` and ``b`` are (d, d) matrices, giving an array over z, or
-    (k, d, d) stacks, giving an array over the probes, then z (either may
-    come formed by :func:`eigenbasis_stack`). The weights
+    (k, d, d) stacks, giving an array over the probes, then z. The weights
     lambda_j A_jk B_kj are formed once for all z, and each (probe, z)
     value is their dot product with the phases of that z
     (:func:`_contract`). Raises :class:`OutsideStrip` unless
@@ -175,30 +175,14 @@ def kms_function(sys: GibbsSystem, a, b, z: np.ndarray) -> np.ndarray:
             f"Im z = {z.imag[outside].flat[0]:g} outside [0, beta] "
             f"with beta = {sys.beta:g}"
         )
-    a, b = _paired_operands(sys, a, b)
-    return _two_point(sys, a.eig, b.eig, _strip_phases(sys, z))
-
-
-@dataclass(frozen=True)
-class EigenbasisStack:
-    """Operators with their form V* X V in D's eigenbasis, formed once by
-    :func:`eigenbasis_stack` for every function here that reads them."""
-
-    sys: GibbsSystem
-    matrix: np.ndarray  # (d, d) or (k, d, d), in the standard basis
-    eig: np.ndarray  # V* X V, of the same shape
-
-
-def eigenbasis_stack(sys: GibbsSystem, x) -> EigenbasisStack:
-    """``x``, a (d, d) matrix or (k, d, d) stack, with V* X V."""
-    x = as_operators(x, sys.dim)
-    return EigenbasisStack(sys, x, _eigenbasis(sys, x))
+    a, b = _paired_operators(sys, a, b)
+    return _two_point(sys, _eigenbasis(sys, a), _eigenbasis(sys, b), _strip_phases(sys, z))
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """A 1-D grid of physical times with the factors every trace of sigma_t
-    over it reads, formed once by :func:`time_grid`."""
+    """A 1-D grid of physical times of one Gibbs system, with the factors
+    every trace of sigma_t over it reads, formed once by :func:`time_grid`."""
 
     sys: GibbsSystem
     t: np.ndarray
@@ -215,29 +199,51 @@ def time_grid(sys: GibbsSystem, t) -> TimeGrid:
     return TimeGrid(sys, t, phases, strip, _eigenbasis(sys, sys.density.matrix))
 
 
-def _operand(sys: GibbsSystem, x) -> EigenbasisStack:
-    """``x`` as given if :func:`eigenbasis_stack` formed it for ``sys``, else formed here."""
-    if not isinstance(x, EigenbasisStack):
-        return eigenbasis_stack(sys, x)
-    if x.sys is not sys:
-        raise DomainError("operators formed in the eigenbasis of another Gibbs system")
-    return x
+@dataclass(frozen=True)
+class ProbePairs:
+    """Probe pairs (A, B) on a time grid, with V* A V and V* B V, formed
+    once by :func:`probe_pairs` for both defects.
+
+    :func:`kms_boundary_defect` and :func:`state_invariance_defect` form
+    one from their arguments; ``kms-verify`` forms one per probe block on
+    the command's grid, and the kms campaign one per instance.
+    """
+
+    grid: TimeGrid
+    a: np.ndarray  # (d, d) or (k, d, d), in the standard basis
+    a_eig: np.ndarray  # V* A V, of the same shape
+    b_eig: np.ndarray  # V* B V, alike
+
+    def boundary_defect(self) -> np.ndarray:
+        """:func:`kms_boundary_defect` of the pairs on their grid."""
+        grid = self.grid
+        lhs = _two_point(grid.sys, self.a_eig, self.b_eig, grid.strip)
+        # (V* A D V)^T formed as such, so the weights take its one array
+        weights = grid.density.T @ np.swapaxes(self.a_eig, -2, -1)
+        weights *= self.b_eig
+        return np.abs(lhs - _contract(weights, grid.phases))
+
+    def invariance_defect(self) -> np.ndarray:
+        """:func:`state_invariance_defect` of the A probes on their grid."""
+        grid = self.grid
+        initial = _trace_of_products(self.a[..., None, :, :], grid.sys.density.matrix)
+        evolved = _contract(self.a_eig * grid.density.T, grid.phases)
+        return np.abs(evolved - initial)
 
 
-def _grid(sys: GibbsSystem, t) -> TimeGrid:
-    """``t`` as given if :func:`time_grid` formed it for ``sys``, else formed here."""
-    if not isinstance(t, TimeGrid):
-        return time_grid(sys, t)
-    if t.sys is not sys:
-        raise DomainError("time grid formed for another Gibbs system")
-    return t
+def probe_pairs(grid: TimeGrid, a, b) -> ProbePairs:
+    """``a`` and ``b``, (d, d) matrices or (k, d, d) stacks of one shape,
+    on ``grid``; ShapeMismatch for any other shapes."""
+    a, b = _paired_operators(grid.sys, a, b)
+    return ProbePairs(grid, a, _eigenbasis(grid.sys, a), _eigenbasis(grid.sys, b))
 
 
-def _paired_operands(sys: GibbsSystem, a, b) -> tuple[EigenbasisStack, EigenbasisStack]:
-    """``a`` and ``b`` as operands of one shape, else ShapeMismatch."""
-    a, b = _operand(sys, a), _operand(sys, b)
-    if a.matrix.shape != b.matrix.shape:
-        raise ShapeMismatch(f"operator stacks {a.matrix.shape} and {b.matrix.shape} differ")
+def _paired_operators(sys: GibbsSystem, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as operators of one shape, else ShapeMismatch."""
+    a = as_operators(a, sys.dim)
+    b = as_operators(b, sys.dim)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"operator stacks {a.shape} and {b.shape} differ")
     return a, b
 
 
@@ -469,7 +475,7 @@ def _antisymmetric_block(t: np.ndarray) -> np.ndarray:
     return (rows[:, p, q] + rows[:, q, p]) * np.where(p == q, math.sqrt(0.5), 1.0)
 
 
-def state_invariance_defect(sys: GibbsSystem, a, t) -> np.ndarray:
+def state_invariance_defect(sys: GibbsSystem, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """|omega(sigma_t(A)) - omega(A)|, zero for the Gibbs state.
 
     omega(A) = Tr(D A) is taken in the standard basis as sum_jk A_jk D_kj.
@@ -477,17 +483,16 @@ def state_invariance_defect(sys: GibbsSystem, a, t) -> np.ndarray:
     entrywise: by cyclicity Tr(V E V* D) = sum_jk E_jk (V* D V)_kj for
     E = P_t o V* A V, one dot product per probe and time of the weights
     (V* A V)_jk (V* D V)_kj with P_t. An array over the times, or for a
-    (k, d, d) stack over the probes, then the times. ``a`` may come formed
-    by :func:`eigenbasis_stack`, and ``t`` by :func:`time_grid`.
+    (k, d, d) stack over the probes, then the times. Evaluated by
+    :meth:`ProbePairs.invariance_defect`.
     """
-    a = _operand(sys, a)
-    grid = _grid(sys, t)
-    initial = _trace_of_products(a.matrix[..., None, :, :], sys.density.matrix)
-    evolved = _contract(a.eig * grid.density.T, grid.phases)
-    return np.abs(evolved - initial)
+    # the pairs' B is never read: A stands in for it
+    return probe_pairs(time_grid(sys, t), a, a).invariance_defect()
 
 
-def kms_boundary_defect(sys: GibbsSystem, a, b, t) -> np.ndarray:
+def kms_boundary_defect(
+    sys: GibbsSystem, a: np.ndarray, b: np.ndarray, t: np.ndarray
+) -> np.ndarray:
     """|F(t + i beta) - omega(sigma_t(B) A)|, the KMS condition residual.
 
     The left side is the eigenbasis sum of :func:`kms_function`. The right
@@ -497,17 +502,10 @@ def kms_boundary_defect(sys: GibbsSystem, a, b, t) -> np.ndarray:
     V* A D V = (V* A V)(V* D V) since V V* = 1: one dot product per probe
     and time of the weights (V* B V)_jk (V* A D V)_kj with P_t. The two
     sides share V, V* A V, V* B V and the energies. An array over the
-    times, or for (k, d, d) stacks over the probes, then the times. ``a``
-    and ``b`` may come formed by :func:`eigenbasis_stack`, and ``t`` by
-    :func:`time_grid`.
+    times, or for (k, d, d) stacks over the probes, then the times.
+    Evaluated by :meth:`ProbePairs.boundary_defect`.
     """
-    a, b = _paired_operands(sys, a, b)
-    grid = _grid(sys, t)
-    lhs = _two_point(sys, a.eig, b.eig, grid.strip)
-    # (V* A D V)^T formed as such, so the weights take its one array
-    weights = grid.density.T @ np.swapaxes(a.eig, -2, -1)
-    weights *= b.eig
-    return np.abs(lhs - _contract(weights, grid.phases))
+    return probe_pairs(time_grid(sys, t), a, b).boundary_defect()
 
 
 def _times(t, dtype) -> np.ndarray:

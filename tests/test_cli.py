@@ -471,18 +471,18 @@ def _strict_json(text):
 @pytest.mark.parametrize(
     "target, field",
     [
-        ("kms_boundary_defect", "max_boundary_defect"),
-        ("state_invariance_defect", "max_invariance_defect"),
+        ("boundary_defect", "max_boundary_defect"),
+        ("invariance_defect", "max_invariance_defect"),
     ],
 )
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_kms_verify_fails_closed_on_non_finite_defect(
     target, field, bad, monkeypatch, capsys
 ):
-    import modkit.kms as kms
+    from modkit.kms import ProbePairs
 
     calls = []
-    real = getattr(kms, target)
+    real = getattr(ProbePairs, target)
 
     def poisoned(*args):
         calls.append(None)
@@ -491,7 +491,7 @@ def test_kms_verify_fails_closed_on_non_finite_defect(
         defects[1, 2] = bad
         return defects
 
-    monkeypatch.setattr(kms, target, poisoned)
+    monkeypatch.setattr(ProbePairs, target, poisoned)
     code = main(["kms-verify", "--dim", "3", "--samples", "2", "--json"])
     out = _strict_json(capsys.readouterr().out)
     assert len(calls) == 1  # both probes in one stacked call
@@ -846,8 +846,9 @@ def test_kms_verify_judges_the_centralizer_routes_as_a_family(tmp_path, monkeypa
 
 
 def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypatch, capsys):
-    # one probe pair per block, the default byte bound (128 pairs at d = 16,
-    # so all 50 in one block), and a larger bound
+    # one probe pair per block, the default byte bound (125 pairs at d = 16,
+    # so all 50 in one block), and a bound of 20 pairs: two full blocks and
+    # a partial one
     import modkit.cli as cli
 
     density = random_faithful_density(np.random.default_rng(16), 16)
@@ -859,15 +860,15 @@ def test_kms_verify_output_is_independent_of_the_probe_block(tmp_path, monkeypat
         return real_draw(rng, count, d)
 
     monkeypatch.setattr(cli, "complex_gaussian_stack", draw)
-    per_pair = 16 * len(campaigns.KMS_TIMES) * 16 * 16
+    per_pair = 16 * (16 * 16 + len(campaigns.KMS_TIMES))
     outputs, blocks = [], []
-    for bound in (1, cli.KMS_BLOCK_BYTES, 50 * per_pair):
+    for bound in (1, cli.KMS_BLOCK_BYTES, 20 * per_pair):
         monkeypatch.setattr(cli, "KMS_BLOCK_BYTES", bound)
         draws.clear()
         assert main(["kms-verify", path, "--samples", "50", "--json"]) == 0
         outputs.append(capsys.readouterr().out)
         blocks.append(list(draws))
-    assert blocks == [[2] * 50, [100], [100]]
+    assert blocks == [[2] * 50, [100], [40, 40, 20]]
     assert outputs[0] == outputs[1] == outputs[2]
 
 

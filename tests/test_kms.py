@@ -282,20 +282,21 @@ def test_kms_verify_takes_no_evolved_matrix_back_to_the_standard_basis(monkeypat
 @pytest.mark.parametrize("d", [2, 4, 16])
 def test_one_default_probe_block_stays_within_four_block_bounds(d):
     # kms-verify's probe block is the only memory bound on the KMS path:
-    # one block of the default size keeps both defects' traced peak within
-    # a few (probes, times, d, d) arrays of KMS_BLOCK_BYTES each
+    # one block of the default size, formed and evaluated as kms-verify
+    # does, keeps its traced peak within a few (pairs, d, d) and
+    # (pairs, times) arrays of KMS_BLOCK_BYTES together
     rng = np.random.default_rng(90 + d)
     sys = gibbs_hamiltonian(random_faithful_density(rng, d), 1.0)
-    t_grid = np.array(campaigns.KMS_TIMES)
-    pairs = max(1, cli.KMS_BLOCK_BYTES // (16 * len(t_grid) * d * d))
+    grid = kms.time_grid(sys, campaigns.KMS_TIMES)
+    pairs = cli.kms_block_pairs(d, len(grid.t))
     probes = np.array([complex_gaussian(rng, d) for _ in range(2 * pairs)])
     a, b = probes[0::2], probes[1::2]
-    kms_boundary_defect(sys, a, b, t_grid)
-    state_invariance_defect(sys, a, t_grid)
+    kms.probe_pairs(grid, a, b).boundary_defect()
     tracemalloc.start()
     try:
-        kms_boundary_defect(sys, a, b, t_grid)
-        state_invariance_defect(sys, a, t_grid)
+        block = kms.probe_pairs(grid, a, b)
+        block.boundary_defect()
+        block.invariance_defect()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,33 +323,6 @@ def test_a_statepair_block_forms_no_array_per_probe_and_time():
     finally:
         tracemalloc.stop()
     assert peak < 16 * pairs * times * d * d
-
-
-@pytest.mark.parametrize("d", [2, 16])
-def test_a_formed_grid_and_eigenbasis_stacks_give_the_bits_of_raw_arguments(d):
-    # kms-verify forms the time grid once per command and each block's
-    # eigenbasis stacks once for both defects
-    rng = np.random.default_rng(120 + d)
-    sys = gibbs_hamiltonian(random_faithful_density(rng, d), 0.8)
-    t_grid = np.array(campaigns.KMS_TIMES)
-    probes = np.array([complex_gaussian(rng, d) for _ in range(6)])
-    a, b = probes[0::2], probes[1::2]
-    grid = kms.time_grid(sys, t_grid)
-    a_eig, b_eig = kms.eigenbasis_stack(sys, a), kms.eigenbasis_stack(sys, b)
-    z = t_grid + 1j * sys.beta
-    for formed, raw in (
-        (kms_boundary_defect(sys, a_eig, b_eig, grid), kms_boundary_defect(sys, a, b, t_grid)),
-        (state_invariance_defect(sys, a_eig, grid), state_invariance_defect(sys, a, t_grid)),
-        (kms_function(sys, a_eig, b_eig, z), kms_function(sys, a, b, z)),
-    ):
-        assert formed.shape == raw.shape
-        assert np.array_equal(formed.view(np.uint64), raw.view(np.uint64))
-    # formed for an equal system is still formed for another one
-    other = gibbs_hamiltonian(sys.density, sys.beta)
-    with pytest.raises(DomainError):
-        kms_boundary_defect(other, a, b, grid)
-    with pytest.raises(DomainError):
-        state_invariance_defect(other, a_eig, t_grid)
 
 
 def test_an_empty_time_grid_or_probe_stack_gives_empty_results(rng):
